@@ -1,4 +1,4 @@
-// Collectives engine sweep: allreduce/allgather/alltoall over
+// Collectives engine sweep: bcast/allreduce/allgather/alltoall over
 // sizes x algorithms x protocols, with host-byte counters.
 //
 // Every point runs the same traffic twice — symbolic descriptors and
@@ -10,10 +10,14 @@
 //
 //   --json      machine-readable output (BENCH_collectives.json)
 //   --check     exit non-zero if (a) a symbolic/materialized pair diverges
-//               in makespan or checksums, or (b) a large-message symbolic
-//               point under a non-packing algorithm (ring/pairwise/
-//               recursive-doubling/rabenseifner) copies more than 1/20 of
-//               its wire bytes on the host (CI bench-smoke gate)
+//               in makespan or checksums, (b) a large-message symbolic
+//               point under a non-packing algorithm (binomial/scatter-
+//               allgather/ring/pairwise/recursive-doubling/rabenseifner)
+//               copies more than 1/20 of its wire bytes on the host, or
+//               (c) a materialized scatter-allgather bcast hashes more than
+//               2 x bytes x iters: its segments re-join to the root's
+//               buffer, so each call hashes one buffer per root replica
+//               (CI bench-smoke gate)
 //   --nranks=N  communicator size (default 8)
 //   --iters=N   collective calls per point (default 2)
 #include <iostream>
@@ -27,10 +31,11 @@ namespace {
 
 using namespace sdrmpi;
 
-enum class CollKind { Allreduce, Allgather, Alltoall };
+enum class CollKind { Bcast, Allreduce, Allgather, Alltoall };
 
 const char* to_string(CollKind k) {
   switch (k) {
+    case CollKind::Bcast: return "bcast";
     case CollKind::Allreduce: return "allreduce";
     case CollKind::Allgather: return "allgather";
     case CollKind::Alltoall: return "alltoall";
@@ -45,6 +50,9 @@ core::AppFn coll_app(CollKind kind, std::size_t bytes, wl::PayloadMode mode,
     util::Checksum cs;
     for (int it = 0; it < iters; ++it) {
       switch (kind) {
+        case CollKind::Bcast:
+          c.bcast(bytes, /*root=*/0, /*tag=*/4, cs);
+          break;
         case CollKind::Allreduce:
           c.allreduce_zeros(bytes, cs);
           break;
@@ -74,6 +82,11 @@ std::vector<AlgPoint> algorithm_points() {
     set(t);
     out.push_back({k, alg, t, packing});
   };
+  add(CollKind::Bcast, "binomial", false,
+      [](mpi::CollTuning& t) { t.bcast = mpi::BcastAlg::Binomial; });
+  add(CollKind::Bcast, "scatter-allgather", false, [](mpi::CollTuning& t) {
+    t.bcast = mpi::BcastAlg::ScatterAllgather;
+  });
   add(CollKind::Allreduce, "reduce-bcast", false, [](mpi::CollTuning& t) {
     t.allreduce = mpi::AllreduceAlg::ReduceBcast;
   });
@@ -98,6 +111,7 @@ std::vector<AlgPoint> algorithm_points() {
 struct Meta {
   bool symbolic;
   bool packing;
+  bool sag_bcast;  // scatter-allgather bcast: gate (c)
   std::size_t bytes;
 };
 
@@ -149,7 +163,9 @@ int main(int argc, char** argv) {
           points.push_back({std::move(label), cfg,
                             coll_app(ap.kind, bytes, mode, iters),
                             std::move(spec)});
-          metas.push_back({symbolic, ap.packing, bytes});
+          metas.push_back({symbolic, ap.packing,
+                           ap.tuning.bcast == mpi::BcastAlg::ScatterAllgather,
+                           bytes});
         }
       }
     }
@@ -206,6 +222,22 @@ int main(int argc, char** argv) {
         std::cerr << "fig_collectives: symbolic point '" << points[i].label
                   << "' copied " << r.bytes_copied << " host bytes against "
                   << r.fabric.payload_bytes << " wire bytes\n";
+        rc = 1;
+      }
+    }
+    // A materialized scatter-allgather bcast re-joins every rank's segments
+    // into the root's own buffer, so the digest is computed once per call
+    // per root replica, not once per rank.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const Meta& m = metas[i];
+      if (m.symbolic || !m.sag_bcast) continue;
+      const auto& r = results[i].run;
+      const std::uint64_t bound =
+          2 * m.bytes * static_cast<std::uint64_t>(iters);
+      if (r.bytes_hashed > bound) {
+        std::cerr << "fig_collectives: materialized bcast '"
+                  << points[i].label << "' hashed " << r.bytes_hashed
+                  << " host bytes, bound " << bound << "\n";
         rc = 1;
       }
     }

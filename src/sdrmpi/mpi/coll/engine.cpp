@@ -172,7 +172,8 @@ net::Payload CollEngine::bcast_scatter_allgather(const net::Payload& mine,
 
   // Phase 1 — binomial scatter by range halving: the holder of relative
   // range [lo, hi] hands the upper half (one contiguous slice handle) to
-  // the range's midpoint. Symbolic slices stay symbolic.
+  // the range's midpoint. Symbolic slices stay symbolic; Raw slices are
+  // views of the root's buffer.
   net::Payload part;          // my current range's contents
   std::size_t part_base = 0;  // byte offset of `part` in the full message
   int lo = 0;
@@ -216,7 +217,8 @@ net::Payload CollEngine::bcast_scatter_allgather(const net::Payload& mine,
   if (rank_ == root) {
     out = mine;  // already whole; skip the re-join
   } else {
-    // Contiguous symbolic segments re-merge into the original descriptor.
+    // The segments re-join exactly: symbolic ones into the root's
+    // descriptor, Raw ones (views of the root's buffer) into its header.
     out = net::Payload::concat_payloads(pool_, segs);
   }
   segs.clear();  // drop the segment handles (returns slabs to the pool)

@@ -4,9 +4,13 @@
 // consumed only as a digest (redMPI hash comparison) or ignored entirely, so
 // the bytes can be represented by a content descriptor instead of a buffer:
 //
-//   Zeros(len)          len zero bytes
-//   Pattern(seed, len)  len bytes of the deterministic generator below
-//   Corrupt(base, bit)  base's contents with one bit flipped (SDC injection)
+//   Zeros(len)                 len zero bytes
+//   Pattern(seed, len)         len bytes of the deterministic generator below
+//   Tile(seed, period, reps)   one Pattern block repeated back to back
+//   Corrupt(base, bit)         base's contents with one bit flipped (SDC)
+//
+// Raw is the one kind with host bytes: a slab of its own, or a zero-copy
+// view onto a window of another Raw payload's slab (Payload::slice).
 //
 // Every kind defines an exact byte sequence; materialization (content.hpp
 // generators) and streaming digests extract bytes with explicit
@@ -15,6 +19,7 @@
 // invariant payload_symbolic_test pins.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,7 +28,7 @@
 namespace sdrmpi::net {
 
 enum class ContentKind : std::uint8_t {
-  Raw,      ///< bytes stored in the payload's own slab
+  Raw,      ///< host bytes: the payload's own slab, or a view into another
   Zeros,    ///< all-zero contents
   Pattern,  ///< deterministic pseudo-random contents from a 64-bit seed
   Corrupt,  ///< another payload's contents with one bit flipped
@@ -98,6 +103,32 @@ struct ContentDesc {
       (pattern_word(seed, i >> 3) >> (8 * (i & 7))) & 0xff);
 }
 
+/// Writes `n` bytes of the Pattern(seed) stream starting at stream position
+/// `off` to `out`: one generator word per 8 output bytes, whatever the
+/// alignment of `off` (a leading partial word, whole words, a trailing
+/// partial word).
+inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
+                         std::byte* out) noexcept {
+  // Bytes [from, to) of generator word w, little-endian within the word.
+  const auto put = [seed](std::byte* dst, std::uint64_t w, unsigned from,
+                          unsigned to) {
+    const std::uint64_t v = pattern_word(seed, w);
+    for (unsigned j = from; j < to; ++j) {
+      *dst++ = static_cast<std::byte>((v >> (8 * j)) & 0xff);
+    }
+  };
+  std::uint64_t w = off >> 3;
+  const auto head = static_cast<unsigned>(off & 7);
+  if (head != 0) {
+    const auto take = static_cast<unsigned>(std::min<std::size_t>(8 - head, n));
+    put(out, w++, head, head + take);
+    out += take;
+    n -= take;
+  }
+  for (; n >= 8; n -= 8, out += 8) put(out, w++, 0, 8);
+  if (n != 0) put(out, w, 0, static_cast<unsigned>(n));
+}
+
 /// fnv1a over `len` zero bytes resumed from `h`: each step multiplies by the
 /// prime, so the whole run is h * prime^len — O(log len) by binary
 /// exponentiation instead of touching len bytes.
@@ -118,10 +149,14 @@ struct ContentDesc {
 [[nodiscard]] constexpr std::uint64_t fnv1a_pattern(
     std::uint64_t seed, std::uint64_t begin, std::uint64_t end,
     std::uint64_t h = util::kFnvOffset) noexcept {
-  for (std::uint64_t i = begin; i < end; ++i) {
-    h ^= static_cast<std::uint64_t>(
-        std::to_integer<unsigned char>(pattern_byte(seed, i)));
-    h *= util::kFnvPrime;
+  for (std::uint64_t i = begin; i < end;) {
+    // One generator word per 8 stream bytes, as in fill_pattern.
+    const std::uint64_t v = pattern_word(seed, i >> 3);
+    const std::uint64_t stop = std::min(end, (i | 7) + 1);
+    for (; i < stop; ++i) {
+      h ^= (v >> (8 * (i & 7))) & 0xff;
+      h *= util::kFnvPrime;
+    }
   }
   return h;
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace sdrmpi::net {
@@ -99,30 +100,6 @@ tile_memo() {
   return d;
 }
 
-/// `n` bytes of the Pattern(seed) stream starting at stream position `off`.
-void fill_pattern_bytes(std::uint64_t seed, std::uint64_t off, std::size_t n,
-                        std::byte* out) {
-  if (off % 8 == 0) {
-    // Word-aligned stream position: generate whole words.
-    const std::uint64_t word0 = off / 8;
-    const std::size_t words = n / 8;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t v = pattern_word(seed, word0 + w);
-      for (int j = 0; j < 8; ++j) {
-        out[w * 8 + static_cast<std::size_t>(j)] =
-            static_cast<std::byte>((v >> (8 * j)) & 0xff);
-      }
-    }
-    for (std::size_t i = words * 8; i < n; ++i) {
-      out[i] = pattern_byte(seed, off + i);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = pattern_byte(seed, off + i);
-    }
-  }
-}
-
 }  // namespace
 
 void clear_pattern_digest_memo() noexcept {
@@ -158,7 +135,12 @@ Payload Payload::symbolic(util::BufferPool* pool, const ContentDesc& desc) {
 
 Payload Payload::slice(util::BufferPool* pool, const Payload& base,
                        std::size_t off, std::size_t len) {
-  assert(off + len <= base.size());
+  if (off > base.size() || len > base.size() - off) {
+    throw std::out_of_range("Payload::slice: " + std::to_string(len) +
+                            " bytes at offset " + std::to_string(off) +
+                            " exceed the payload size " +
+                            std::to_string(base.size()));
+  }
   if (len == 0) return {};
   if (off == 0 && len == base.size()) return base;  // alias, no copy
   switch (base.kind()) {
@@ -211,17 +193,26 @@ Payload Payload::slice(util::BufferPool* pool, const Payload& base,
         const std::uint64_t r = (off + i) % period;
         const std::size_t chunk =
             std::min<std::size_t>(len - i, period - r);
-        fill_pattern_bytes(base.h_->seed, base.h_->offset + r, chunk,
-                           out.mutable_data() + i);
+        fill_pattern(base.h_->seed, base.h_->offset + r, chunk,
+                     out.mutable_data() + i);
         i += chunk;
       }
       util::count_bytes_copied(len);
       return out;
     }
-    case ContentKind::Raw:
+    case ContentKind::Raw: {
+      // Zero-copy view onto the owning slab. Views never chain: a slice
+      // of a view windows the same owner (an owner's offset is 0).
+      Header* owner = base.h_->base != nullptr ? base.h_->base : base.h_;
+      Payload out(pool, len, /*inline_bytes=*/0);
+      out.h_->offset = base.h_->offset + off;
+      out.h_->base = owner;
+      ++owner->refs;
+      return out;
+    }
     case ContentKind::Corrupt:
-      // No exact sub-descriptor exists; copy the range (materializing a
-      // Corrupt base exactly once, shared by every aliasing handle).
+      // No exact sub-descriptor exists; copy the range (materializing the
+      // base exactly once, shared by every aliasing handle).
       return copy_of(pool, base.bytes().subspan(off, len));
   }
   return {};
@@ -270,6 +261,35 @@ Payload Payload::concat_payloads(util::BufferPool* pool,
   if (contiguous_pattern) {
     const std::uint64_t begin = next_offset - total;
     return symbolic(pool, ContentDesc::pattern_at(seed, total, begin));
+  }
+
+  // Contiguous Raw windows of one owner re-join without a copy into one
+  // view of the joined range — the owner itself when they cover it (a
+  // scatter-allgather bcast hands every rank the root's buffer, whose
+  // digest is then computed once).
+  Header* owner = nullptr;
+  std::uint64_t begin = 0;
+  std::uint64_t next = 0;
+  bool contiguous_raw = true;
+  for (const Payload& p : parts) {
+    if (p.empty()) continue;
+    Header* o = p.h_->base != nullptr ? p.h_->base : p.h_;
+    if (owner == nullptr) {
+      owner = o;
+      begin = next = p.h_->offset;
+    }
+    if (p.kind() != ContentKind::Raw || o != owner ||
+        p.h_->offset != next) {
+      contiguous_raw = false;
+      break;
+    }
+    next += p.size();
+  }
+  if (contiguous_raw) {
+    Payload whole;
+    whole.h_ = owner;
+    ++owner->refs;
+    return slice(pool, whole, begin, total);  // full range: the owner
   }
 
   // Repetitions of one identical Pattern block — every part the same
@@ -344,19 +364,19 @@ Payload Payload::corrupt(util::BufferPool* pool, const Payload& base,
 void Payload::fill_contents(const Header* h, std::byte* out) {
   switch (h->kind) {
     case ContentKind::Raw:
-      std::memcpy(out, slab_data(const_cast<Header*>(h)), h->size);
+      std::memcpy(out, raw_data(h), h->size);
       return;
     case ContentKind::Zeros:
       std::memset(out, 0, h->size);
       return;
     case ContentKind::Pattern:
-      fill_pattern_bytes(h->seed, h->offset, h->size, out);
+      fill_pattern(h->seed, h->offset, h->size, out);
       return;
     case ContentKind::Tile: {
       // Generate the first repetition, then replicate it with doubling
       // copies (memcpy bandwidth instead of generator arithmetic).
       const std::size_t period = h->bit_index;
-      fill_pattern_bytes(h->seed, h->offset, period, out);
+      fill_pattern(h->seed, h->offset, period, out);
       std::size_t filled = period;
       while (filled < h->size) {
         const std::size_t chunk = std::min(filled, h->size - filled);
@@ -373,7 +393,7 @@ void Payload::fill_contents(const Header* h, std::byte* out) {
       if (base->kind == ContentKind::Raw || base->mat != nullptr) {
         std::memcpy(out,
                     base->kind == ContentKind::Raw
-                        ? slab_data(const_cast<Header*>(base))
+                        ? raw_data(base)
                         : static_cast<const std::byte*>(base->mat),
                     h->size);
       } else {
@@ -407,8 +427,7 @@ std::uint64_t Payload::compute_digest(const Header* h) {
   switch (h->kind) {
     case ContentKind::Raw:
       util::count_bytes_hashed(h->size);
-      return util::fnv1a(
-          {slab_data(const_cast<Header*>(h)), h->size});
+      return util::fnv1a({raw_data(h), h->size});
     case ContentKind::Zeros:
       return fnv1a_zeros(h->size);
     case ContentKind::Pattern:
@@ -428,7 +447,7 @@ std::uint64_t Payload::compute_digest(const Header* h) {
       if (base->kind == ContentKind::Raw || base->mat != nullptr) {
         const std::byte* bytes =
             base->kind == ContentKind::Raw
-                ? slab_data(const_cast<Header*>(base))
+                ? raw_data(base)
                 : static_cast<const std::byte*>(base->mat);
         util::count_bytes_hashed(h->size);
         std::uint64_t d = util::fnv1a({bytes, i});

@@ -8,14 +8,21 @@
 // receiver's unexpected/parked queues — where the seed code re-copied the
 // bytes at every hand-off.
 //
-// Symbolic payloads (Zeros / Pattern / Corrupt, see content.hpp) carry only
-// a header: size() and wire-byte accounting see the logical length, but no
-// host byte is touched until someone actually asks for contents:
+// Raw payloads own their bytes inline in the slab — or are *views*: a
+// header-only window [offset, offset+size) into another Raw payload's
+// bytes (slice() of Raw). A view refcounts its owner, never another view,
+// so the owner lives as long as any window onto it; concat_payloads() of
+// contiguous views re-joins them without a copy.
+//
+// Symbolic payloads (Zeros / Pattern / Tile / Corrupt, see content.hpp)
+// carry only a header: size() and wire-byte accounting see the logical
+// length, but no host byte is touched until someone actually asks for
+// contents:
 //   * data()/bytes() materialize lazily — exactly once per payload, into a
 //     pool slab shared by every aliasing handle;
 //   * digest() never materializes: Zeros digests in O(log n) closed form,
-//     Pattern digests stream the generator once per (seed, len) shape and
-//     are memoized per host thread, Corrupt streams its base with the bit
+//     Pattern and Tile digests stream the generator once per shape and are
+//     memoized per host thread, Corrupt streams its base with the bit
 //     flipped. digest() always equals fnv1a over the materialized bytes.
 // That makes GB-scale simulated messages O(1) host work end to end (send,
 // redMPI hash compare, SDC injection, ack/retransmission buffering).
@@ -133,21 +140,25 @@ class Payload {
   /// Sub-range [off, off+len) of `base`'s contents. Exact descriptor
   /// algebra where it exists: a slice of Zeros is Zeros, a slice of
   /// Pattern(seed) is Pattern(seed) at a shifted stream offset — both O(1),
-  /// no byte touched. Raw (and materialized/Corrupt) bases copy the
-  /// sub-span into a fresh slab. The collective engine's scatter and Bruck
-  /// schedules are built on this: segments of a symbolic broadcast stay
-  /// symbolic end to end.
+  /// no byte touched. A slice of Raw is a zero-copy view onto the owning
+  /// slab (a slice of a view points at the same owner); only Corrupt bases
+  /// copy the sub-span into a fresh slab. The collective engine's scatter
+  /// and Bruck schedules are built on this: segments of a broadcast stay
+  /// symbolic, or alias the root's buffer, end to end. Throws
+  /// std::out_of_range when the range exceeds base.size() (in every build:
+  /// a view past the end would alias foreign memory).
   [[nodiscard]] static Payload slice(util::BufferPool* pool,
                                      const Payload& base, std::size_t off,
                                      std::size_t len);
 
   /// Joins `parts` in order into one payload. Exact where the descriptor
   /// algebra allows: all-Zeros parts stay Zeros, stream-contiguous
-  /// same-seed Pattern parts merge back into one Pattern descriptor (the
-  /// inverse of slice), and repetitions of one identical Pattern block
-  /// (Pattern or Tile parts sharing seed/offset/period) fold into a Tile —
-  /// the allgather case, where every rank contributes the same symbolic
-  /// block. Otherwise every part materializes once and the bytes are
+  /// same-seed Pattern parts merge back into one Pattern descriptor and
+  /// contiguous Raw views of one owner re-join into one view — the owner
+  /// itself when they cover it (both the inverse of slice) — and
+  /// repetitions of one identical Pattern block (Pattern or Tile parts
+  /// sharing seed/offset/period) fold into a Tile — the allgather case,
+  /// where every rank contributes the same symbolic block. Otherwise every part materializes once and the bytes are
   /// packed into a fresh Raw slab. Empty parts are skipped; a single
   /// non-empty part is aliased, not copied.
   [[nodiscard]] static Payload concat_payloads(util::BufferPool* pool,
@@ -166,7 +177,7 @@ class Payload {
   /// — they never materialize.
   [[nodiscard]] const std::byte* data() const {
     if (h_ == nullptr) return nullptr;
-    return h_->kind == ContentKind::Raw ? slab_data(h_) : materialize(h_);
+    return h_->kind == ContentKind::Raw ? raw_data(h_) : materialize(h_);
   }
   [[nodiscard]] std::size_t size() const noexcept {
     return h_ != nullptr ? h_->size : 0;
@@ -224,12 +235,13 @@ class Payload {
   }
 
  private:
-  /// Slab layout: [Header][data bytes for Raw]. The header records which
-  /// pool (and free-list class) the slab returns to, so a Payload can
-  /// outlive the Fabric/Endpoint that made it as long as the Engine (pool
-  /// owner) lives. Symbolic kinds store no inline bytes; their lazily
-  /// materialized buffer and cached digest live in the shared header so
-  /// every aliasing handle benefits.
+  /// Slab layout: [Header][data bytes for an owning Raw]. The header
+  /// records which pool (and free-list class) the slab returns to, so a
+  /// Payload can outlive the Fabric/Endpoint that made it as long as the
+  /// Engine (pool owner) lives. Raw views and symbolic kinds store no
+  /// inline bytes; a symbolic kind's lazily materialized buffer and every
+  /// kind's cached digest live in the shared header so every aliasing
+  /// handle benefits.
   struct Header {
     std::uint32_t refs;
     std::uint32_t size_class;
@@ -239,9 +251,11 @@ class Payload {
     ContentKind kind;
     bool digest_valid;
     std::uint64_t seed;       // Pattern/Tile generator seed
-    std::uint64_t offset;     // Pattern/Tile stream position of byte 0
+    std::uint64_t offset;     // Pattern/Tile stream position of byte 0;
+                              // Raw view: window start in the owner
     std::uint64_t bit_index;  // Corrupt flip position; Tile period (bytes)
-    Header* base;             // Corrupt base contents (refcounted)
+    Header* base;             // refcounted: Corrupt base contents, Raw
+                              // view owner, Tile's shared block slice
     void* mat;                // lazily materialized bytes (symbolic kinds)
     std::uint32_t mat_class;
     std::uint64_t digest;
@@ -275,6 +289,12 @@ class Payload {
     return reinterpret_cast<std::byte*>(h + 1);
   }
   [[nodiscard]] std::byte* mutable_data() noexcept { return slab_data(h_); }
+  /// Bytes of a Raw header: its own slab, or its window into the owner's.
+  [[nodiscard]] static const std::byte* raw_data(const Header* h) noexcept {
+    return h->base == nullptr
+               ? slab_data(const_cast<Header*>(h))
+               : slab_data(h->base) + h->offset;
+  }
 
   // Symbolic machinery (payload.cpp): produce/lookup bytes and digests.
   [[nodiscard]] static const std::byte* materialize(Header* h);
@@ -283,7 +303,8 @@ class Payload {
 
   static void destroy(Header* h) noexcept {
     // Iterative base-chain walk (Corrupt-over-Corrupt stays shallow in
-    // practice, but recursion depth should not depend on data).
+    // practice, but recursion depth should not depend on data). A Raw
+    // view's base is its owner, so the owner outlives every view.
     while (h != nullptr) {
       Header* base = h->base;
       if (h->mat != nullptr) {

@@ -67,7 +67,8 @@ class SymXfer {
       return comm_.isend_symbolic(
           net::ContentDesc::pattern(shape_seed(tag), bytes), dst, tag);
     }
-    fill_pattern(send_scratch_, shape_seed(tag), bytes);
+    if (send_scratch_.size() < bytes) send_scratch_.resize(bytes);
+    net::fill_pattern(shape_seed(tag), 0, bytes, send_scratch_.data());
     return comm_.isend_bytes(
         std::span<const std::byte>(send_scratch_.data(), bytes), dst, tag);
   }
@@ -109,12 +110,6 @@ class SymXfer {
   }
 
  private:
-  static void fill_pattern(std::vector<std::byte>& buf, std::uint64_t seed,
-                           std::size_t n) {
-    if (buf.size() < n) buf.resize(n);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = net::pattern_byte(seed, i);
-  }
-
   mpi::Comm comm_;
   bool symbolic_;
   std::uint64_t seed_;
@@ -172,8 +167,10 @@ class SymColl {
 
   /// Broadcast of `bytes` pattern bytes from `root`; every rank folds the
   /// delivered content digest. Under the scatter-allgather algorithm the
-  /// symbolic segments re-merge into the root's descriptor exactly
-  /// (Payload::slice/concat algebra), so the digest stays memoized.
+  /// segments re-join into the root's payload exactly (Payload::slice/
+  /// concat algebra): symbolic segments into its descriptor, so the digest
+  /// stays memoized, and materialized segments — views of the root's
+  /// buffer — into the root's own header, so it is hashed once per call.
   void bcast(std::size_t bytes, int root, int tag, util::Checksum& cs) {
     net::Payload mine;
     if (comm_.rank() == root) mine = make_block(tag, bytes);
@@ -207,9 +204,7 @@ class SymColl {
       return comm_.make_payload(net::ContentDesc::pattern(seed, bytes));
     }
     if (scratch_.size() < bytes) scratch_.resize(bytes);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      scratch_[i] = net::pattern_byte(seed, i);
-    }
+    net::fill_pattern(seed, 0, bytes, scratch_.data());
     return comm_.make_payload(
         std::span<const std::byte>(scratch_.data(), bytes));
   }

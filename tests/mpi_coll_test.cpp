@@ -616,5 +616,23 @@ TEST(CollValidation, AlltoallvRejectsUndersizedBuffers) {
       << res2.errors.front();
 }
 
+// Ranks that disagree on a bcast length must fail with a reason. With the
+// scatter-allgather schedule the non-roots expect twice the bytes the root
+// sends, so their received segments are short and the schedule's slices
+// run past them — which used to read past the slab in release builds.
+TEST(CollValidation, BcastWithMismatchedLengthsFailsWithAReason) {
+  auto cfg = quick_config(4, 1, core::ProtocolKind::Native);
+  cfg.coll.bcast = mpi::BcastAlg::ScatterAllgather;
+  auto res = core::run(cfg, [](mpi::Env& env) {
+    const std::size_t len = env.rank() == 0 ? 1024 : 2048;
+    std::vector<std::byte> data(len, std::byte{0x7c});
+    env.world().bcast_bytes(data, /*root=*/0);
+  });
+  ASSERT_FALSE(res.errors.empty());
+  EXPECT_NE(res.errors.front().find("exceed the payload size"),
+            std::string::npos)
+      << res.errors.front();
+}
+
 }  // namespace
 }  // namespace sdrmpi

@@ -1,10 +1,15 @@
 // Symbolic payload contents: digests equal fnv1a ground truth, lazy
 // materialization happens exactly once, Corrupt is an O(1) wrapper whose
 // digest differs from its base, the per-shape digest memo makes repeated
-// shapes free, and the symbolic end-to-end path (symbolic send → sink or
-// buffered receive, redMPI detection) behaves exactly like raw bytes.
+// shapes free, Raw slices are zero-copy views that re-join to their owner,
+// and the symbolic end-to-end path (symbolic send → sink or buffered
+// receive, redMPI detection) behaves exactly like raw bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sdrmpi/net/content.hpp"
@@ -52,6 +57,24 @@ TEST(SymbolicPayload, PatternBytesAreTheDocumentedGenerator) {
   }
 }
 
+TEST(SymbolicPayload, FillPatternMatchesPatternByteAtEveryOffset) {
+  const std::uint64_t seed = 0xf111ULL;
+  for (std::uint64_t off = 0; off < 16; ++off) {  // every offset mod 8, twice
+    for (std::size_t n : {0u, 1u, 5u, 7u, 8u, 9u, 16u, 23u, 64u}) {
+      std::vector<std::byte> out(n + 1, std::byte{0xee});
+      net::fill_pattern(seed, off, n, out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], net::pattern_byte(seed, off + i))
+            << "off=" << off << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(out[n], std::byte{0xee}) << "wrote past n";
+      // The streaming digest walks the same bytes.
+      EXPECT_EQ(net::fnv1a_pattern(seed, off, off + n),
+                util::fnv1a(std::span<const std::byte>(out.data(), n)));
+    }
+  }
+}
+
 TEST(SymbolicPayload, EmptyHandleDigestsLikeEmptySpan) {
   EXPECT_EQ(Payload{}.digest(), util::kFnvOffset);
   EXPECT_EQ(util::fnv1a({}), util::kFnvOffset);
@@ -83,22 +106,148 @@ TEST(SymbolicPayload, SliceOfZerosStaysZeros) {
   EXPECT_EQ(s.digest(), net::fnv1a_zeros(6789));
 }
 
-TEST(SymbolicPayload, SliceOfRawCopiesTheRange) {
+/// 0, 1, 2, ... as a Raw payload of n bytes.
+Payload counting_bytes(util::BufferPool* pool, std::size_t n) {
+  std::vector<std::byte> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<std::byte>(i);
+  return Payload::copy_of(pool, bytes);
+}
+
+TEST(SymbolicPayload, SliceOfRawIsAZeroCopyView) {
   util::BufferPool pool;
-  std::vector<std::byte> bytes(64);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::byte>(i);
-  }
-  Payload base = Payload::copy_of(&pool, bytes);
+  Payload base = counting_bytes(&pool, 64);
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
   Payload s = Payload::slice(&pool, base, 8, 16);
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0) << "slice copied bytes";
   EXPECT_EQ(s.kind(), net::ContentKind::Raw);
   EXPECT_EQ(s.size(), 16u);
+  EXPECT_EQ(s.data(), base.data() + 8);
   EXPECT_EQ(s[0], std::byte{8});
   EXPECT_EQ(s[15], std::byte{23});
-  // Full-range slices alias instead of copying.
+  EXPECT_EQ(s.digest(), util::fnv1a(base.bytes().subspan(8, 16)));
+  EXPECT_EQ(base.use_count(), 2u);  // the view holds the owner
+  // Full-range slices alias the handle itself.
   Payload whole = Payload::slice(&pool, base, 0, 64);
   EXPECT_EQ(whole.data(), base.data());
+  EXPECT_EQ(base.use_count(), 3u);
+}
+
+TEST(SymbolicPayload, SliceOfAViewPointsAtTheOwner) {
+  util::BufferPool pool;
+  Payload base = counting_bytes(&pool, 64);
+  Payload view = Payload::slice(&pool, base, 10, 40);
+  Payload nested = Payload::slice(&pool, view, 5, 20);
+  EXPECT_EQ(nested.data(), base.data() + 15);
+  // Views never chain: the nested slice references the owner, not `view`.
+  EXPECT_EQ(view.use_count(), 1u);
+  EXPECT_EQ(base.use_count(), 3u);
+  view.reset();
   EXPECT_EQ(base.use_count(), 2u);
+  EXPECT_EQ(nested[0], std::byte{15});
+  EXPECT_EQ(nested.digest(), util::fnv1a(base.bytes().subspan(15, 20)));
+}
+
+TEST(SymbolicPayload, ContiguousViewsRejoinToTheOwner) {
+  util::BufferPool pool;
+  Payload base = counting_bytes(&pool, 99);
+  const Payload parts[4] = {Payload::slice(&pool, base, 0, 10), Payload{},
+                            Payload::slice(&pool, base, 10, 50),
+                            Payload::slice(&pool, base, 60, 39)};
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
+  Payload joined = Payload::concat_payloads(&pool, parts);
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0) << "re-join copied";
+  EXPECT_EQ(joined.data(), base.data());
+  EXPECT_EQ(joined.size(), 99u);
+  // The same header: the owner's digest is computed once for both.
+  (void)base.digest();
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(joined.digest(), base.digest());
+  EXPECT_EQ(util::byte_counters().bytes_hashed, h0);
+  // A contiguous run that stops short of the owner re-joins to a view.
+  Payload inner = Payload::concat_payloads(
+      &pool, std::span<const Payload>(parts + 2, 2));
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0);
+  EXPECT_EQ(inner.data(), base.data() + 10);
+  EXPECT_EQ(inner.size(), 89u);
+}
+
+TEST(SymbolicPayload, NonContiguousViewsJoinTheExactBytes) {
+  util::BufferPool pool;
+  Payload base = counting_bytes(&pool, 64);
+  Payload other = counting_bytes(&pool, 8);
+  // Out of order, then a view of a different owner: neither re-joins.
+  const Payload swapped[2] = {Payload::slice(&pool, base, 32, 32),
+                              Payload::slice(&pool, base, 0, 32)};
+  const Payload mixed[2] = {Payload::slice(&pool, base, 0, 4), other};
+  for (const auto parts : {std::span<const Payload>(swapped),
+                           std::span<const Payload>(mixed)}) {
+    Payload joined = Payload::concat_payloads(&pool, parts);
+    ASSERT_EQ(joined.kind(), net::ContentKind::Raw);
+    std::vector<std::byte> expect;
+    for (const Payload& p : parts) {
+      expect.insert(expect.end(), p.bytes().begin(), p.bytes().end());
+    }
+    ASSERT_EQ(joined.size(), expect.size());
+    EXPECT_NE(joined.data(), base.data());
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), joined.data()));
+    EXPECT_EQ(joined.digest(), util::fnv1a(expect));
+  }
+}
+
+TEST(SymbolicPayload, CorruptOverAViewDigestsAndMaterializesExactly) {
+  util::BufferPool pool;
+  Payload base = counting_bytes(&pool, 200);
+  Payload view = Payload::slice(&pool, base, 50, 100);
+  const std::uint64_t bit = 3 * 8 + 1;  // byte 3 of the window, bit 1
+  std::vector<std::byte> expect(view.bytes().begin(), view.bytes().end());
+  expect[3] ^= std::byte{0x02};
+  // Digest first (streamed from the window), then materialize.
+  Payload c = Payload::corrupt(&pool, view, bit);
+  EXPECT_EQ(c.digest(), util::fnv1a(expect));
+  Payload c2 = Payload::corrupt(&pool, view, bit);
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), c2.data()));
+  EXPECT_EQ(c2.digest(), c.digest());
+  EXPECT_EQ(base[53], std::byte{53}) << "corrupt wrote through the view";
+}
+
+TEST(SymbolicPayload, ViewKeepsItsOwnerAlive) {
+  util::BufferPool pool;
+  Payload view;
+  {
+    Payload base = counting_bytes(&pool, 128);
+    view = Payload::slice(&pool, base, 64, 64);
+  }  // last direct handle to the owner dropped here
+  EXPECT_EQ(pool.cached_slabs(), 0u) << "owner slab returned while viewed";
+  EXPECT_EQ(view[0], std::byte{64});
+  EXPECT_EQ(view[63], std::byte{127});
+  std::vector<std::byte> expect(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    expect[i] = static_cast<std::byte>(64 + i);
+  }
+  EXPECT_EQ(view.digest(), util::fnv1a(expect));
+  view.reset();
+  EXPECT_EQ(pool.cached_slabs(), 2u);  // view header + owner slab
+}
+
+TEST(SymbolicPayload, SliceOutOfRangeThrowsWithAReason) {
+  util::BufferPool pool;
+  const Payload bases[] = {counting_bytes(&pool, 64),
+                           Payload::pattern(&pool, 0x66ULL, 64),
+                           Payload::zeros(&pool, 64)};
+  for (const Payload& base : bases) {
+    EXPECT_NO_THROW((void)Payload::slice(&pool, base, 64, 0));
+    try {
+      (void)Payload::slice(&pool, base, 48, 17);
+      ADD_FAILURE() << "slice past the end did not throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("exceed the payload size 64"),
+                std::string::npos)
+          << e.what();
+    }
+    // An offset+length that wraps around is out of range too.
+    EXPECT_THROW((void)Payload::slice(&pool, base, 8, SIZE_MAX),
+                 std::out_of_range);
+  }
 }
 
 TEST(SymbolicPayload, ConcatRejoinsContiguousPatternSlices) {
