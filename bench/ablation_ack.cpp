@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       {"ack-on-MPI_Wait", bad, exchange}};
   // allow_unclean: the third point deadlocks by design.
   const auto results =
-      bench::run_points(points, opts, /*reps=*/1, /*allow_unclean=*/true);
+      bench::run_points(points, opts, /*allow_unclean=*/true);
   const bool hung = results[2].run.deadlock;
 
   if (bench::json_mode(opts)) {

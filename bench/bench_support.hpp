@@ -54,16 +54,13 @@ struct Point {
   std::string spec;
 };
 
-/// Aggregated outcome of one point (over `reps` repetitions).
+/// Outcome of one point. Virtual time is deterministic, so one execution
+/// is the whole answer; repetition belongs to host timings only.
 struct PointResult {
-  double mean_sec = 0.0;
-  double stddev_sec = 0.0;  ///< sample stddev over the reps (Hunold-style
-                            ///< repetition reporting; 0 when reps collapse
-                            ///< to one cached/deduped execution)
-  int reps = 1;
+  double mean_sec = 0.0;     ///< virtual makespan (JSON "mean_seconds")
   std::uint64_t digest = 0;  ///< content address of the point's config
   bool cached = false;       ///< served from the result store, no dispatch
-  core::RunResult run;       ///< last repetition's full result
+  core::RunResult run;       ///< the point's full result
 };
 
 /// Warns on stderr when the bench binary was not built in a Release
@@ -196,35 +193,31 @@ inline std::string hex_digest(std::uint64_t digest) {
   return buf;
 }
 
-/// Runs every point `reps` times (the paper averages five executions)
-/// through the sweep service and returns one PointResult per point, in
-/// point order: mean and sample stddev of the virtual makespan over the
-/// reps, the point's config digest, and whether it was served from the
-/// result store. Identical digests (repetitions, Native collapse) are
+/// Runs every point once through the sweep service and returns one
+/// PointResult per point, in point order: the virtual makespan, the
+/// point's config digest, and whether it was served from the result
+/// store. Identical digests (Native collapse, deliberate duplicates) are
 /// simulated once — sound because runs are bit-deterministic. With
 /// --stream, one JSON line per completed unique point goes to stderr as
 /// it finishes. Aborts loudly if any run fails, unless `allow_unclean`
 /// (ablations that demonstrate deadlocks set it).
 inline std::vector<PointResult> run_points(const std::vector<Point>& pts,
                                            const util::Options& opts,
-                                           int reps = 1,
                                            bool allow_unclean = false,
                                            sweep::ServiceStats* stats_out =
                                                nullptr) {
   std::vector<core::RunConfig> configs;
-  configs.reserve(pts.size() * static_cast<std::size_t>(reps));
-  for (const Point& p : pts) {
-    for (int i = 0; i < reps; ++i) configs.push_back(p.cfg);
-  }
-  auto factory = [&pts, reps](const core::RunConfig&, std::size_t index) {
-    return pts[index / static_cast<std::size_t>(reps)].app;
+  configs.reserve(pts.size());
+  for (const Point& p : pts) configs.push_back(p.cfg);
+  auto factory = [&pts](const core::RunConfig&, std::size_t index) {
+    return pts[index].app;
   };
 
   sweep::ServiceOptions sopts = service_options(opts);
   // Always installed (not just for --listen): the spec distinguishes the
   // content addresses of same-config points that run different workloads.
-  sopts.spec = [&pts, reps](const core::RunConfig&, std::size_t index) {
-    return pts[index / static_cast<std::size_t>(reps)].spec;
+  sopts.spec = [&pts](const core::RunConfig&, std::size_t index) {
+    return pts[index].spec;
   };
   sweep::SweepService service(sopts);
   if (service.remote()) {
@@ -234,13 +227,12 @@ inline std::vector<PointResult> run_points(const std::vector<Point>& pts,
   }
   const bool stream = opts.get_bool("stream", false);
   std::unordered_set<std::uint64_t> cached_digests;
-  auto on_point = [&pts, reps, stream,
+  auto on_point = [&pts, stream,
                    &cached_digests](const sweep::PointOutcome& out) {
     if (out.cached) cached_digests.insert(out.digest);
     if (!stream) return;
-    const std::size_t p = out.index / static_cast<std::size_t>(reps);
     std::cerr << "{\"event\": \"point\", \"label\": \""
-              << json_escape(pts[p].label) << "\", \"digest\": \""
+              << json_escape(pts[out.index].label) << "\", \"digest\": \""
               << hex_digest(out.digest) << "\", \"cached\": "
               << (out.cached ? "true" : "false")
               << ", \"virtual_seconds\": " << out.result->seconds()
@@ -256,27 +248,20 @@ inline std::vector<PointResult> run_points(const std::vector<Point>& pts,
 
   std::vector<PointResult> out(pts.size());
   for (std::size_t p = 0; p < pts.size(); ++p) {
-    util::Accumulator acc;
-    for (int i = 0; i < reps; ++i) {
-      const core::RunResult& res = runs[p * static_cast<std::size_t>(reps) +
-                                        static_cast<std::size_t>(i)];
-      if (!res.clean() && !allow_unclean) {
-        std::cerr << "bench point '" << pts[p].label << "' failed:"
-                  << (res.deadlock ? " deadlock" : "")
-                  << (res.rank_lost ? " rank-lost" : "")
-                  << (res.time_limit_hit ? " time-limit" : "");
-        for (const auto& e : res.errors) std::cerr << " [" << e << "]";
-        std::cerr << "\n";
-        std::exit(2);
-      }
-      acc.add(res.seconds());
+    const core::RunResult& res = runs[p];
+    if (!res.clean() && !allow_unclean) {
+      std::cerr << "bench point '" << pts[p].label << "' failed:"
+                << (res.deadlock ? " deadlock" : "")
+                << (res.rank_lost ? " rank-lost" : "")
+                << (res.time_limit_hit ? " time-limit" : "");
+      for (const auto& e : res.errors) std::cerr << " [" << e << "]";
+      std::cerr << "\n";
+      std::exit(2);
     }
-    out[p].mean_sec = acc.mean();
-    out[p].stddev_sec = acc.stddev();
-    out[p].reps = reps;
+    out[p].mean_sec = res.seconds();
     out[p].digest = sweep::config_key(pts[p].cfg, pts[p].spec);
     out[p].cached = cached_digests.count(out[p].digest) > 0;
-    out[p].run = runs[(p + 1) * static_cast<std::size_t>(reps) - 1];
+    out[p].run = res;
   }
   return out;
 }
@@ -316,8 +301,6 @@ inline void emit_json(std::ostream& os, const std::string& bench_name,
        << "\""
        << ", \"oversubscription\": " << p.cfg.net.topology.oversubscription
        << ", \"mean_seconds\": " << results[i].mean_sec
-       << ", \"stddev_seconds\": " << results[i].stddev_sec
-       << ", \"reps\": " << results[i].reps
        << ", \"config_digest\": \"" << hex_digest(results[i].digest) << "\""
        << ", \"clean\": " << (r.clean() ? "true" : "false")
        << ", \"deadlock\": " << (r.deadlock ? "true" : "false")

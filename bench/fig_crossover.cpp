@@ -12,8 +12,8 @@
 //           efficiency = T_native0 / (2 * T_sdr)
 // where T_native0 is the failure-free native makespan. Both fault grids
 // execute through the warm-prefix fork runner (sweep/warm.hpp): one
-// warm-up per machine, one forked child per fault scenario — the runner
-// the engine-snapshot machinery exists to power.
+// warm-up per machine, one forked child per fault scenario (fork() plus
+// late-armed control-lane faults; no simulator state is snapshotted).
 //
 // --check gates the crossover (ckpt wins at rate 0, sdr wins at the top
 // rate, the efficiency-difference sign changes exactly once, every run is

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   const int nranks = static_cast<int>(opts.get_int("ranks", 4));
   // `points` counts configs actually submitted; each sweep point is
-  // submitted twice (reps=2), so 60 labelled points -> 120 configs.
+  // submitted twice, so 60 distinct points -> 120 configs.
   const int npoints =
       std::max(2, static_cast<int>(opts.get_int("points", 120)));
   const int nunique = npoints / 2;
@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
   }
   if (own_cache || check) std::filesystem::remove(cache_path);
 
-  // One small CG solve per point; the seed axis makes each labelled point
-  // a distinct digest while reps=2 makes every digest a duplicate.
+  // One small CG solve per point; the seed axis makes each point a
+  // distinct digest, and submitting it twice makes every digest a
+  // duplicate.
   util::Options wl_opts;
   wl_opts.set("nrows", "768");
   wl_opts.set("iters", "8");
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   const std::string spec = "cg nrows=768 iters=8";
 
   std::vector<bench::Point> points;
-  points.reserve(static_cast<std::size_t>(nunique));
+  points.reserve(2 * static_cast<std::size_t>(nunique));
   for (int i = 0; i < nunique; ++i) {
     core::RunConfig cfg;
     cfg.nranks = nranks;
@@ -65,19 +66,21 @@ int main(int argc, char** argv) {
     cfg.protocol = sdr ? core::ProtocolKind::Sdr : core::ProtocolKind::Native;
     cfg.replication = sdr ? 2 : 1;
     cfg.seed = 1000u + static_cast<std::uint64_t>(i);
-    points.push_back({(sdr ? "sdr/seed=" : "native/seed=") +
-                          std::to_string(cfg.seed),
-                      std::move(cfg), app, spec});
+    bench::Point point{(sdr ? "sdr/seed=" : "native/seed=") +
+                           std::to_string(cfg.seed),
+                       std::move(cfg), app, spec};
+    points.push_back(point);
+    points.push_back(std::move(point));
   }
 
   sweep::ServiceStats cold_stats, warm_stats;
   util::WallTimer timer;
-  const auto cold = bench::run_points(points, run_opts, /*reps=*/2,
+  const auto cold = bench::run_points(points, run_opts,
                                       /*allow_unclean=*/false, &cold_stats);
   const double cold_sec = timer.elapsed_sec();
 
   timer.reset();
-  const auto warm = bench::run_points(points, run_opts, /*reps=*/2,
+  const auto warm = bench::run_points(points, run_opts,
                                       /*allow_unclean=*/false, &warm_stats);
   const double warm_sec = timer.elapsed_sec();
 

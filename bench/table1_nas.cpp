@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
                 "Table 1 (class D, 256 procs in the paper)");
 
   const int nranks = static_cast<int>(opts.get_int("ranks", 8));
-  const int reps = static_cast<int>(opts.get_int("reps", 1));
   const std::string cls = opts.get_string("class", "");
   const bool all_protocols = opts.get_string("protocols", "") == "all";
 
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
                         std::move(cfg), app, spec});
     }
   }
-  const auto results = bench::run_points(points, opts, reps);
+  const auto results = bench::run_points(points, opts);
   const std::size_t per_kernel = points.size() / rows.size();
 
   if (bench::json_mode(opts)) {

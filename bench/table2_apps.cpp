@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
                 "Table 2 (HPCCG 128x128x64, CM1 160^3 in the paper)");
 
   const int nranks = static_cast<int>(opts.get_int("ranks", 8));
-  const int reps = static_cast<int>(opts.get_int("reps", 1));
 
   struct Row {
     const char* name;
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
                         std::move(cfg), app, row.name});
     }
   }
-  const auto results = bench::run_points(points, opts, reps);
+  const auto results = bench::run_points(points, opts);
 
   if (bench::json_mode(opts)) {
     bench::emit_json(std::cout, "table2_apps", points, results);

@@ -31,7 +31,6 @@ void CkptController::boundary(Time t) {
   ++job_->pstats.checkpoints_taken;
   SDR_LOG(Debug, "ckpt") << "boundary at t=" << t << " (#"
                          << job_->pstats.checkpoints_taken << ")";
-  if (job_->config.ckpt.verify_snapshots) verify_roundtrip();
   schedule_boundary(t + job_->config.ckpt.interval);
 }
 
@@ -46,20 +45,6 @@ void CkptController::on_failure(int slot, Time when) {
   job_->engine->schedule_ctl(when + job_->config.detection_delay,
                              next_lane_++,
                              [this, cost] { job_->engine->charge_all(cost); });
-}
-
-void CkptController::verify_roundtrip() {
-  // Capture and immediately restore the complete engine + endpoint state.
-  // Anything this perturbs shows up as a trace divergence in the fuzz
-  // tier's verify-on/verify-off comparison.
-  const sim::Engine::Snapshot engine_snap = job_->engine->snapshot();
-  std::vector<mpi::Endpoint::Snapshot> ep_snaps;
-  ep_snaps.reserve(job_->endpoints.size());
-  for (const auto& ep : job_->endpoints) ep_snaps.push_back(ep->snapshot());
-  job_->engine->restore(engine_snap);
-  for (std::size_t s = 0; s < job_->endpoints.size(); ++s) {
-    job_->endpoints[s]->restore(ep_snaps[s]);
-  }
 }
 
 }  // namespace sdrmpi::core

@@ -47,9 +47,6 @@ class CkptController {
  private:
   void schedule_boundary(Time t);
   void boundary(Time t);
-  /// verify_snapshots mode: engine + endpoint snapshot, immediately
-  /// restored — must be a bit-exact no-op (pinned by the fuzz tier).
-  void verify_roundtrip();
 
   JobContext* job_;
   Time last_ckpt_ = 0;

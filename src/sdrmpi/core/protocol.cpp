@@ -60,16 +60,6 @@ net::Payload ReplicatedProtocol::begin_app_send(const net::Payload& payload) {
   return payload;
 }
 
-std::shared_ptr<const void> ReplicatedProtocol::snapshot_state() const {
-  return std::make_shared<BaseState>(base_state());
-}
-
-void ReplicatedProtocol::restore_state(
-    const std::shared_ptr<const void>& state) {
-  if (state == nullptr) return;
-  restore_base_state(*static_cast<const BaseState*>(state.get()));
-}
-
 void ReplicatedProtocol::on_ctl(mpi::Endpoint& ep, const mpi::FrameHeader& h,
                                 std::span<const std::byte> payload) {
   switch (h.kind) {

@@ -28,25 +28,7 @@ class ReplicatedProtocol : public mpi::Vprotocol {
   void on_ctl(mpi::Endpoint& ep, const mpi::FrameHeader& h,
               std::span<const std::byte> payload) final;
 
-  /// Checkpoint capture of the base tables (alive view, routing, send
-  /// count). Subclasses with extra mutable state override both and include
-  /// a BaseState (SdrProtocol adds its ack store).
-  [[nodiscard]] std::shared_ptr<const void> snapshot_state() const override;
-  void restore_state(const std::shared_ptr<const void>& state) override;
-
  protected:
-  struct BaseState {
-    ReplicaMap map;
-    std::int64_t app_send_count = 0;
-  };
-  [[nodiscard]] BaseState base_state() const {
-    return BaseState{map_, app_send_count_};
-  }
-  void restore_base_state(const BaseState& s) {
-    map_ = s.map;
-    app_send_count_ = s.app_send_count;
-  }
-
   /// Crash/SDC injection shared by every protocol's send path. Returns the
   /// payload to actually transmit for this process's own copy — an O(1)
   /// Corrupt wrapper around the original handle when an SdcSpec matches

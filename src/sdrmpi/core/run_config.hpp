@@ -23,7 +23,7 @@ enum class ProtocolKind : int {
   RedMpiSd,     ///< redMPI SDC detection using send-determinism (paper §2.4:
                 ///< "the solutions we propose could also be used by redMPI")
   Ckpt,         ///< coordinated checkpoint/restart — the paper's rival
-                ///< (replication==1; periodic global snapshots, failures
+                ///< (replication==1; periodic global checkpoints, failures
                 ///< charge restart + rework instead of killing the rank)
 };
 
@@ -62,10 +62,6 @@ struct CkptConfig {
   Time interval = 0;  ///< 0 disables the boundary chain (still a valid run)
   Time checkpoint_cost = timeunits::milliseconds(250.0);
   Time restart_cost = timeunits::seconds(2.0);
-  /// Verify-mode: at every boundary, additionally snapshot and immediately
-  /// restore the full engine + endpoint state (Engine::snapshot) — must be
-  /// a bit-exact no-op, pinned by the fuzz tier. Costs host time only.
-  bool verify_snapshots = false;
 
   [[nodiscard]] bool operator==(const CkptConfig&) const = default;
 };
@@ -95,12 +91,6 @@ struct RunConfig {
 
   Time time_limit = timeunits::seconds(600.0);  ///< virtual-time failsafe
   std::uint64_t seed = 0x5dbULL;                ///< workload RNG seed
-
-  /// Usable fiber-stack KiB per simulated process (0 = engine default:
-  /// SDRMPI_FIBER_STACK_KB or 256). Host-side only — stacks never move
-  /// virtual time — but part of the config key so cached results record
-  /// the environment they ran under. Minimum 64 when set.
-  int fiber_stack_kb = 0;
 
   /// Field-wise equality over every knob that can move a run's outcome.
   /// The sweep service's content-addressed cache relies on the contract

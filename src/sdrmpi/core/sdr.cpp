@@ -231,19 +231,6 @@ void SdrProtocol::on_recovery_point(mpi::Endpoint& ep) {
   }
 }
 
-std::shared_ptr<const void> SdrProtocol::snapshot_state() const {
-  return std::make_shared<SdrState>(
-      SdrState{base_state(), acks_, pending_recovery_worlds_});
-}
-
-void SdrProtocol::restore_state(const std::shared_ptr<const void>& state) {
-  if (state == nullptr) return;
-  const auto* s = static_cast<const SdrState*>(state.get());
-  restore_base_state(s->base);
-  acks_ = s->acks;
-  pending_recovery_worlds_ = s->pending_recovery_worlds;
-}
-
 std::string SdrProtocol::debug_state() const {
   std::ostringstream os;
   for (const auto& e : acks_.records()) {

@@ -39,8 +39,6 @@ class SdrProtocol : public ReplicatedProtocol {
   void on_recovery_point(mpi::Endpoint& ep) override;
 
   [[nodiscard]] AckManager& acks() noexcept { return acks_; }
-  [[nodiscard]] std::shared_ptr<const void> snapshot_state() const override;
-  void restore_state(const std::shared_ptr<const void>& state) override;
   [[nodiscard]] std::string debug_state() const override;
   [[nodiscard]] bool quiescent() const override {
     return acks_.size() == 0 && pending_recovery_worlds_.empty();
@@ -56,12 +54,6 @@ class SdrProtocol : public ReplicatedProtocol {
   /// Acks all other alive replicas of the sender's rank (except the world
   /// the message physically came from).
   void send_acks(mpi::Endpoint& ep, const mpi::FrameHeader& h);
-
-  struct SdrState {
-    BaseState base;
-    AckManager acks;
-    std::vector<int> pending_recovery_worlds;
-  };
 
   AckManager acks_;
   std::vector<int> pending_recovery_worlds_;

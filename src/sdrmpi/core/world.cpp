@@ -24,9 +24,6 @@ void validate(const RunConfig& cfg) {
   if (cfg.protocol == ProtocolKind::Native && cfg.replication != 1) {
     throw std::invalid_argument("native protocol requires replication == 1");
   }
-  if (cfg.fiber_stack_kb != 0 && cfg.fiber_stack_kb < 64) {
-    throw std::invalid_argument("fiber_stack_kb must be 0 (default) or >= 64");
-  }
   if (cfg.protocol == ProtocolKind::Ckpt) {
     if (cfg.replication != 1) {
       throw std::invalid_argument("ckpt protocol requires replication == 1");
@@ -57,8 +54,6 @@ World::World(RunConfig config, AppFn app)
                                config.nranks)),
       detector_(job_) {
   engine_.set_time_limit(config.time_limit);
-  engine_.set_fiber_stack_bytes(
-      static_cast<std::size_t>(config.fiber_stack_kb) * 1024);
 
   const Topology topo{config.nranks, config.replication};
   const int nslots = topo.nslots();

@@ -147,28 +147,6 @@ bool Endpoint::has_pending_rdv_recvs() const {
   return false;
 }
 
-Endpoint::Snapshot Endpoint::snapshot() const {
-  Snapshot s;
-  s.inbox = inbox_;
-  s.ctx = ctx_;
-  s.rdv_sends = rdv_sends_;
-  s.rdv_recvs = rdv_recvs_;
-  s.next_rdv_id = next_rdv_id_;
-  s.stats = stats_;
-  s.protocol_state = protocol_->snapshot_state();
-  return s;
-}
-
-void Endpoint::restore(const Snapshot& snap) {
-  inbox_ = snap.inbox;
-  ctx_ = snap.ctx;
-  rdv_sends_ = snap.rdv_sends;
-  rdv_recvs_ = snap.rdv_recvs;
-  next_rdv_id_ = snap.next_rdv_id;
-  stats_ = snap.stats;
-  protocol_->restore_state(snap.protocol_state);
-}
-
 // ---------------------------------------------------------------------------
 // Point-to-point API
 // ---------------------------------------------------------------------------

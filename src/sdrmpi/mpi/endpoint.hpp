@@ -265,27 +265,6 @@ class Endpoint {
   /// a recovery snapshot now would lose its payload for the new replica.
   [[nodiscard]] bool has_pending_rdv_recvs() const;
 
-  // ---- coordinated checkpoint snapshot (core/ckpt.hpp) ----
-
-  /// Full copy of the endpoint's message-layer state: channel counters and
-  /// matching queues (posted / unexpected / parked, per context), pending
-  /// rendezvous transfers, the undelivered inbox, traffic stats, and the
-  /// protocol's opaque state (Vprotocol::snapshot_state). Requests and
-  /// payloads are captured as refcounted handles, not deep copies, so —
-  /// like Engine::Snapshot — a Snapshot is valid for restore() only on an
-  /// unchanged image: an immediate round-trip or a forked child.
-  struct Snapshot {
-    std::deque<net::Delivery> inbox;
-    std::deque<CtxState> ctx;
-    std::vector<RdvSend> rdv_sends;
-    std::vector<RdvRecv> rdv_recvs;
-    std::uint64_t next_rdv_id = 1;
-    EndpointStats stats;
-    std::shared_ptr<const void> protocol_state;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
   /// Human-readable matching/rendezvous state for deadlock reports.
   [[nodiscard]] std::string debug_state() const;
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -94,16 +93,6 @@ class Vprotocol {
 
   /// A safe point declared by the application (recovery fork point).
   virtual void on_recovery_point(Endpoint&) {}
-
-  /// Opaque copy of all protocol-internal mutable state, for coordinated
-  /// checkpointing (Endpoint::snapshot). The default is for stateless
-  /// protocols; restore_state(nullptr) must be a no-op.
-  [[nodiscard]] virtual std::shared_ptr<const void> snapshot_state() const {
-    return nullptr;
-  }
-  virtual void restore_state(const std::shared_ptr<const void>& state) {
-    (void)state;
-  }
 
   /// Protocol-internal state for deadlock reports.
   [[nodiscard]] virtual std::string debug_state() const { return {}; }

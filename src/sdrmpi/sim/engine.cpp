@@ -16,7 +16,7 @@ namespace {
 // Default fiber stack size. Workload state lives on the heap (vectors), so
 // the stack only holds call frames; 256 KiB leaves generous headroom for
 // deep protocol/collective recursion. Overridable via SDRMPI_FIBER_STACK_KB
-// for unusually stack-hungry apps, or per-run via RunConfig::fiber_stack_kb.
+// for unusually stack-hungry apps, or per-engine via set_fiber_stack_bytes().
 std::size_t default_fiber_stack_bytes() {
   static const std::size_t bytes = [] {
     if (const char* env = std::getenv("SDRMPI_FIBER_STACK_KB")) {
@@ -373,13 +373,9 @@ void Engine::run_event_inline(Process& self) {
   struct ContextGuard {
     Engine* eng;
     Process* proc;
-    ~ContextGuard() {
-      eng->running_ = proc;
-      eng->inline_host_ = nullptr;
-    }
+    ~ContextGuard() { eng->running_ = proc; }
   } guard{this, &self};
   running_ = nullptr;
-  inline_host_ = &self;
   fn();
 }
 
@@ -458,86 +454,6 @@ Process& Engine::process(int pid) {
 
 bool Engine::crashed(int pid) const {
   return process(pid).state() == ProcState::Crashed;
-}
-
-Engine::Snapshot Engine::snapshot() const {
-  Snapshot snap;
-  snap.procs.reserve(procs_.size());
-  for (const auto& p : procs_) {
-    Snapshot::Proc sp;
-    sp.clock = p->clock_;
-    sp.state = p->state_;
-    sp.crash_req = p->crash_req_;
-    sp.block_reason = p->block_reason_;
-    if (p->state_ == ProcState::Running || p.get() == inline_host_) {
-      // This fiber's stack is executing right now — either as the Running
-      // process or as the host of an inline event drain (where the proc is
-      // marked Runnable/Blocked but its stack carries these very frames).
-      // A byte copy would capture half-written frames, and restoring one
-      // would overwrite the live call chain. Clock-only — see Snapshot docs.
-      sp.live = true;
-      sp.has_fiber = true;
-    } else if (!p->terminated() && p->stack_.valid()) {
-      sp.has_fiber = true;
-      sp.ctx = p->ctx_;
-#if !defined(SDRMPI_ASAN_FIBERS) && !defined(SDRMPI_TSAN_FIBERS)
-      // Full stack byte copy. Skipped under ASan (fake-stack frames make
-      // the raw bytes non-authoritative) and TSan (rewriting a tracked
-      // fiber stack behind the shadow's back invites false races); the
-      // immediate-round-trip contract means the live stack is still
-      // byte-identical at restore.
-      sp.stack.assign(p->stack_.sp(), p->stack_.sp() + p->stack_.size());
-#endif
-    }
-    snap.procs.push_back(std::move(sp));
-  }
-  snap.events = events_.structure();
-  snap.event_seq = event_seq_;
-  snap.events_executed = events_executed_;
-  snap.context_switches = context_switches_;
-  snap.event_now = event_now_;
-  return snap;
-}
-
-void Engine::restore(const Snapshot& snap) {
-  if (snap.procs.size() != procs_.size()) {
-    throw std::logic_error(
-        "Engine::restore: process set changed since snapshot");
-  }
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    Process& p = *procs_[i];
-    const Snapshot::Proc& sp = snap.procs[i];
-    p.clock_ = sp.clock;
-    if (sp.live) continue;  // the actively-executing fiber: clock only
-    p.state_ = sp.state;
-    p.crash_req_ = sp.crash_req;
-    p.block_reason_ = sp.block_reason;
-    if (sp.state != ProcState::Finished && sp.state != ProcState::Crashed &&
-        sp.state != ProcState::Failed) {
-      if (!sp.has_fiber) {
-        // Captured before first dispatch: return to the stackless state; a
-        // later resume() re-creates the fiber at the body's entry point.
-        if (p.stack_.valid()) release_stack(std::move(p.stack_));
-        continue;
-      }
-      assert(p.stack_.valid() &&
-             "Engine::restore: fiber stack released since snapshot");
-      p.ctx_ = sp.ctx;
-      if (!sp.stack.empty()) {
-        assert(sp.stack.size() == p.stack_.size());
-        std::memcpy(p.stack_.sp(), sp.stack.data(), sp.stack.size());
-      }
-    }
-  }
-  events_.restore_structure(snap.events);
-  event_seq_ = snap.event_seq;
-  events_executed_ = snap.events_executed;
-  context_switches_ = snap.context_switches;
-  event_now_ = snap.event_now;
-  // The heap is derived state: re-key every runnable process at its
-  // restored clock (stale pre-restore entries would otherwise shadow the
-  // rewound clocks).
-  rebuild_runnable_heap();
 }
 
 }  // namespace sdrmpi::sim

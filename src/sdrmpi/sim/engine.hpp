@@ -190,45 +190,6 @@ class Engine {
   /// True when the process terminated by injected crash.
   [[nodiscard]] bool crashed(int pid) const;
 
-  // ---- engine-state snapshot / restore ----
-
-  /// Complete copy of the engine's execution state: per-process clocks,
-  /// scheduler states, fiber contexts and stack bytes, the event queue's
-  /// ordering structure, and the virtual-time/sequence counters.
-  ///
-  /// Contract: a Snapshot is valid for restore() only while the process
-  /// set and the event-callback slab are unchanged — an immediate
-  /// round-trip (the ckpt protocol's verify mode) or a forked child image.
-  /// A process whose stack is executing at capture — Running, or the host
-  /// fiber of an inline event draining in maybe_yield()/block() — is
-  /// captured clock-only ("live"): its stack cannot be byte-copied
-  /// consistently, and by the same token needs no copy — it IS the
-  /// execution.
-  struct Snapshot {
-    struct Proc {
-      Time clock = 0;
-      ProcState state = ProcState::Created;
-      bool crash_req = false;
-      bool live = false;  ///< Running at capture: clock-only
-      /// False for a spawned-but-never-dispatched process (lazy stacks:
-      /// no fiber exists yet); restore() returns such a process to its
-      /// pre-first-dispatch state.
-      bool has_fiber = false;
-      std::string block_reason;
-      ucontext_t ctx{};
-      std::vector<std::byte> stack;  ///< usable stack bytes (empty if none)
-    };
-    std::vector<Proc> procs;
-    EventQueue::Structure events;
-    std::uint64_t event_seq = 0;
-    std::uint64_t events_executed = 0;
-    std::uint64_t context_switches = 0;
-    Time event_now = 0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
  private:
   friend class Process;
 
@@ -243,7 +204,7 @@ class Engine {
   /// ProcState::Runnable must push, or the process is never scheduled.
   void push_runnable(const Process& p);
   /// Re-inserts every runnable process after a bulk clock rewrite
-  /// (charge_all, restore) invalidates the stored keys.
+  /// (charge_all) invalidates the stored keys.
   void rebuild_runnable_heap();
   /// Pops and executes the due event from within a process fiber, in exact
   /// engine-context semantics (event_now_, running_ == nullptr). Used by
@@ -293,11 +254,6 @@ class Engine {
   Time time_limit_ = 0;    // 0 = unlimited
   Time pause_at_ = 0;      // 0 = no pause point
   Process* running_ = nullptr;
-  // Fiber whose stack is hosting an inline event execution (run_event_inline
-  // sets running_ = nullptr for engine-context semantics, but the host
-  // fiber's stack is still the one executing). snapshot() must treat it as
-  // live exactly like a Running process.
-  Process* inline_host_ = nullptr;
 
   ucontext_t sched_ctx_{};          // where fibers switch back to
   std::vector<FiberStack> stack_cache_;

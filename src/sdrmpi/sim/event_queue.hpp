@@ -24,47 +24,7 @@
 namespace sdrmpi::sim {
 
 class EventQueue {
- private:
-  struct Entry {
-    Time t;
-    std::uint64_t seq;
-    std::uint32_t node;
-  };
-
  public:
-  /// The queue's ordering state without its callbacks: heap entries, the
-  /// slab free list, and the slab's size at capture. Snapshot currency for
-  /// Engine::snapshot()/restore() — the InlineFns themselves are move-only
-  /// (they own payload captures) and stay in the slab, so a Structure is
-  /// only valid for restore while the slab is unchanged: an immediate
-  /// round-trip, or a forked child image.
-  struct Structure {
-    std::vector<Entry> heap;
-    std::vector<std::uint32_t> next_free;
-    std::uint32_t free_head = 0xffffffffu;
-    std::size_t slab_size = 0;
-  };
-
-  [[nodiscard]] Structure structure() const {
-    Structure s;
-    s.heap = heap_;
-    s.next_free = next_free_;
-    s.free_head = free_head_;
-    s.slab_size = slab_.size();
-    return s;
-  }
-
-  /// Restores the ordering state captured by structure(). The slab must be
-  /// byte-identical to capture time (asserted via its size high-water
-  /// mark); callbacks popped since capture would leave dangling nodes.
-  void restore_structure(const Structure& s) {
-    assert(slab_.size() == s.slab_size &&
-           "EventQueue::restore_structure: slab changed since snapshot");
-    heap_ = s.heap;
-    next_free_ = s.next_free;
-    free_head_ = s.free_head;
-  }
-
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
@@ -121,6 +81,12 @@ class EventQueue {
  private:
   static constexpr std::uint32_t kNilNode = 0xffffffffu;
   static constexpr std::size_t kArity = 4;
+
+  struct Entry {
+    Time t;
+    std::uint64_t seq;
+    std::uint32_t node;
+  };
 
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;

@@ -84,9 +84,6 @@ Process::~Process() {
 
 void Process::make_fiber(FiberStack stack) {
   stack_ = std::move(stack);
-  // Re-entry after a restore to the stackless state replaces any previous
-  // fiber handle (no-op on the first call).
-  tsan::destroy_fiber(tsan_fiber_);
   tsan_fiber_ = tsan::create_fiber();
   getcontext(&ctx_);
   ctx_.uc_stack.ss_sp = stack_.sp();

@@ -110,10 +110,6 @@ std::vector<std::byte> serialize_config(const core::RunConfig& cfg) {
   w.i64(cfg.ckpt.interval);
   w.i64(cfg.ckpt.checkpoint_cost);
   w.i64(cfg.ckpt.restart_cost);
-  w.boolean(cfg.ckpt.verify_snapshots);
-  // v3: host-side fiber stack size (simulation-invisible, but part of the
-  // config identity so sweeps that vary it do not collide in the cache).
-  w.i32(cfg.fiber_stack_kb);
   return w.take();
 }
 
@@ -157,8 +153,6 @@ core::RunConfig deserialize_config(std::span<const std::byte> bytes) {
   cfg.ckpt.interval = r.i64();
   cfg.ckpt.checkpoint_cost = r.i64();
   cfg.ckpt.restart_cost = r.i64();
-  cfg.ckpt.verify_snapshots = r.boolean();
-  cfg.fiber_stack_kb = r.i32();
   if (!r.exhausted()) {
     throw CodecError("config codec: " + std::to_string(r.remaining()) +
                      " trailing bytes");

@@ -30,8 +30,9 @@
 namespace sdrmpi::sweep {
 
 /// Version byte folded into every canonical serialization (and therefore
-/// every digest). Bump on any format or semantic change.
-inline constexpr std::uint8_t kConfigKeyVersion = 3;  // v3: fiber_stack_kb
+/// every digest). Bump on any format or semantic change (v4 dropped the
+/// ckpt verify mode and the per-run fiber stack size).
+inline constexpr std::uint8_t kConfigKeyVersion = 4;
 
 /// The canonical byte string of a config: equal iff the configs are ==.
 [[nodiscard]] std::vector<std::byte> serialize_config(

@@ -1,11 +1,9 @@
-// Checkpoint/restart protocol (ProtocolKind::Ckpt) and the engine-snapshot
-// machinery behind it.
+// Checkpoint/restart protocol (ProtocolKind::Ckpt) and warm-prefix forked
+// execution.
 //
 //  - Charge-forward cost model: boundaries charge checkpoint_cost to every
 //    live clock, a fail-stop fault charges restart + rework at detection
 //    time, and nobody dies — runs stay clean and deterministic.
-//  - verify_snapshots: a full Engine + Endpoint snapshot/restore round-trip
-//    at every boundary must be bit-invisible.
 //  - Warm-prefix forked execution (sweep/warm.hpp): one warm-up + fork per
 //    fault scenario reproduces cold core::run() bit-for-bit, including the
 //    cold fallback for faults inside the already-executed prefix.
@@ -90,19 +88,6 @@ TEST(Ckpt, FaultBeyondCompletionIsAbsorbedFree) {
   // after every process terminated: no clock moves.
   EXPECT_EQ(res.protocol.restarts, 1u);
   EXPECT_EQ(res.makespan, clean.makespan);
-}
-
-TEST(Ckpt, VerifySnapshotsIsBitInvisible) {
-  // verify_snapshots snapshots + restores the full engine and every
-  // endpoint at each boundary; the run must not be able to tell.
-  core::RunConfig plain = ckpt_config(100000);
-  plain.faults.push_back({.slot = 2, .at_time = 270000, .at_send = -1});
-  core::RunConfig verify = plain;
-  verify.ckpt.verify_snapshots = true;
-  const auto a = core::run(plain, test::small_workload("cg"));
-  const auto b = core::run(verify, test::small_workload("cg"));
-  ASSERT_TRUE(test::run_clean(a));
-  EXPECT_EQ(a, b);
 }
 
 TEST(Ckpt, ValidatorRejectsReplicationAndSendPlacedFaults) {

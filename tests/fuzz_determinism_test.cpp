@@ -344,20 +344,17 @@ TEST(FuzzDeterminism, SymbolicMatchesMaterializedTwin) {
   }
 }
 
-// Checkpoint/restart axis: random intervals, costs and fault schedules,
-// each config paired with a verify_snapshots twin. Two contracts at once:
-// pool size never leaks into results (threads 1 vs 8), and the twin — which
-// snapshots and immediately restores the full engine + endpoint state at
-// every checkpoint boundary — is bit-identical to its plain partner, so
-// Engine::snapshot/restore is a provable no-op across the random grid.
-TEST(FuzzDeterminism, CheckpointSnapshotRestoreIsInvisible) {
-  constexpr int kPairs = 30;
+// Checkpoint/restart axis: random intervals, costs and fault schedules.
+// Pool size never leaks into results (threads 1 vs 8), and the
+// charge-forward model keeps nearly every run clean.
+TEST(FuzzDeterminism, CheckpointRunsArePoolInvariant) {
+  constexpr int kConfigs = 30;
   util::Rng rng(0xc0ffee5eedULL);
 
   std::vector<core::RunConfig> configs;
   std::vector<core::AppFn> apps;
   std::vector<std::string> labels;
-  for (int i = 0; i < kPairs; ++i) {
+  for (int i = 0; i < kConfigs; ++i) {
     core::RunConfig cfg;
     cfg.protocol = core::ProtocolKind::Ckpt;
     cfg.replication = 1;
@@ -402,12 +399,8 @@ TEST(FuzzDeterminism, CheckpointSnapshotRestoreIsInvisible) {
         label = "allreduce";
         break;
     }
-    for (const bool verify : {false, true}) {
-      core::RunConfig c = cfg;
-      c.ckpt.verify_snapshots = verify;
-      configs.push_back(c);
-      apps.push_back(app);
-    }
+    configs.push_back(cfg);
+    apps.push_back(app);
     labels.push_back(label + "/iv" + std::to_string(cfg.ckpt.interval) +
                      "/i" + std::to_string(i));
   }
@@ -420,18 +413,12 @@ TEST(FuzzDeterminism, CheckpointSnapshotRestoreIsInvisible) {
   ASSERT_EQ(serial.size(), pooled.size());
 
   int clean = 0;
-  for (int i = 0; i < kPairs; ++i) {
-    const std::size_t plain = 2 * static_cast<std::size_t>(i);
-    expect_identical(serial[plain], pooled[plain], labels[i]);
-    expect_identical(serial[plain + 1], pooled[plain + 1],
-                     labels[i] + "/verify");
-    // The verify twin differs only in host-side snapshot round-trips.
-    expect_identical(serial[plain], serial[plain + 1],
-                     labels[i] + " (plain vs verify twin)");
-    if (serial[plain].clean()) ++clean;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_identical(serial[i], pooled[i], labels[i]);
+    if (serial[i].clean()) ++clean;
   }
-  EXPECT_GE(clean, kPairs * 9 / 10)
-      << "only " << clean << "/" << kPairs << " ckpt runs were clean";
+  EXPECT_GE(clean, kConfigs * 9 / 10)
+      << "only " << clean << "/" << kConfigs << " ckpt runs were clean";
 }
 
 // The same batch must also be invariant under re-execution with an

@@ -5,6 +5,7 @@
 // so pool parallelism must never leak into outcomes).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -190,6 +191,67 @@ TEST(Engine, FailedProcessReported) {
   EXPECT_FALSE(out.clean());
   ASSERT_EQ(out.failed_pids.size(), 1u);
   EXPECT_NE(e.process(out.failed_pids[0]).error(), nullptr);
+}
+
+TEST(Engine, ThrowingInlineEventUnwindsItsHostProcess) {
+  // An event drained inline from maybe_yield()/block() runs on the host
+  // process's fiber, so its exception unwinds that process. Process
+  // context must be handed back first: a body that catches keeps a valid
+  // current(), one that does not fails with the event's error, and the
+  // other processes run on. Staggered start clocks keep every other
+  // process behind the events, so both are drained inline.
+  Engine e;
+  int catcher = -1;
+  bool catcher_done = false;
+  catcher = e.spawn("catcher", [&] {
+    e.schedule(50, [] { throw std::runtime_error("inline in maybe_yield"); });
+    e.advance(100);
+    try {
+      e.maybe_yield();
+      ADD_FAILURE() << "maybe_yield() did not drain the throwing event";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "inline in maybe_yield");
+      ASSERT_TRUE(e.in_process_context());
+      EXPECT_EQ(&e.current(), &e.process(catcher));
+      EXPECT_EQ(e.now(), 100);  // the process clock, not the event's
+    }
+    e.advance(10);
+    catcher_done = true;
+  });
+  const int dropper = e.spawn(
+      "dropper",
+      [&] {
+        e.schedule(e.now() + 5,
+                   [] { throw std::runtime_error("inline in block"); });
+        e.block("await throwing event");
+        ADD_FAILURE() << "block() returned past a throwing event";
+      },
+      200);
+  bool peer_done = false;
+  const int peer = e.spawn(
+      "peer",
+      [&] {
+        e.advance(50);
+        peer_done = true;
+      },
+      1000);
+
+  const auto out = e.run();
+  EXPECT_FALSE(out.deadlock);
+  EXPECT_EQ(out.failed_pids, std::vector<int>{dropper});
+  EXPECT_EQ(e.process(dropper).state(), ProcState::Failed);
+  ASSERT_NE(e.process(dropper).error(), nullptr);
+  try {
+    std::rethrow_exception(e.process(dropper).error());
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "inline in block");
+  }
+  EXPECT_TRUE(catcher_done);
+  EXPECT_EQ(e.process(catcher).state(), ProcState::Finished);
+  EXPECT_EQ(e.process(catcher).clock(), 110);
+  EXPECT_TRUE(peer_done);
+  EXPECT_EQ(e.process(peer).state(), ProcState::Finished);
+  EXPECT_EQ(out.end_time, 1050);
 }
 
 TEST(Engine, TimeLimit) {

@@ -148,8 +148,6 @@ std::vector<Mutation> all_field_mutations() {
       {"ckpt.checkpoint_cost",
        [](RunConfig& c) { c.ckpt.checkpoint_cost += 1000; }},
       {"ckpt.restart_cost", [](RunConfig& c) { c.ckpt.restart_cost += 1000; }},
-      {"ckpt.verify_snapshots",
-       [](RunConfig& c) { c.ckpt.verify_snapshots = true; }},
       {"detection_delay", [](RunConfig& c) { c.detection_delay += 17; }},
       {"auto_recover", [](RunConfig& c) { c.auto_recover = true; }},
       {"ack_on_wait", [](RunConfig& c) { c.ack_on_wait = true; }},
