@@ -11,13 +11,17 @@
 //   --json      machine-readable output (BENCH_collectives.json)
 //   --check     exit non-zero if (a) a symbolic/materialized pair diverges
 //               in makespan or checksums, (b) a large-message symbolic
-//               point under a non-packing algorithm (binomial/scatter-
-//               allgather/ring/pairwise/recursive-doubling/rabenseifner)
-//               copies more than 1/20 of its wire bytes on the host, or
+//               point copies more than 1/20 of its wire bytes on the host,
 //               (c) a materialized scatter-allgather bcast hashes more than
 //               2 x bytes x iters: its segments re-join to the root's
-//               buffer, so each call hashes one buffer per root replica
-//               (CI bench-smoke gate)
+//               buffer, so each call hashes one buffer per root replica,
+//               or (d) a materialized packing algorithm hashes more than
+//               it must: Bruck joins are ropes whose slices hand back the
+//               senders' own block headers, so an allgather or alltoall
+//               hashes at most replication x nranks x bytes x iters, and a
+//               Rabenseifner allreduce result is one rope over the same
+//               segment chain on every rank, hashed once per replica:
+//               replication x bytes x iters (CI bench-smoke gate)
 //   --nranks=N  communicator size (default 8)
 //   --iters=N   collective calls per point (default 2)
 #include <iostream>
@@ -70,9 +74,9 @@ core::AppFn coll_app(CollKind kind, std::size_t bytes, wl::PayloadMode mode,
 
 struct AlgPoint {
   CollKind kind;
-  const char* alg;     // label + non-packing gate eligibility
+  const char* alg;     // label
   mpi::CollTuning tuning;
-  bool packing;        // Bruck packs blocks: symbolic contents materialize
+  bool packing;        // joins blocks into ropes: gate (d)
 };
 
 std::vector<AlgPoint> algorithm_points() {
@@ -94,7 +98,7 @@ std::vector<AlgPoint> algorithm_points() {
       [](mpi::CollTuning& t) {
         t.allreduce = mpi::AllreduceAlg::RecursiveDoubling;
       });
-  add(CollKind::Allreduce, "rabenseifner", false, [](mpi::CollTuning& t) {
+  add(CollKind::Allreduce, "rabenseifner", true, [](mpi::CollTuning& t) {
     t.allreduce = mpi::AllreduceAlg::Rabenseifner;
   });
   add(CollKind::Allgather, "ring", false,
@@ -110,8 +114,10 @@ std::vector<AlgPoint> algorithm_points() {
 
 struct Meta {
   bool symbolic;
-  bool packing;
+  bool packing;    // Bruck / Rabenseifner: gate (d)
   bool sag_bcast;  // scatter-allgather bcast: gate (c)
+  CollKind kind;
+  int replication;
   std::size_t bytes;
 };
 
@@ -165,7 +171,7 @@ int main(int argc, char** argv) {
                             std::move(spec)});
           metas.push_back({symbolic, ap.packing,
                            ap.tuning.bcast == mpi::BcastAlg::ScatterAllgather,
-                           bytes});
+                           ap.kind, pr.r, bytes});
         }
       }
     }
@@ -212,11 +218,11 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Large-message symbolic points under non-packing algorithms must stay
-    // O(1) host bytes: headers and control frames only.
+    // Large-message symbolic points must stay O(1) host bytes: headers and
+    // control frames only.
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Meta& m = metas[i];
-      if (!m.symbolic || m.packing || m.bytes < 65536) continue;
+      if (!m.symbolic || m.bytes < 65536) continue;
       const auto& r = results[i].run;
       if (r.bytes_copied * 20 > r.fabric.payload_bytes) {
         std::cerr << "fig_collectives: symbolic point '" << points[i].label
@@ -236,6 +242,26 @@ int main(int argc, char** argv) {
           2 * m.bytes * static_cast<std::uint64_t>(iters);
       if (r.bytes_hashed > bound) {
         std::cerr << "fig_collectives: materialized bcast '"
+                  << points[i].label << "' hashed " << r.bytes_hashed
+                  << " host bytes, bound " << bound << "\n";
+        rc = 1;
+      }
+    }
+    // Packing algorithms join into ropes, so a materialized point hashes
+    // each distinct block (Bruck) or the one result chain (Rabenseifner)
+    // once per replica, not once per rank that holds it.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const Meta& m = metas[i];
+      if (m.symbolic || !m.packing) continue;
+      const auto& r = results[i].run;
+      const std::uint64_t per_call =
+          m.kind == CollKind::Allreduce
+              ? m.bytes
+              : static_cast<std::uint64_t>(nranks) * m.bytes;
+      const std::uint64_t bound = static_cast<std::uint64_t>(m.replication) *
+                                  per_call * static_cast<std::uint64_t>(iters);
+      if (r.bytes_hashed > bound) {
+        std::cerr << "fig_collectives: materialized packing point '"
                   << points[i].label << "' hashed " << r.bytes_hashed
                   << " host bytes, bound " << bound << "\n";
         rc = 1;

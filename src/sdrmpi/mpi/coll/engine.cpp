@@ -230,10 +230,7 @@ void CollEngine::bcast(std::span<std::byte> data, int root) {
   net::Payload mine;
   if (rank_ == root) mine = net::Payload::copy_of(pool_, data);
   net::Payload out = bcast_payload(mine, data.size(), root);
-  if (rank_ != root && !out.empty()) {
-    std::memcpy(data.data(), out.data(), out.size());
-    util::count_bytes_copied(out.size());
-  }
+  if (rank_ != root) out.copy_to(data.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -272,10 +269,7 @@ void CollEngine::reduce(std::span<const std::byte> send,
   }
   net::Payload mine = net::Payload::copy_of(pool_, send);
   net::Payload out = reduce_binomial(mine, elem, fn, root);
-  if (rank_ == root && !out.empty()) {
-    std::memcpy(recv.data(), out.data(), out.size());
-    util::count_bytes_copied(out.size());
-  }
+  if (rank_ == root) out.copy_to(recv.data());
 }
 
 net::Payload CollEngine::allreduce_recursive_doubling(const net::Payload& mine,
@@ -439,11 +433,7 @@ void CollEngine::allreduce(std::span<const std::byte> send,
     throw std::invalid_argument("allreduce: recv buffer too small");
   }
   net::Payload mine = net::Payload::copy_of(pool_, send);
-  net::Payload out = allreduce_payload(mine, elem, fn);
-  if (!out.empty()) {
-    std::memcpy(recv.data(), out.data(), out.size());
-    util::count_bytes_copied(out.size());
-  }
+  allreduce_payload(mine, elem, fn).copy_to(recv.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -470,11 +460,10 @@ void CollEngine::gather(std::span<const std::byte> send,
       auto dst = recv.subspan(static_cast<std::size_t>(i) * block, block);
       if (i == rank_) {
         std::memcpy(dst.data(), send.data(), block);
+        util::count_bytes_copied(block);
       } else {
-        const net::Payload& got = reqs[ri++]->recv_payload;
-        if (!got.empty()) std::memcpy(dst.data(), got.data(), got.size());
+        reqs[ri++]->recv_payload.copy_to(dst.data());
       }
-      util::count_bytes_copied(block);
     }
     reqs.clear();
   } else {
@@ -507,11 +496,10 @@ void CollEngine::gatherv(std::span<const std::byte> send,
       auto dst = recv.subspan(offset, c);
       if (i == rank_) {
         std::memcpy(dst.data(), send.data(), c);
+        util::count_bytes_copied(c);
       } else {
-        const net::Payload& got = reqs[ri++]->recv_payload;
-        if (!got.empty()) std::memcpy(dst.data(), got.data(), got.size());
+        reqs[ri++]->recv_payload.copy_to(dst.data());
       }
-      util::count_bytes_copied(c);
       offset += c;
     }
     reqs.clear();
@@ -543,11 +531,7 @@ void CollEngine::scatter(std::span<const std::byte> send,
     if (!reqs.empty()) ep_.waitall(reqs);
     reqs.clear();
   } else {
-    net::Payload got = recv_p(block, root, kTagScatter);
-    if (!got.empty()) {
-      std::memcpy(recv.data(), got.data(), got.size());
-      util::count_bytes_copied(got.size());
-    }
+    recv_p(block, root, kTagScatter).copy_to(recv.data());
   }
 }
 
@@ -631,11 +615,8 @@ void CollEngine::allgather(std::span<const std::byte> send,
   auto& out = scratch_.out_blocks;
   allgather_payload(net::Payload::copy_of(pool_, send), block, out);
   for (int i = 0; i < n; ++i) {
-    const net::Payload& blk = out[static_cast<std::size_t>(i)];
-    if (blk.empty()) continue;
-    std::memcpy(recv.data() + static_cast<std::size_t>(i) * block, blk.data(),
-                blk.size());
-    util::count_bytes_copied(blk.size());
+    out[static_cast<std::size_t>(i)].copy_to(
+        recv.data() + static_cast<std::size_t>(i) * block);
   }
   out.clear();
 }
@@ -738,11 +719,8 @@ void CollEngine::alltoall(std::span<const std::byte> send,
   auto& out = scratch_.out_blocks;
   alltoall_payload(in, block, out);
   for (int i = 0; i < n; ++i) {
-    const net::Payload& blk = out[static_cast<std::size_t>(i)];
-    if (blk.empty()) continue;
-    std::memcpy(recv.data() + static_cast<std::size_t>(i) * block, blk.data(),
-                blk.size());
-    util::count_bytes_copied(blk.size());
+    out[static_cast<std::size_t>(i)].copy_to(
+        recv.data() + static_cast<std::size_t>(i) * block);
   }
   in.clear();
   out.clear();
@@ -786,14 +764,9 @@ void CollEngine::alltoallv(std::span<const std::byte> send,
     net::Payload out = net::Payload::copy_of(
         pool_, send.subspan(soff[static_cast<std::size_t>(dst)],
                             send_counts[static_cast<std::size_t>(dst)]));
-    net::Payload got =
-        sendrecv_p(out, dst, recv_counts[static_cast<std::size_t>(src)], src,
-                   kTagAlltoall);
-    if (!got.empty()) {
-      std::memcpy(recv.data() + roff[static_cast<std::size_t>(src)],
-                  got.data(), got.size());
-      util::count_bytes_copied(got.size());
-    }
+    sendrecv_p(out, dst, recv_counts[static_cast<std::size_t>(src)], src,
+               kTagAlltoall)
+        .copy_to(recv.data() + roff[static_cast<std::size_t>(src)]);
   }
 }
 
@@ -826,10 +799,7 @@ void CollEngine::scan(std::span<const std::byte> send,
   net::Payload excl;
   net::Payload out = scan_payload(mine, elem, fn, exclusive, excl);
   // MPI leaves exscan's rank-0 recv buffer untouched (out is empty there).
-  if (!out.empty()) {
-    std::memcpy(recv.data(), out.data(), out.size());
-    util::count_bytes_copied(out.size());
-  }
+  out.copy_to(recv.data());
 }
 
 }  // namespace sdrmpi::mpi::coll

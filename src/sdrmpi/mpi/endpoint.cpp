@@ -626,11 +626,11 @@ void Endpoint::deliver_eager(StoredFrame&& f, const Request& req) {
   if (f.bulk.size() > cap) {
     throw std::runtime_error("sdrmpi: message truncation (eager recv)");
   }
-  if (!req->sink && !f.bulk.empty()) {
-    // Buffer mode: fill the application buffer (materializing symbolic
-    // contents). Sink mode records the delivered handle only — no bytes.
-    std::memcpy(req->recv_buf.data(), f.bulk.data(), f.bulk.size());
-    util::count_bytes_copied(f.bulk.size());
+  if (!req->sink) {
+    // Buffer mode: write the contents straight into the application buffer
+    // (symbolic contents and ropes are generated there, never materialized
+    // first). Sink mode records the delivered handle only — no bytes.
+    f.bulk.copy_to(req->recv_buf.data());
   }
   req->status.bytes = f.bulk.size();
   req->recv_payload = std::move(f.bulk);
@@ -703,10 +703,7 @@ void Endpoint::handle_rdv_data(StoredFrame&& f) {
   if (f.bulk.size() > cap) {
     throw std::runtime_error("sdrmpi: message truncation (rendezvous data)");
   }
-  if (!rec.req->sink && !f.bulk.empty()) {
-    std::memcpy(rec.req->recv_buf.data(), f.bulk.data(), f.bulk.size());
-    util::count_bytes_copied(f.bulk.size());
-  }
+  if (!rec.req->sink) f.bulk.copy_to(rec.req->recv_buf.data());
   rec.req->status.bytes = f.bulk.size();
   rec.req->recv_payload = std::move(f.bulk);
   complete_recv(rec.header, rec.req);

@@ -8,9 +8,13 @@
 //   Pattern(seed, len)         len bytes of the deterministic generator below
 //   Tile(seed, period, reps)   one Pattern block repeated back to back
 //   Corrupt(base, bit)         base's contents with one bit flipped (SDC)
+//   Concat(leaves...)          other payloads' contents back to back (a rope)
 //
 // Raw is the one kind with host bytes: a slab of its own, or a zero-copy
 // view onto a window of another Raw payload's slab (Payload::slice).
+// Concat is what a join produces when no exact descriptor exists: a table
+// of refcounted leaf payloads, so a collective's packed messages and
+// gathered results copy no byte (Payload::concat_payloads).
 //
 // Every kind defines an exact byte sequence; materialization (content.hpp
 // generators) and streaming digests extract bytes with explicit
@@ -33,6 +37,7 @@ enum class ContentKind : std::uint8_t {
   Pattern,  ///< deterministic pseudo-random contents from a 64-bit seed
   Corrupt,  ///< another payload's contents with one bit flipped
   Tile,     ///< one Pattern block repeated back to back
+  Concat,   ///< a rope: other payloads' contents back to back
 };
 
 [[nodiscard]] constexpr const char* to_string(ContentKind k) noexcept {
@@ -42,6 +47,7 @@ enum class ContentKind : std::uint8_t {
     case ContentKind::Pattern: return "pattern";
     case ContentKind::Corrupt: return "corrupt";
     case ContentKind::Tile: return "tile";
+    case ContentKind::Concat: return "concat";
   }
   return "?";
 }

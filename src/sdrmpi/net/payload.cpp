@@ -84,6 +84,22 @@ tile_memo() {
   return memo;
 }
 
+/// fnv1a over bytes [begin, end) of the Tile repeating Pattern bytes
+/// [offset, offset+period), resumed from `h`.
+[[nodiscard]] std::uint64_t fnv1a_tile(std::uint64_t seed,
+                                       std::uint64_t offset,
+                                       std::uint64_t period,
+                                       std::uint64_t begin, std::uint64_t end,
+                                       std::uint64_t h) noexcept {
+  for (std::uint64_t i = begin; i < end;) {
+    const std::uint64_t r = i % period;
+    const std::uint64_t chunk = std::min(end - i, period - r);
+    h = fnv1a_pattern(seed, offset + r, offset + r + chunk, h);
+    i += chunk;
+  }
+  return h;
+}
+
 [[nodiscard]] std::uint64_t tile_digest_memoized(std::uint64_t seed,
                                                  std::uint64_t offset,
                                                  std::uint64_t period,
@@ -92,10 +108,8 @@ tile_memo() {
   const TileKey key{seed, offset, period, reps};
   if (const auto it = memo.find(key); it != memo.end()) return it->second;
   util::count_bytes_hashed(period * reps);
-  std::uint64_t d = util::kFnvOffset;
-  for (std::uint64_t r = 0; r < reps; ++r) {
-    d = fnv1a_pattern(seed, offset, offset + period, d);
-  }
+  const std::uint64_t d =
+      fnv1a_tile(seed, offset, period, 0, period * reps, util::kFnvOffset);
   memo.emplace(key, d);
   return d;
 }
@@ -109,7 +123,8 @@ void clear_pattern_digest_memo() noexcept {
 
 Payload Payload::symbolic(util::BufferPool* pool, const ContentDesc& desc) {
   if (desc.len == 0) return {};
-  if (desc.kind == ContentKind::Raw || desc.kind == ContentKind::Corrupt) {
+  if (desc.kind == ContentKind::Raw || desc.kind == ContentKind::Corrupt ||
+      desc.kind == ContentKind::Concat) {
     throw std::invalid_argument(
         "Payload::symbolic: descriptor must be Zeros, Pattern or Tile");
   }
@@ -210,12 +225,67 @@ Payload Payload::slice(util::BufferPool* pool, const Payload& base,
       ++owner->refs;
       return out;
     }
+    case ContentKind::Concat: {
+      // Leaves [first, last] hold the range: the first leaf ending after
+      // `off` through the first ending at or after off+len.
+      const auto leaves = rope_leaves(base.h_);
+      const auto first = std::upper_bound(
+          leaves.begin(), leaves.end(), std::uint64_t{off},
+          [](std::uint64_t v, const RopeLeaf& e) { return v < e.end; });
+      const auto last = std::lower_bound(
+          first, leaves.end(), std::uint64_t{off} + len,
+          [](const RopeLeaf& e, std::uint64_t v) { return e.end < v; });
+      const auto start = [&leaves](auto it) {
+        return it == leaves.begin() ? std::uint64_t{0} : (it - 1)->end;
+      };
+      const auto leaf_handle = [](Header* leaf) {
+        Payload p;
+        p.h_ = leaf;
+        ++leaf->refs;
+        return p;
+      };
+      if (first == last) {
+        // Inside one leaf: a slice of it — the leaf itself when the range
+        // is exactly that leaf (slice's full-range alias).
+        return slice(pool, leaf_handle(first->leaf), off - start(first), len);
+      }
+      Payload out = make_rope(pool, len,
+                              static_cast<std::size_t>(last - first) + 1);
+      for (auto it = first; it <= last; ++it) {
+        const std::uint64_t lo = std::max<std::uint64_t>(off, start(it));
+        const std::uint64_t hi = std::min<std::uint64_t>(off + len, it->end);
+        if (hi - lo == it->leaf->size) {
+          append_leaf(out.h_, it->leaf);
+        } else {
+          const Payload piece = slice(pool, leaf_handle(it->leaf),
+                                      lo - start(it), hi - lo);
+          append_leaf(out.h_, piece.h_);
+        }
+      }
+      return out;
+    }
     case ContentKind::Corrupt:
       // No exact sub-descriptor exists; copy the range (materializing the
       // base exactly once, shared by every aliasing handle).
       return copy_of(pool, base.bytes().subspan(off, len));
   }
   return {};
+}
+
+Payload Payload::make_rope(util::BufferPool* pool, std::size_t size,
+                           std::size_t capacity) {
+  Payload p(pool, size, capacity * sizeof(RopeLeaf));
+  p.h_->kind = ContentKind::Concat;
+  p.h_->bit_index = 0;  // entries so far: destroy() releases only these
+  return p;
+}
+
+void Payload::append_leaf(Header* rope, Header* leaf) noexcept {
+  const std::size_t n = static_cast<std::size_t>(rope->bit_index);
+  auto* table = reinterpret_cast<RopeLeaf*>(slab_data(rope));
+  table[n] = {leaf, (n == 0 ? 0 : table[n - 1].end) + leaf->size};
+  ++leaf->refs;
+  ++rope->bit_index;
 }
 
 Payload Payload::concat_payloads(util::BufferPool* pool,
@@ -296,8 +366,8 @@ Payload Payload::concat_payloads(util::BufferPool* pool,
   // (seed, offset) block, as Pattern (exactly one repetition) or Tile
   // (whole repetitions) — fold into a Tile. This is the allgather shape:
   // ranks all contribute make_block(tag, bytes), i.e. the *same*
-  // descriptor, so Bruck's doubling concat would otherwise materialize an
-  // O(nranks) Raw slab per rank per round.
+  // descriptor, so Bruck's doubling concat would otherwise build an
+  // O(nranks) rope per rank per round.
   bool tileable = true;
   std::uint64_t tile_seed = 0;
   std::uint64_t tile_off = 0;
@@ -337,15 +407,24 @@ Payload Payload::concat_payloads(util::BufferPool* pool,
         pool, ContentDesc::tile(tile_seed, tile_off, period, total / period));
   }
 
-  // Generic join: materialize each part once, pack into one Raw slab.
-  Payload out(pool, total, total);
-  std::size_t off = 0;
+  // Anything else joins as a rope over the parts' headers — no byte is
+  // copied or materialized. Rope parts contribute their leaves, so tables
+  // stay flat: Bruck's doubling packs and Rabenseifner's recursive-doubling
+  // allgather end as one table of the original block headers.
+  std::size_t nleaves = 0;
   for (const Payload& p : parts) {
     if (p.empty()) continue;
-    std::memcpy(out.mutable_data() + off, p.data(), p.size());
-    off += p.size();
+    nleaves += p.kind() == ContentKind::Concat ? rope_leaves(p.h_).size() : 1;
   }
-  util::count_bytes_copied(total);
+  Payload out = make_rope(pool, total, nleaves);
+  for (const Payload& p : parts) {
+    if (p.empty()) continue;
+    if (p.kind() != ContentKind::Concat) {
+      append_leaf(out.h_, p.h_);
+      continue;
+    }
+    for (const RopeLeaf& e : rope_leaves(p.h_)) append_leaf(out.h_, e.leaf);
+  }
   return out;
 }
 
@@ -362,10 +441,13 @@ Payload Payload::corrupt(util::BufferPool* pool, const Payload& base,
 }
 
 void Payload::fill_contents(const Header* h, std::byte* out) {
+  if (const std::byte* bytes = bytes_if_any(h)) {
+    std::memcpy(out, bytes, h->size);
+    return;
+  }
   switch (h->kind) {
     case ContentKind::Raw:
-      std::memcpy(out, raw_data(h), h->size);
-      return;
+      return;  // bytes_if_any served it
     case ContentKind::Zeros:
       std::memset(out, 0, h->size);
       return;
@@ -385,21 +467,17 @@ void Payload::fill_contents(const Header* h, std::byte* out) {
       }
       return;
     }
-    case ContentKind::Corrupt: {
-      // Materialize the base contents (which may themselves be symbolic;
-      // if the base is already materialized this is a plain memcpy), then
-      // apply the one-bit flip.
-      const Header* base = h->base;
-      if (base->kind == ContentKind::Raw || base->mat != nullptr) {
-        std::memcpy(out,
-                    base->kind == ContentKind::Raw
-                        ? raw_data(base)
-                        : static_cast<const std::byte*>(base->mat),
-                    h->size);
-      } else {
-        fill_contents(base, out);
-      }
+    case ContentKind::Corrupt:
+      // The base contents (a memcpy if they exist), then the one-bit flip.
+      fill_contents(h->base, out);
       out[h->bit_index / 8] ^= std::byte{1} << (h->bit_index % 8);
+      return;
+    case ContentKind::Concat: {
+      std::uint64_t begin = 0;
+      for (const RopeLeaf& e : rope_leaves(h)) {
+        fill_contents(e.leaf, out + begin);
+        begin = e.end;
+      }
       return;
     }
   }
@@ -423,71 +501,157 @@ const std::byte* Payload::materialize(Header* h) {
   return static_cast<const std::byte*>(h->mat);
 }
 
-std::uint64_t Payload::compute_digest(const Header* h) {
-  switch (h->kind) {
-    case ContentKind::Raw:
-      util::count_bytes_hashed(h->size);
-      return util::fnv1a({raw_data(h), h->size});
-    case ContentKind::Zeros:
-      return fnv1a_zeros(h->size);
-    case ContentKind::Pattern:
-      return pattern_digest_memoized(h->seed, h->offset, h->size);
-    case ContentKind::Tile:
-      return tile_digest_memoized(h->seed, h->offset, h->bit_index,
-                                  h->size / h->bit_index);
-    case ContentKind::Corrupt: {
-      const Header* base = h->base;
-      const std::uint64_t flip = h->bit_index;
-      const std::uint64_t i = flip / 8;
-      const auto mask =
-          static_cast<unsigned char>(1u << (flip % 8));
-      // Stream the base contents with byte i flipped. fnv1a cannot absorb a
-      // mid-stream flip incrementally, but this runs once per injected
-      // corruption (rare by construction) and never clones the buffer.
-      if (base->kind == ContentKind::Raw || base->mat != nullptr) {
-        const std::byte* bytes =
-            base->kind == ContentKind::Raw
-                ? raw_data(base)
-                : static_cast<const std::byte*>(base->mat);
-        util::count_bytes_hashed(h->size);
-        std::uint64_t d = util::fnv1a({bytes, i});
-        d = fnv1a_step(d, std::to_integer<unsigned char>(bytes[i]) ^ mask);
-        return util::fnv1a({bytes + i + 1, h->size - i - 1}, d);
-      }
-      if (base->kind == ContentKind::Zeros) {
-        std::uint64_t d = fnv1a_zeros(i);
-        d = fnv1a_step(d, mask);
-        return fnv1a_zeros(h->size - i - 1, d);
-      }
-      if (base->kind == ContentKind::Pattern) {
-        const std::uint64_t boff = base->offset;
-        util::count_bytes_hashed(h->size);
-        std::uint64_t d = fnv1a_pattern(base->seed, boff, boff + i);
-        d = fnv1a_step(d, std::to_integer<unsigned char>(
-                              pattern_byte(base->seed, boff + i)) ^
-                              mask);
-        return fnv1a_pattern(base->seed, boff + i + 1, boff + h->size, d);
-      }
-      // Corrupt-over-Corrupt: digest the base's digest path via its own
-      // materialization-free stream is not worth special-casing; compute
-      // through a materialized view of the base.
-      const std::byte* bytes = materialize(const_cast<Header*>(base));
-      util::count_bytes_hashed(h->size);
-      std::uint64_t d = util::fnv1a({bytes, i});
-      d = fnv1a_step(d, std::to_integer<unsigned char>(bytes[i]) ^ mask);
-      return util::fnv1a({bytes + i + 1, h->size - i - 1}, d);
+std::uint64_t Payload::digest_from(Header* h, std::uint64_t in) {
+  if (in == util::kFnvOffset) {
+    if (!h->digest_valid) {
+      h->digest = compute_digest(h, in);
+      h->digest_valid = true;
     }
+    return h->digest;
   }
-  return util::kFnvOffset;
+  if (!h->cont_valid || h->cont_in != in) {
+    h->cont_out = compute_digest(h, in);
+    h->cont_in = in;
+    h->cont_valid = true;
+  }
+  return h->cont_out;
 }
 
-std::uint64_t Payload::digest() const {
-  if (h_ == nullptr) return util::kFnvOffset;
-  if (!h_->digest_valid) {
-    h_->digest = compute_digest(h_);
-    h_->digest_valid = true;
+std::uint64_t Payload::compute_digest(Header* h, std::uint64_t in) {
+  // bytes_hashed counts the payload bytes each kind streams: none for the
+  // Zeros closed form (or a Corrupt over Zeros), none for memo hits, and a
+  // rope's leaves count themselves — once per distinct continuation.
+  switch (h->kind) {
+    case ContentKind::Zeros:
+      return fnv1a_zeros(h->size, in);
+    case ContentKind::Pattern:
+      if (in == util::kFnvOffset) {
+        return pattern_digest_memoized(h->seed, h->offset, h->size);
+      }
+      break;
+    case ContentKind::Tile:
+      if (in == util::kFnvOffset) {
+        return tile_digest_memoized(h->seed, h->offset, h->bit_index,
+                                    h->size / h->bit_index);
+      }
+      break;
+    case ContentKind::Concat:
+      for (const RopeLeaf& e : rope_leaves(h)) in = digest_from(e.leaf, in);
+      return in;
+    case ContentKind::Corrupt:
+      // fnv1a cannot absorb a mid-stream flip incrementally, but this runs
+      // once per injected corruption (rare by construction) and never
+      // clones the base.
+      if (h->base->kind == ContentKind::Zeros) {
+        return digest_range(h, 0, h->size, in);
+      }
+      break;
+    case ContentKind::Raw:
+      break;
   }
-  return h_->digest;
+  util::count_bytes_hashed(h->size);
+  return digest_range(h, 0, h->size, in);
+}
+
+std::uint64_t Payload::digest_range(const Header* h, std::uint64_t begin,
+                                    std::uint64_t end, std::uint64_t in) {
+  if (begin >= end) return in;
+  if (const std::byte* bytes = bytes_if_any(h)) {
+    return util::fnv1a({bytes + begin, end - begin}, in);
+  }
+  switch (h->kind) {
+    case ContentKind::Raw:
+      break;  // bytes_if_any served it
+    case ContentKind::Zeros:
+      return fnv1a_zeros(end - begin, in);
+    case ContentKind::Pattern:
+      return fnv1a_pattern(h->seed, h->offset + begin, h->offset + end, in);
+    case ContentKind::Tile:
+      return fnv1a_tile(h->seed, h->offset, h->bit_index, begin, end, in);
+    case ContentKind::Corrupt: {
+      const std::uint64_t i = h->bit_index / 8;
+      if (i < begin || i >= end) return digest_range(h->base, begin, end, in);
+      in = digest_range(h->base, begin, i, in);
+      in = fnv1a_step(in, byte_at(h, i));
+      return digest_range(h->base, i + 1, end, in);
+    }
+    case ContentKind::Concat: {
+      const auto leaves = rope_leaves(h);
+      auto it = std::upper_bound(
+          leaves.begin(), leaves.end(), begin,
+          [](std::uint64_t v, const RopeLeaf& e) { return v < e.end; });
+      for (; it != leaves.end(); ++it) {
+        const std::uint64_t start =
+            it == leaves.begin() ? 0 : (it - 1)->end;
+        if (start >= end) break;
+        in = digest_range(it->leaf, std::max(begin, start) - start,
+                          std::min(end, it->end) - start, in);
+      }
+      return in;
+    }
+  }
+  return in;
+}
+
+unsigned char Payload::byte_at(const Header* h, std::uint64_t i) {
+  if (const std::byte* bytes = bytes_if_any(h)) {
+    return std::to_integer<unsigned char>(bytes[i]);
+  }
+  switch (h->kind) {
+    case ContentKind::Raw:
+    case ContentKind::Zeros:
+      return 0;
+    case ContentKind::Pattern:
+      return std::to_integer<unsigned char>(
+          pattern_byte(h->seed, h->offset + i));
+    case ContentKind::Tile:
+      return std::to_integer<unsigned char>(
+          pattern_byte(h->seed, h->offset + i % h->bit_index));
+    case ContentKind::Corrupt: {
+      const unsigned char b = byte_at(h->base, i);
+      return i == h->bit_index / 8
+                 ? static_cast<unsigned char>(b ^ (1u << (h->bit_index % 8)))
+                 : b;
+    }
+    case ContentKind::Concat: {
+      const auto leaves = rope_leaves(h);
+      const auto it = std::upper_bound(
+          leaves.begin(), leaves.end(), i,
+          [](std::uint64_t v, const RopeLeaf& e) { return v < e.end; });
+      return byte_at(it->leaf, i - (it == leaves.begin() ? 0 : (it - 1)->end));
+    }
+  }
+  return 0;
+}
+
+void Payload::destroy(Header* h) noexcept {
+  // Iterative base-chain walk (Corrupt-over-Corrupt stays shallow in
+  // practice, but recursion depth should not depend on data). A Raw view's
+  // base is its owner, so the owner outlives every view. A rope releases
+  // its leaves; leaves are never ropes, so that recursion is one level
+  // (deeper only through a Corrupt-over-rope leaf).
+  while (h != nullptr) {
+    Header* base = h->base;
+    if (h->kind == ContentKind::Concat) {
+      for (const RopeLeaf& e : rope_leaves(h)) {
+        if (--e.leaf->refs == 0) destroy(e.leaf);
+      }
+    }
+    if (h->mat != nullptr) {
+      if (h->pool != nullptr) {
+        h->pool->release(h->mat, h->mat_class);
+      } else {
+        ::operator delete(h->mat);
+      }
+    }
+    if (h->pool != nullptr) {
+      h->pool->release(h, h->size_class);
+    } else {
+      ::operator delete(h);
+    }
+    if (base == nullptr || --base->refs != 0) break;
+    h = base;
+  }
 }
 
 }  // namespace sdrmpi::net

@@ -14,6 +14,14 @@
 // so the owner lives as long as any window onto it; concat_payloads() of
 // contiguous views re-joins them without a copy.
 //
+// Joins never copy. Where no exact descriptor exists, concat_payloads()
+// builds a Concat *rope*: a header whose inline bytes are a flat table of
+// refcounted leaf headers with their cumulative end offsets (ropes of
+// ropes flatten, so a leaf is never itself a rope). slice() of a rope
+// binary-searches the table and hands back a leaf itself when the range is
+// exactly one leaf — a Bruck receiver gets the senders' own block headers —
+// and bytes exist only once somebody calls data() or copy_to().
+//
 // Symbolic payloads (Zeros / Pattern / Tile / Corrupt, see content.hpp)
 // carry only a header: size() and wire-byte accounting see the logical
 // length, but no host byte is touched until someone actually asks for
@@ -23,7 +31,11 @@
 //   * digest() never materializes: Zeros digests in O(log n) closed form,
 //     Pattern and Tile digests stream the generator once per shape and are
 //     memoized per host thread, Corrupt streams its base with the bit
-//     flipped. digest() always equals fnv1a over the materialized bytes.
+//     flipped, and a rope folds its leaves' digests in order. Every header
+//     caches its digest from the FNV offset basis *and* its last
+//     continuation (state in -> state out), so ranks digesting ropes over
+//     one leaf chain stream the bytes once and then pay O(leaves).
+//     digest() always equals fnv1a over the materialized bytes.
 // That makes GB-scale simulated messages O(1) host work end to end (send,
 // redMPI hash compare, SDC injection, ack/retransmission buffering).
 //
@@ -141,26 +153,29 @@ class Payload {
   /// algebra where it exists: a slice of Zeros is Zeros, a slice of
   /// Pattern(seed) is Pattern(seed) at a shifted stream offset — both O(1),
   /// no byte touched. A slice of Raw is a zero-copy view onto the owning
-  /// slab (a slice of a view points at the same owner); only Corrupt bases
-  /// copy the sub-span into a fresh slab. The collective engine's scatter
-  /// and Bruck schedules are built on this: segments of a broadcast stay
-  /// symbolic, or alias the root's buffer, end to end. Throws
+  /// slab (a slice of a view points at the same owner). A slice of a rope
+  /// is the leaf itself when the range is exactly one leaf, a slice of
+  /// that leaf when it lies inside one, and a sub-rope otherwise; only
+  /// Corrupt bases copy the sub-span into a fresh slab. The collective
+  /// engine's scatter and Bruck schedules are built on this: segments of a
+  /// broadcast stay symbolic, or alias the root's buffer, end to end. Throws
   /// std::out_of_range when the range exceeds base.size() (in every build:
   /// a view past the end would alias foreign memory).
   [[nodiscard]] static Payload slice(util::BufferPool* pool,
                                      const Payload& base, std::size_t off,
                                      std::size_t len);
 
-  /// Joins `parts` in order into one payload. Exact where the descriptor
-  /// algebra allows: all-Zeros parts stay Zeros, stream-contiguous
-  /// same-seed Pattern parts merge back into one Pattern descriptor and
-  /// contiguous Raw views of one owner re-join into one view — the owner
-  /// itself when they cover it (both the inverse of slice) — and
-  /// repetitions of one identical Pattern block (Pattern or Tile parts
-  /// sharing seed/offset/period) fold into a Tile — the allgather case,
-  /// where every rank contributes the same symbolic block. Otherwise every part materializes once and the bytes are
-  /// packed into a fresh Raw slab. Empty parts are skipped; a single
-  /// non-empty part is aliased, not copied.
+  /// Joins `parts` in order into one payload without copying a byte.
+  /// Exact descriptors where the algebra allows: all-Zeros parts stay
+  /// Zeros, stream-contiguous same-seed Pattern parts merge back into one
+  /// Pattern descriptor and contiguous Raw views of one owner re-join into
+  /// one view — the owner itself when they cover it (both the inverse of
+  /// slice) — and repetitions of one identical Pattern block (Pattern or
+  /// Tile parts sharing seed/offset/period) fold into a Tile — the
+  /// allgather case, where every rank contributes the same symbolic block.
+  /// Anything else becomes a Concat rope over the parts (a rope part
+  /// contributes its leaves). Empty parts are skipped; a single non-empty
+  /// part is aliased.
   [[nodiscard]] static Payload concat_payloads(util::BufferPool* pool,
                                                std::span<const Payload> parts);
 
@@ -191,6 +206,16 @@ class Payload {
     return {data(), size()};
   }
 
+  /// Writes the size() content bytes to `dst`: one memcpy when the bytes
+  /// exist (Raw, or already materialized), generated straight into `dst`
+  /// otherwise — a symbolic payload or rope landing in an application
+  /// buffer is copied once, never materialized first.
+  void copy_to(std::byte* dst) const {
+    if (h_ == nullptr) return;
+    fill_contents(h_, dst);
+    util::count_bytes_copied(h_->size);
+  }
+
   [[nodiscard]] std::byte operator[](std::size_t i) const {
     assert(i < size());
     return data()[i];
@@ -200,9 +225,13 @@ class Payload {
   /// in the shared header so aliases — including the receive side of a
   /// zero-copy delivery — reuse one computation. Symbolic payloads digest
   /// without materializing; repeated Pattern shapes hit a per-thread
-  /// (seed, len) memo and cost O(1). Empty handles digest to kFnvOffset
-  /// like the empty span.
-  [[nodiscard]] std::uint64_t digest() const;
+  /// (seed, len) memo and cost O(1); a rope folds its leaves through their
+  /// continuation caches. Empty handles digest to kFnvOffset like the
+  /// empty span.
+  [[nodiscard]] std::uint64_t digest() const {
+    return h_ != nullptr ? digest_from(h_, util::kFnvOffset)
+                         : util::kFnvOffset;
+  }
 
   [[nodiscard]] ContentKind kind() const noexcept {
     return h_ != nullptr ? h_->kind : ContentKind::Raw;
@@ -214,14 +243,10 @@ class Payload {
     return {h_->kind, h_->size, h_->seed, h_->offset,
             h_->kind == ContentKind::Tile ? h_->bit_index : 0};
   }
-  [[nodiscard]] bool is_symbolic() const noexcept {
-    return h_ != nullptr && h_->kind != ContentKind::Raw;
-  }
-  /// True once contents exist as host bytes (Raw always; symbolic after
-  /// the first data() call).
+  /// True once contents exist as host bytes (Raw always; header-only kinds
+  /// after the first data() call).
   [[nodiscard]] bool is_materialized() const noexcept {
-    return h_ != nullptr &&
-           (h_->kind == ContentKind::Raw || h_->mat != nullptr);
+    return h_ != nullptr && bytes_if_any(h_) != nullptr;
   }
 
   /// Handles sharing this buffer (test/diagnostic; 0 for empty handles).
@@ -235,13 +260,14 @@ class Payload {
   }
 
  private:
-  /// Slab layout: [Header][data bytes for an owning Raw]. The header
-  /// records which pool (and free-list class) the slab returns to, so a
-  /// Payload can outlive the Fabric/Endpoint that made it as long as the
-  /// Engine (pool owner) lives. Raw views and symbolic kinds store no
-  /// inline bytes; a symbolic kind's lazily materialized buffer and every
-  /// kind's cached digest live in the shared header so every aliasing
-  /// handle benefits.
+  /// Slab layout: [Header][data bytes for an owning Raw | rope table].
+  /// The header records which pool (and free-list class) the slab returns
+  /// to, so a Payload can outlive the Fabric/Endpoint that made it as long
+  /// as the Engine (pool owner) lives. Raw views and symbolic kinds store
+  /// no inline bytes; a rope stores its leaf table. A header-only kind's
+  /// lazily materialized buffer and every kind's cached digest and digest
+  /// continuation live in the shared header so every aliasing handle
+  /// benefits.
   struct Header {
     std::uint32_t refs;
     std::uint32_t size_class;
@@ -250,15 +276,26 @@ class Payload {
 
     ContentKind kind;
     bool digest_valid;
+    bool cont_valid;
     std::uint64_t seed;       // Pattern/Tile generator seed
     std::uint64_t offset;     // Pattern/Tile stream position of byte 0;
                               // Raw view: window start in the owner
-    std::uint64_t bit_index;  // Corrupt flip position; Tile period (bytes)
+    std::uint64_t bit_index;  // Corrupt flip position; Tile period (bytes);
+                              // Concat leaf count
     Header* base;             // refcounted: Corrupt base contents, Raw
                               // view owner, Tile's shared block slice
-    void* mat;                // lazily materialized bytes (symbolic kinds)
+    void* mat;                // lazily materialized bytes (header-only kinds)
     std::uint32_t mat_class;
-    std::uint64_t digest;
+    std::uint64_t digest;     // fnv1a from the offset basis
+    std::uint64_t cont_in;    // last continuation: fnv1a resumed from
+    std::uint64_t cont_out;   //   state cont_in ends in state cont_out
+  };
+
+  /// One rope table entry: a refcounted leaf (never a rope, never empty)
+  /// and the rope offset one past its last byte.
+  struct RopeLeaf {
+    Header* leaf;
+    std::uint64_t end;
   };
 
   Payload(util::BufferPool* pool, std::size_t n, std::size_t inline_bytes) {
@@ -276,6 +313,7 @@ class Payload {
     h_->pool = pool;
     h_->kind = ContentKind::Raw;
     h_->digest_valid = false;
+    h_->cont_valid = false;
     h_->seed = 0;
     h_->offset = 0;
     h_->bit_index = 0;
@@ -283,6 +321,8 @@ class Payload {
     h_->mat = nullptr;
     h_->mat_class = util::BufferPool::kOversize;
     h_->digest = 0;
+    h_->cont_in = 0;
+    h_->cont_out = 0;
   }
 
   [[nodiscard]] static std::byte* slab_data(Header* h) noexcept {
@@ -296,33 +336,43 @@ class Payload {
                : slab_data(h->base) + h->offset;
   }
 
+  [[nodiscard]] static std::span<RopeLeaf> rope_leaves(
+      const Header* h) noexcept {
+    return {reinterpret_cast<RopeLeaf*>(slab_data(const_cast<Header*>(h))),
+            static_cast<std::size_t>(h->bit_index)};
+  }
+  /// Host bytes of `h` if they exist (Raw, or materialized), else null.
+  [[nodiscard]] static const std::byte* bytes_if_any(const Header* h) noexcept {
+    if (h->kind == ContentKind::Raw) return raw_data(h);
+    return static_cast<const std::byte*>(h->mat);
+  }
+
+  /// A rope of `size` bytes with room for `capacity` leaves, none yet.
+  [[nodiscard]] static Payload make_rope(util::BufferPool* pool,
+                                         std::size_t size,
+                                         std::size_t capacity);
+  /// Appends `leaf` (taking a reference) to the next free table slot.
+  static void append_leaf(Header* rope, Header* leaf) noexcept;
+
   // Symbolic machinery (payload.cpp): produce/lookup bytes and digests.
   [[nodiscard]] static const std::byte* materialize(Header* h);
   static void fill_contents(const Header* h, std::byte* out);
-  [[nodiscard]] static std::uint64_t compute_digest(const Header* h);
+  /// Digest of h's contents resumed from FNV state `in`, served from the
+  /// header's digest (in == basis) or continuation cache when it matches.
+  [[nodiscard]] static std::uint64_t digest_from(Header* h, std::uint64_t in);
+  [[nodiscard]] static std::uint64_t compute_digest(Header* h,
+                                                    std::uint64_t in);
+  /// fnv1a over bytes [begin, end) of h's contents resumed from `in`,
+  /// streamed without caching or counting (Corrupt and its sub-ranges).
+  [[nodiscard]] static std::uint64_t digest_range(const Header* h,
+                                                  std::uint64_t begin,
+                                                  std::uint64_t end,
+                                                  std::uint64_t in);
+  /// Byte i of h's contents, without materializing them.
+  [[nodiscard]] static unsigned char byte_at(const Header* h,
+                                             std::uint64_t i);
 
-  static void destroy(Header* h) noexcept {
-    // Iterative base-chain walk (Corrupt-over-Corrupt stays shallow in
-    // practice, but recursion depth should not depend on data). A Raw
-    // view's base is its owner, so the owner outlives every view.
-    while (h != nullptr) {
-      Header* base = h->base;
-      if (h->mat != nullptr) {
-        if (h->pool != nullptr) {
-          h->pool->release(h->mat, h->mat_class);
-        } else {
-          ::operator delete(h->mat);
-        }
-      }
-      if (h->pool != nullptr) {
-        h->pool->release(h, h->size_class);
-      } else {
-        ::operator delete(h);
-      }
-      if (base == nullptr || --base->refs != 0) break;
-      h = base;
-    }
-  }
+  static void destroy(Header* h) noexcept;
 
   void release() noexcept {
     if (h_ == nullptr || --h_->refs != 0) return;

@@ -1,29 +1,8 @@
 #include "sdrmpi/util/stats.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace sdrmpi::util {
-
-double Samples::mean() const noexcept {
-  if (values_.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-double Samples::percentile(double p) const {
-  if (values_.empty()) return 0.0;
-  std::sort(values_.begin(), values_.end());
-  if (values_.size() == 1) return values_.front();
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double pos =
-      clamped / 100.0 * static_cast<double>(values_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values_.size()) return values_.back();
-  return values_[lo] * (1.0 - frac) + values_[lo + 1] * frac;
-}
 
 double overhead_percent(double baseline, double measured) noexcept {
   if (baseline == 0.0) return 0.0;

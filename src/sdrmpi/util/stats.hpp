@@ -1,86 +1,9 @@
-// Streaming statistics accumulators used by benchmarks and run reports.
+// Small numeric helpers for benchmark reports.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <string>
-#include <vector>
 
 namespace sdrmpi::util {
-
-/// Welford-style streaming accumulator: count, mean, variance, min, max.
-class Accumulator {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    sum_ += x;
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
-
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
-
-  void merge(const Accumulator& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Collects raw samples; supports percentiles. Used for latency summaries.
-class Samples {
- public:
-  void add(double x) { values_.push_back(x); }
-  [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double median() const { return percentile(50.0); }
-
-  /// Linear-interpolated percentile in [0, 100]. Empty input returns 0.
-  [[nodiscard]] double percentile(double p) const;
-
-  [[nodiscard]] const std::vector<double>& values() const noexcept {
-    return values_;
-  }
-
- private:
-  mutable std::vector<double> values_;
-};
 
 /// Relative overhead in percent: 100 * (measured - baseline) / baseline.
 [[nodiscard]] double overhead_percent(double baseline, double measured) noexcept;

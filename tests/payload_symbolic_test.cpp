@@ -2,8 +2,10 @@
 // materialization happens exactly once, Corrupt is an O(1) wrapper whose
 // digest differs from its base, the per-shape digest memo makes repeated
 // shapes free, Raw slices are zero-copy views that re-join to their owner,
-// and the symbolic end-to-end path (symbolic send → sink or buffered
-// receive, redMPI detection) behaves exactly like raw bytes.
+// joins of anything else are Concat ropes whose bytes, slices and digests
+// are exact and whose leaves are hashed once per chain, and the symbolic
+// end-to-end path (symbolic send → sink or buffered receive, redMPI
+// detection) behaves exactly like raw bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "sdrmpi/net/payload.hpp"
 #include "sdrmpi/util/byte_counter.hpp"
 #include "sdrmpi/util/hash.hpp"
+#include "sdrmpi/util/rng.hpp"
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -182,7 +185,7 @@ TEST(SymbolicPayload, NonContiguousViewsJoinTheExactBytes) {
   for (const auto parts : {std::span<const Payload>(swapped),
                            std::span<const Payload>(mixed)}) {
     Payload joined = Payload::concat_payloads(&pool, parts);
-    ASSERT_EQ(joined.kind(), net::ContentKind::Raw);
+    ASSERT_EQ(joined.kind(), net::ContentKind::Concat);
     std::vector<std::byte> expect;
     for (const Payload& p : parts) {
       expect.insert(expect.end(), p.bytes().begin(), p.bytes().end());
@@ -281,7 +284,7 @@ TEST(SymbolicPayload, ConcatOfMixedContentsMaterializesExactBytes) {
   const Payload parts[2] = {Payload::pattern(&pool, 0x1ULL, 24),
                             Payload::pattern(&pool, 0x2ULL, 40)};
   Payload joined = Payload::concat_payloads(&pool, parts);
-  EXPECT_EQ(joined.kind(), net::ContentKind::Raw);
+  EXPECT_EQ(joined.kind(), net::ContentKind::Concat);
   ASSERT_EQ(joined.size(), 64u);
   for (std::size_t i = 0; i < 24; ++i) {
     EXPECT_EQ(joined[i], net::pattern_byte(0x1ULL, i));
@@ -294,6 +297,245 @@ TEST(SymbolicPayload, ConcatOfMixedContentsMaterializesExactBytes) {
   Payload same = Payload::concat_payloads(&pool, one);
   EXPECT_EQ(same.desc().seed, 0x1ULL);
   EXPECT_EQ(same.size(), 24u);
+}
+
+// -------------------------------------------------------------- Concat ropes
+
+/// One random part of 1..200 bytes: an owning Raw, a view, an offset
+/// Pattern, Zeros, a Tile, or a Corrupt over one of those. Deterministic
+/// in `seed`, so calling twice yields twins with separate headers: one goes
+/// into a rope, the other serves as ground truth.
+Payload random_part(util::BufferPool* pool, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t n = 1 + rng.below(200);
+  const std::size_t skip = rng.below(17);
+  const auto leaf = [&](std::uint64_t kind) -> Payload {
+    switch (kind) {
+      case 0: {
+        std::vector<std::byte> bytes(n);
+        for (auto& b : bytes) b = static_cast<std::byte>(rng.below(256));
+        return Payload::copy_of(pool, bytes);
+      }
+      case 1: {
+        std::vector<std::byte> bytes(n + skip);
+        for (auto& b : bytes) b = static_cast<std::byte>(rng.below(256));
+        return Payload::slice(pool, Payload::copy_of(pool, bytes), skip, n);
+      }
+      case 2:
+        return Payload::slice(
+            pool, Payload::pattern(pool, rng(), n + skip), skip, n);
+      case 3:
+        return Payload::zeros(pool, n);
+      default: {
+        const std::uint64_t period = 1 + rng.below(9);
+        return Payload::symbolic(
+            pool, ContentDesc::tile(rng(), rng.below(13), period,
+                                    2 + rng.below(20)));
+      }
+    }
+  };
+  const std::uint64_t kind = rng.below(6);
+  if (kind < 5) return leaf(kind);
+  Payload base = leaf(rng.below(5));
+  return Payload::corrupt(pool, base, rng.below(base.size() * 8));
+}
+
+std::vector<std::byte> bytes_of(std::span<const Payload> parts) {
+  std::vector<std::byte> out;
+  for (const Payload& p : parts) {
+    out.insert(out.end(), p.bytes().begin(), p.bytes().end());
+  }
+  return out;
+}
+
+TEST(ConcatRope, RandomMixturesJoinAndSliceExactly) {
+  util::BufferPool pool;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    util::Rng rng(0x7095ULL + trial);
+    const std::size_t nparts = 2 + rng.below(7);
+    std::vector<Payload> parts;
+    std::vector<Payload> twins;
+    for (std::size_t i = 0; i < nparts; ++i) {
+      const std::uint64_t seed = rng();
+      parts.push_back(random_part(&pool, seed));
+      twins.push_back(random_part(&pool, seed));
+    }
+    const std::vector<std::byte> expect = bytes_of(twins);
+    const std::uint64_t c0 = util::byte_counters().bytes_copied;
+    const Payload joined = Payload::concat_payloads(&pool, parts);
+    EXPECT_EQ(util::byte_counters().bytes_copied, c0) << "join copied";
+    ASSERT_EQ(joined.size(), expect.size()) << "trial " << trial;
+    // Digest first (streamed from unmaterialized leaves), then slices,
+    // then the bytes themselves.
+    EXPECT_EQ(joined.digest(), util::fnv1a(expect)) << "trial " << trial;
+    for (int s = 0; s < 4; ++s) {
+      const std::size_t off = rng.below(expect.size());
+      const std::size_t len = 1 + rng.below(expect.size() - off);
+      const Payload sub = Payload::slice(&pool, joined, off, len);
+      const auto want = std::span<const std::byte>(expect).subspan(off, len);
+      EXPECT_EQ(sub.digest(), util::fnv1a(want))
+          << "trial " << trial << " slice " << off << "+" << len;
+      ASSERT_EQ(sub.size(), len);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), sub.data()))
+          << "trial " << trial << " slice " << off << "+" << len;
+    }
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), joined.data()))
+        << "trial " << trial;
+    EXPECT_EQ(joined.digest(), util::fnv1a(joined.bytes()));
+  }
+}
+
+TEST(ConcatRope, ConcatOfRopesFlattens) {
+  util::BufferPool pool;
+  const Payload a = counting_bytes(&pool, 10);
+  const Payload b = Payload::pattern(&pool, 0xf1aULL, 20);
+  const Payload c = counting_bytes(&pool, 30);
+  const Payload d = Payload::zeros(&pool, 40);
+  const Payload ab_parts[2] = {a, b};
+  const Payload cd_parts[2] = {c, d};
+  const Payload ab = Payload::concat_payloads(&pool, ab_parts);
+  const Payload cd = Payload::concat_payloads(&pool, cd_parts);
+  ASSERT_EQ(ab.kind(), ContentKind::Concat);
+  ASSERT_EQ(cd.kind(), ContentKind::Concat);
+  const Payload halves[2] = {ab, cd};
+  const std::uint32_t ab_refs = ab.use_count();
+  const std::uint32_t a_refs = a.use_count();
+  const Payload all = Payload::concat_payloads(&pool, halves);
+  EXPECT_EQ(all.kind(), ContentKind::Concat);
+  EXPECT_EQ(all.size(), 100u);
+  // The outer rope references the leaves, not the inner ropes.
+  EXPECT_EQ(ab.use_count(), ab_refs);
+  EXPECT_EQ(a.use_count(), a_refs + 1);
+  // So a slice at an inner leaf boundary is that leaf.
+  EXPECT_EQ(Payload::slice(&pool, all, 30, 30).data(), c.data());
+  const Payload ground[4] = {a, b, c, d};
+  EXPECT_EQ(all.digest(), util::fnv1a(bytes_of(ground)));
+}
+
+TEST(ConcatRope, SliceAtALeafBoundaryAliasesTheLeaf) {
+  util::BufferPool pool;
+  const Payload parts[3] = {counting_bytes(&pool, 16), counting_bytes(&pool, 32),
+                            counting_bytes(&pool, 48)};
+  const Payload rope = Payload::concat_payloads(&pool, parts);
+  EXPECT_EQ(parts[1].use_count(), 2u);
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
+  const Payload mid = Payload::slice(&pool, rope, 16, 32);
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0);
+  EXPECT_EQ(mid.kind(), ContentKind::Raw);
+  EXPECT_EQ(mid.data(), parts[1].data());
+  EXPECT_EQ(parts[1].use_count(), 3u);  // the same header, one more handle
+  // A range inside one leaf is a view of that leaf.
+  const Payload inner = Payload::slice(&pool, rope, 20, 8);
+  EXPECT_EQ(inner.data(), parts[1].data() + 4);
+  EXPECT_FALSE(rope.is_materialized()) << "slicing materialized the rope";
+}
+
+TEST(ConcatRope, SliceAcrossLeavesIsAnExactSubRope) {
+  util::BufferPool pool;
+  const Payload parts[3] = {counting_bytes(&pool, 16),
+                            Payload::pattern(&pool, 0x5b5ULL, 32),
+                            counting_bytes(&pool, 48)};
+  const Payload rope = Payload::concat_payloads(&pool, parts);
+  const std::vector<std::byte> expect = bytes_of(parts);
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
+  const Payload sub = Payload::slice(&pool, rope, 10, 60);
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0) << "sub-rope copied";
+  EXPECT_EQ(sub.kind(), ContentKind::Concat);
+  EXPECT_EQ(parts[1].use_count(), 3u) << "whole middle leaf not shared";
+  const auto want = std::span<const std::byte>(expect).subspan(10, 60);
+  EXPECT_EQ(sub.digest(), util::fnv1a(want));
+  ASSERT_EQ(sub.size(), 60u);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), sub.data()));
+}
+
+TEST(ConcatRope, RopesOverOneLeafChainHashItOnce) {
+  util::BufferPool pool;
+  constexpr std::size_t kLeaves = 8;
+  constexpr std::size_t kLeafBytes = 4096;
+  std::vector<Payload> leaves;
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    leaves.push_back(Payload::slice(
+        &pool, counting_bytes(&pool, kLeafBytes + i), i, kLeafBytes));
+  }
+  const std::uint64_t expect = util::fnv1a(bytes_of(leaves));
+  // K ranks each build their own rope over the same chain (the
+  // Rabenseifner allgather result), then digest it.
+  constexpr int kRanks = 16;
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  for (int k = 0; k < kRanks; ++k) {
+    const Payload rope = Payload::concat_payloads(&pool, leaves);
+    EXPECT_EQ(rope.digest(), expect) << "rank " << k;
+  }
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h0, kLeaves * kLeafBytes);
+}
+
+TEST(ConcatRope, CorruptOverARopeIsExact) {
+  util::BufferPool pool;
+  const auto make = [&pool] {
+    const Payload parts[3] = {counting_bytes(&pool, 40),
+                              Payload::pattern(&pool, 0xc0ULL, 50),
+                              Payload::zeros(&pool, 60)};
+    return Payload::concat_payloads(&pool, parts);
+  };
+  for (const std::uint64_t byte : {0u, 39u, 40u, 77u, 90u, 149u}) {
+    const std::uint64_t bit = byte * 8 + byte % 8;
+    const Payload ground = make();
+    std::vector<std::byte> expect(ground.bytes().begin(), ground.bytes().end());
+    expect[byte] ^= std::byte{1} << (byte % 8);
+    // Digest over an unmaterialized rope, then over a materialized one.
+    const Payload fresh = Payload::corrupt(&pool, make(), bit);
+    EXPECT_EQ(fresh.digest(), util::fnv1a(expect)) << "byte " << byte;
+    const Payload base = make();
+    (void)base.data();
+    const Payload warm = Payload::corrupt(&pool, base, bit);
+    EXPECT_EQ(warm.digest(), util::fnv1a(expect)) << "byte " << byte;
+    ASSERT_EQ(fresh.size(), expect.size());
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), fresh.data()))
+        << "byte " << byte;
+  }
+}
+
+TEST(ConcatRope, RopeKeepsLeavesAliveAndReturnsEverySlab) {
+  util::BufferPool pool;
+  Payload rope;
+  {
+    const Payload owner = counting_bytes(&pool, 64);  // 1 slab
+    const Payload parts[3] = {
+        counting_bytes(&pool, 8),                     // 1 slab
+        Payload::slice(&pool, owner, 32, 16),         // view header
+        Payload::pattern(&pool, 0xa11eULL, 24)};      // header
+    rope = Payload::concat_payloads(&pool, parts);    // rope header
+  }  // every direct handle to the leaves dropped here
+  EXPECT_EQ(pool.cached_slabs(), 0u) << "a leaf slab returned while roped";
+  std::vector<std::byte> expect;
+  for (std::size_t i = 0; i < 8; ++i) expect.push_back(std::byte(i));
+  for (std::size_t i = 32; i < 48; ++i) expect.push_back(std::byte(i));
+  for (std::size_t i = 0; i < 24; ++i) {
+    expect.push_back(net::pattern_byte(0xa11eULL, i));
+  }
+  EXPECT_EQ(rope.digest(), util::fnv1a(expect));
+  ASSERT_EQ(rope.size(), expect.size());
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), rope.data()));
+  rope.reset();
+  // Owner, Raw leaf, view, pattern, rope header, materialized rope bytes.
+  EXPECT_EQ(pool.cached_slabs(), 6u);
+}
+
+TEST(ConcatRope, CopyToWritesContentsWithoutMaterializing) {
+  util::BufferPool pool;
+  const Payload parts[2] = {counting_bytes(&pool, 16),
+                            Payload::pattern(&pool, 0xc0deULL, 48)};
+  const Payload rope = Payload::concat_payloads(&pool, parts);
+  std::vector<std::byte> out(64);
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
+  const std::uint64_t mat0 = util::byte_counters().materializations;
+  rope.copy_to(out.data());
+  EXPECT_EQ(util::byte_counters().bytes_copied - c0, 64u);
+  EXPECT_EQ(util::byte_counters().materializations, mat0);
+  EXPECT_FALSE(rope.is_materialized());
+  EXPECT_FALSE(parts[1].is_materialized());
+  EXPECT_EQ(util::fnv1a(out), rope.digest());
+  EXPECT_EQ(out, bytes_of(parts));
 }
 
 // ------------------------------------------------------ lazy materialization

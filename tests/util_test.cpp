@@ -46,9 +46,9 @@ TEST(Rng, UniformRangeRespectsBounds) {
 
 TEST(Rng, UniformMeanIsCentered) {
   Rng r(123);
-  Accumulator acc;
-  for (int i = 0; i < 20000; ++i) acc.add(r.uniform());
-  EXPECT_NEAR(acc.mean(), 0.5, 0.01);
+  double sum = 0.0;
+  for (int i = 0; i < 20000; ++i) sum += r.uniform();
+  EXPECT_NEAR(sum / 20000, 0.5, 0.01);
 }
 
 TEST(Rng, BelowStaysBelow) {
@@ -143,65 +143,6 @@ TEST(Hash, AddRangeMatchesBytes) {
 }
 
 // ---------------------------------------------------------------- stats
-
-TEST(Stats, AccumulatorBasics) {
-  Accumulator acc;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 10.0);
-  EXPECT_NEAR(acc.stddev(), 1.2909944, 1e-6);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Stats, AccumulatorMerge) {
-  Accumulator a, b, whole;
-  for (int i = 0; i < 10; ++i) {
-    const double v = i * 0.7 - 2.0;
-    (i < 5 ? a : b).add(v);
-    whole.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(Stats, MergeWithEmpty) {
-  Accumulator a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
-TEST(Stats, SamplesPercentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-}
-
-TEST(Stats, SamplesSingleValue) {
-  Samples s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.median(), 42.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 42.0);
-}
 
 TEST(Stats, OverheadPercent) {
   EXPECT_DOUBLE_EQ(overhead_percent(100.0, 105.0), 5.0);
