@@ -21,7 +21,13 @@
 //               hashes at most replication x nranks x bytes x iters, and a
 //               Rabenseifner allreduce result is one rope over the same
 //               segment chain on every rank, hashed once per replica:
-//               replication x bytes x iters (CI bench-smoke gate)
+//               replication x bytes x iters, or (e) a materialized point
+//               hashes bytes an equal live buffer or a zero fold already
+//               accounts for: the ranks' equal allgather/alltoall blocks
+//               (every algorithm) reuse one live digest, so a point hashes
+//               at most replication x bytes x iters, and an allreduce over
+//               zero operands (every algorithm) hashes 0 bytes
+//               (CI bench-smoke gate)
 //   --nranks=N  communicator size (default 8)
 //   --iters=N   collective calls per point (default 2)
 #include <iostream>
@@ -262,6 +268,25 @@ int main(int argc, char** argv) {
                                   per_call * static_cast<std::uint64_t>(iters);
       if (r.bytes_hashed > bound) {
         std::cerr << "fig_collectives: materialized packing point '"
+                  << points[i].label << "' hashed " << r.bytes_hashed
+                  << " host bytes, bound " << bound << "\n";
+        rc = 1;
+      }
+    }
+    // Every rank contributes an equal block, so its digest is served from
+    // the live-digest table while one copy lives; the allreduce operands and
+    // result are zeros, whose 64-byte blocks all fold in closed form.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const Meta& m = metas[i];
+      if (m.symbolic || m.kind == CollKind::Bcast) continue;
+      const auto& r = results[i].run;
+      const std::uint64_t bound =
+          m.kind == CollKind::Allreduce
+              ? 0
+              : static_cast<std::uint64_t>(m.replication) * m.bytes *
+                    static_cast<std::uint64_t>(iters);
+      if (r.bytes_hashed > bound) {
+        std::cerr << "fig_collectives: materialized point '"
                   << points[i].label << "' hashed " << r.bytes_hashed
                   << " host bytes, bound " << bound << "\n";
         rc = 1;

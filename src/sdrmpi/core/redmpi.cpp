@@ -56,17 +56,10 @@ void RedMpiProtocol::on_recv_complete(mpi::Endpoint& ep,
   const MsgKey key{h.ctx, h.src_rank, h.seq};
   // The delivered payload handle aliases the sender's buffer, so its
   // digest is already cached from the sender-side hash frame — comparing
-  // here is O(1). Fall back to hashing the receive buffer only when no
-  // handle exists (zero-byte messages).
-  const std::uint64_t own =
-      req->recv_payload
-          ? req->recv_payload.digest()
-          : [&] {
-              const auto delivered =
-                  req->recv_buf.subspan(0, req->status.bytes);
-              util::count_bytes_hashed(delivered.size());
-              return util::fnv1a(delivered);
-            }();
+  // here is O(1). Every non-empty receive carries a handle; an empty one
+  // has none and digests like the empty span.
+  const std::uint64_t own = req->recv_payload ? req->recv_payload.digest()
+                                              : util::kFnvOffset;
   auto it = sibling_hash_.find(key);
   if (it != sibling_hash_.end()) {
     compare(key, own, it->second);

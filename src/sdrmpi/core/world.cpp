@@ -9,6 +9,7 @@
 #include "sdrmpi/core/ckpt.hpp"
 #include "sdrmpi/core/protocol.hpp"
 #include "sdrmpi/core/recovery.hpp"
+#include "sdrmpi/net/payload.hpp"
 #include "sdrmpi/util/hash.hpp"
 #include "sdrmpi/util/log.hpp"
 
@@ -185,11 +186,11 @@ void World::install_recovery() {
 sim::RunOutcome World::drive() {
   if (!spawned_) {
     spawned_ = true;
-    // Every run starts with a cold digest memo so bytes_hashed is a pure
+    // Every run starts with cold digest memos so bytes_hashed is a pure
     // function of the run (independent of which pool thread executes it or
     // what ran on that thread before); within the run, repeated symbolic
-    // shapes still digest for free.
-    net::clear_pattern_digest_memo();
+    // shapes and equal live buffers still digest for free.
+    net::clear_digest_memos();
     bytes_at_start_ = util::byte_counters();
     const Topology& topo = job_.topo;
     for (int s = 0; s < topo.nslots(); ++s) {

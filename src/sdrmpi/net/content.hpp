@@ -17,15 +17,19 @@
 // gathered results copy no byte (Payload::concat_payloads).
 //
 // Every kind defines an exact byte sequence; materialization (content.hpp
-// generators) and streaming digests extract bytes with explicit
-// little-endian shifts so both agree on any platform, and a payload's
-// digest() always equals util::fnv1a over its materialized bytes — the
-// invariant payload_symbolic_test pins.
+// generators) and streaming digests agree on it on any platform (bytes are
+// little-endian within each generator word), and a payload's digest()
+// always equals util::fnv1a over its materialized bytes — the invariant
+// payload_symbolic_test pins. bytes_hashed counts only the bytes fed
+// through FNV byte steps, so the closed form below (fnv1a_zeros) and
+// Payload's digest memos keep it far below the bytes a run digests.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "sdrmpi/util/hash.hpp"
 
@@ -112,7 +116,7 @@ struct ContentDesc {
 /// Writes `n` bytes of the Pattern(seed) stream starting at stream position
 /// `off` to `out`: one generator word per 8 output bytes, whatever the
 /// alignment of `off` (a leading partial word, whole words, a trailing
-/// partial word).
+/// partial word). Whole words are one 8-byte store on little-endian hosts.
 inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
                          std::byte* out) noexcept {
   // Bytes [from, to) of generator word w, little-endian within the word.
@@ -131,7 +135,14 @@ inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
     out += take;
     n -= take;
   }
-  for (; n >= 8; n -= 8, out += 8) put(out, w++, 0, 8);
+  for (; n >= 8; n -= 8, out += 8) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::uint64_t v = pattern_word(seed, w++);
+      std::memcpy(out, &v, sizeof v);
+    } else {
+      put(out, w++, 0, 8);
+    }
+  }
   if (n != 0) put(out, w, 0, static_cast<unsigned>(n));
 }
 
@@ -166,11 +177,5 @@ inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
   }
   return h;
 }
-
-/// Drops this host thread's (seed, len) -> digest memo. core::World calls
-/// it at the start of every run so the bytes_hashed counter is a pure
-/// function of the run (pool-size independent); within one run, repeated
-/// shapes still digest for free.
-void clear_pattern_digest_memo() noexcept;
 
 }  // namespace sdrmpi::net

@@ -3,6 +3,7 @@
 #include "sdrmpi/net/payload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -15,7 +16,7 @@ namespace {
 /// message shapes (the normal case — a workload sends the same halo/block
 /// size every iteration) digest in O(1) after the first computation. One
 /// simulated run owns one host thread, so no locking; core::World clears
-/// the memo at the start of every run (clear_pattern_digest_memo) so the
+/// the memos at the start of every run (clear_digest_memos) so the
 /// bytes_hashed counter stays a pure function of the run — bit-identical
 /// across batch-runner pool sizes like every other counter.
 struct ShapeKey {
@@ -114,11 +115,84 @@ tile_memo() {
   return d;
 }
 
+/// prime^64: a zero byte's FNV step is a bare multiply by the prime, so an
+/// all-zero 64-byte block folds into one multiply (fnv1a_zeros' algebra).
+constexpr std::size_t kFoldBlock = 64;
+constexpr std::uint64_t kFoldPrime = fnv1a_zeros(kFoldBlock, 1);
+
+[[nodiscard]] bool all_zero_block(const std::byte* p) noexcept {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < kFoldBlock; i += sizeof acc) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    acc |= w;
+  }
+  return acc == 0;
+}
+
+/// fnv1a over `n` host bytes resumed from `h`, every all-zero 64-byte block
+/// (counted from `p`) folded in closed form; counts the other blocks and
+/// the tail, the bytes that went through the byte loop.
+[[nodiscard]] std::uint64_t fnv1a_host(const std::byte* p, std::size_t n,
+                                       std::uint64_t h) noexcept {
+  std::size_t i = 0;
+  std::uint64_t fed = 0;
+  for (; n - i >= kFoldBlock; i += kFoldBlock) {
+    if (all_zero_block(p + i)) {
+      h *= kFoldPrime;
+    } else {
+      h = util::fnv1a({p + i, kFoldBlock}, h);
+      fed += kFoldBlock;
+    }
+  }
+  util::count_bytes_hashed(fed + (n - i));
+  return util::fnv1a({p + i, n - i}, h);
+}
+
+/// Live-digest table: basis digests of byte-backed headers hashed on this
+/// host thread, direct-mapped by (length, 8 sampled words). An entry only
+/// points at a *live* header — Payload::destroy clears the slot its header
+/// holds — and a hit is confirmed by a full memcmp, so only equal bytes
+/// share a digest. Fixed size, so it allocates nothing; cleared with the
+/// shape memos at run start, so hits are a pure function of the run.
+constexpr std::size_t kLiveDigestSlots = 64;
+constexpr std::size_t kLiveDigestMinBytes = 256;
+static_assert(kLiveDigestSlots <= 0xff, "slots must fit Header::live_slot");
+
+struct LiveDigest {
+  const void* header;  // slot owner; null when free
+  const std::byte* bytes;
+  std::size_t size;
+  std::uint64_t key;
+  std::uint64_t digest;
+};
+
+[[nodiscard]] std::array<LiveDigest, kLiveDigestSlots>& live_digests() {
+  thread_local std::array<LiveDigest, kLiveDigestSlots> table{};
+  return table;
+}
+
+/// Table key of `n` >= 16 bytes: the length and 8 words spread evenly over
+/// the buffer, the first at its start and the last ending at its end.
+[[nodiscard]] std::uint64_t live_key(const std::byte* p,
+                                     std::size_t n) noexcept {
+  std::uint64_t k = util::mix64(n);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i * (n - sizeof w) / 7, sizeof w);
+    k = util::hash_combine(k, w);
+  }
+  return k;
+}
+
 }  // namespace
 
-void clear_pattern_digest_memo() noexcept {
+void clear_digest_memos() noexcept {
   pattern_memo().clear();
   tile_memo().clear();
+  // Headers keep their stale live_slot; destroy() only clears a slot it
+  // still owns, so no entry is dereferenced here.
+  live_digests().fill({});
 }
 
 Payload Payload::symbolic(util::BufferPool* pool, const ContentDesc& desc) {
@@ -518,9 +592,10 @@ std::uint64_t Payload::digest_from(Header* h, std::uint64_t in) {
 }
 
 std::uint64_t Payload::compute_digest(Header* h, std::uint64_t in) {
-  // bytes_hashed counts the payload bytes each kind streams: none for the
-  // Zeros closed form (or a Corrupt over Zeros), none for memo hits, and a
-  // rope's leaves count themselves — once per distinct continuation.
+  // bytes_hashed counts the bytes fed through FNV byte steps: none for the
+  // Zeros closed form or a folded zero block, none for memo or live-table
+  // hits, and a rope's leaves count themselves — once per distinct
+  // continuation.
   switch (h->kind) {
     case ContentKind::Zeros:
       return fnv1a_zeros(h->size, in);
@@ -539,39 +614,55 @@ std::uint64_t Payload::compute_digest(Header* h, std::uint64_t in) {
       for (const RopeLeaf& e : rope_leaves(h)) in = digest_from(e.leaf, in);
       return in;
     case ContentKind::Corrupt:
-      // fnv1a cannot absorb a mid-stream flip incrementally, but this runs
-      // once per injected corruption (rare by construction) and never
-      // clones the base.
-      if (h->base->kind == ContentKind::Zeros) {
-        return digest_range(h, 0, h->size, in);
-      }
-      break;
+      // Streams its base with the bit flipped (digest_range): once per
+      // injected corruption, and the base is never cloned.
     case ContentKind::Raw:
       break;
   }
-  util::count_bytes_hashed(h->size);
+  if (in == util::kFnvOffset && h->size >= kLiveDigestMinBytes) {
+    if (const std::byte* bytes = bytes_if_any(h)) return digest_live(h, bytes);
+  }
   return digest_range(h, 0, h->size, in);
+}
+
+std::uint64_t Payload::digest_live(Header* h, const std::byte* bytes) {
+  const std::uint64_t key = live_key(bytes, h->size);
+  const std::size_t slot = key % kLiveDigestSlots;
+  LiveDigest& e = live_digests()[slot];
+  if (e.header != nullptr && e.key == key && e.size == h->size &&
+      std::memcmp(e.bytes, bytes, h->size) == 0) {
+    return e.digest;
+  }
+  // A miss takes the slot; the evicted header keeps its stale live_slot,
+  // which its destroy() ignores because the slot is no longer its own.
+  const std::uint64_t d = fnv1a_host(bytes, h->size, util::kFnvOffset);
+  e = {h, bytes, h->size, key, d};
+  h->live_slot = static_cast<std::uint8_t>(slot);
+  return d;
 }
 
 std::uint64_t Payload::digest_range(const Header* h, std::uint64_t begin,
                                     std::uint64_t end, std::uint64_t in) {
   if (begin >= end) return in;
+  if (h->kind == ContentKind::Zeros) return fnv1a_zeros(end - begin, in);
   if (const std::byte* bytes = bytes_if_any(h)) {
-    return util::fnv1a({bytes + begin, end - begin}, in);
+    return fnv1a_host(bytes + begin, end - begin, in);
   }
   switch (h->kind) {
     case ContentKind::Raw:
-      break;  // bytes_if_any served it
     case ContentKind::Zeros:
-      return fnv1a_zeros(end - begin, in);
+      break;  // served above
     case ContentKind::Pattern:
+      util::count_bytes_hashed(end - begin);
       return fnv1a_pattern(h->seed, h->offset + begin, h->offset + end, in);
     case ContentKind::Tile:
+      util::count_bytes_hashed(end - begin);
       return fnv1a_tile(h->seed, h->offset, h->bit_index, begin, end, in);
     case ContentKind::Corrupt: {
       const std::uint64_t i = h->bit_index / 8;
       if (i < begin || i >= end) return digest_range(h->base, begin, end, in);
       in = digest_range(h->base, begin, i, in);
+      util::count_bytes_hashed(1);
       in = fnv1a_step(in, byte_at(h, i));
       return digest_range(h->base, i + 1, end, in);
     }
@@ -632,6 +723,10 @@ void Payload::destroy(Header* h) noexcept {
   // (deeper only through a Corrupt-over-rope leaf).
   while (h != nullptr) {
     Header* base = h->base;
+    if (h->live_slot != kNoLiveSlot) {
+      LiveDigest& e = live_digests()[h->live_slot];
+      if (e.header == h) e = {};
+    }
     if (h->kind == ContentKind::Concat) {
       for (const RopeLeaf& e : rope_leaves(h)) {
         if (--e.leaf->refs == 0) destroy(e.leaf);

@@ -36,6 +36,16 @@
 //     continuation (state in -> state out), so ranks digesting ropes over
 //     one leaf chain stream the bytes once and then pay O(leaves).
 //     digest() always equals fnv1a over the materialized bytes.
+// Host bytes skip the FNV byte loop wherever the result is already known:
+//   * each all-zero 64-byte block folds into one multiply by prime^64 (a
+//     zero byte's FNV step is a bare multiply, the fnv1a_zeros algebra);
+//   * a byte-backed header of at least 256 bytes reuses the basis digest
+//     of an equal buffer from a fixed per-thread table of 64 live
+//     digested headers, after a full memcmp confirms the bytes. The
+//     table owns nothing: destroy() clears the slot a header holds. Equal
+//     allgather blocks of every rank and the byte-identical messages of
+//     send-deterministic replicas are hashed once.
+// bytes_hashed counts only the bytes fed through FNV byte steps.
 // That makes GB-scale simulated messages O(1) host work end to end (send,
 // redMPI hash compare, SDC injection, ack/retransmission buffering).
 //
@@ -226,8 +236,8 @@ class Payload {
   /// zero-copy delivery — reuse one computation. Symbolic payloads digest
   /// without materializing; repeated Pattern shapes hit a per-thread
   /// (seed, len) memo and cost O(1); a rope folds its leaves through their
-  /// continuation caches. Empty handles digest to kFnvOffset like the
-  /// empty span.
+  /// continuation caches; host bytes equal to a live digested buffer cost
+  /// one memcmp. Empty handles digest to kFnvOffset like the empty span.
   [[nodiscard]] std::uint64_t digest() const {
     return h_ != nullptr ? digest_from(h_, util::kFnvOffset)
                          : util::kFnvOffset;
@@ -277,6 +287,8 @@ class Payload {
     ContentKind kind;
     bool digest_valid;
     bool cont_valid;
+    std::uint8_t live_slot;   // live-digest table slot this header last
+                              // claimed, kNoLiveSlot if never (padding)
     std::uint64_t seed;       // Pattern/Tile generator seed
     std::uint64_t offset;     // Pattern/Tile stream position of byte 0;
                               // Raw view: window start in the owner
@@ -290,6 +302,10 @@ class Payload {
     std::uint64_t cont_in;    // last continuation: fnv1a resumed from
     std::uint64_t cont_out;   //   state cont_in ends in state cont_out
   };
+  // live_slot sits in padding: still 13 words on LP64 (128 B slab class).
+  static_assert(sizeof(void*) != 8 || sizeof(Header) == 104);
+
+  static constexpr std::uint8_t kNoLiveSlot = 0xff;
 
   /// One rope table entry: a refcounted leaf (never a rope, never empty)
   /// and the rope offset one past its last byte.
@@ -314,6 +330,7 @@ class Payload {
     h_->kind = ContentKind::Raw;
     h_->digest_valid = false;
     h_->cont_valid = false;
+    h_->live_slot = kNoLiveSlot;
     h_->seed = 0;
     h_->offset = 0;
     h_->bit_index = 0;
@@ -362,8 +379,13 @@ class Payload {
   [[nodiscard]] static std::uint64_t digest_from(Header* h, std::uint64_t in);
   [[nodiscard]] static std::uint64_t compute_digest(Header* h,
                                                     std::uint64_t in);
+  /// Basis digest of h's host `bytes`: an equal live buffer's digest from
+  /// this thread's live-digest table, else hashed and h takes the slot.
+  [[nodiscard]] static std::uint64_t digest_live(Header* h,
+                                                 const std::byte* bytes);
   /// fnv1a over bytes [begin, end) of h's contents resumed from `in`,
-  /// streamed without caching or counting (Corrupt and its sub-ranges).
+  /// streamed without caching (Corrupt and its sub-ranges); counts the
+  /// bytes it feeds through FNV steps.
   [[nodiscard]] static std::uint64_t digest_range(const Header* h,
                                                   std::uint64_t begin,
                                                   std::uint64_t end,
@@ -381,5 +403,12 @@ class Payload {
 
   Header* h_ = nullptr;
 };
+
+/// Drops this host thread's digest memos: the Pattern/Tile shape memos and
+/// the live-digest table. core::World calls it at the start of every run
+/// so bytes_hashed is a pure function of the run (pool-size independent);
+/// within one run, repeated shapes and equal live buffers still digest for
+/// free.
+void clear_digest_memos() noexcept;
 
 }  // namespace sdrmpi::net

@@ -3,9 +3,10 @@
 // digest differs from its base, the per-shape digest memo makes repeated
 // shapes free, Raw slices are zero-copy views that re-join to their owner,
 // joins of anything else are Concat ropes whose bytes, slices and digests
-// are exact and whose leaves are hashed once per chain, and the symbolic
-// end-to-end path (symbolic send → sink or buffered receive, redMPI
-// detection) behaves exactly like raw bytes.
+// are exact and whose leaves are hashed once per chain, host bytes fold
+// all-zero blocks and reuse the digest of an equal live buffer, and the
+// symbolic end-to-end path (symbolic send → sink or buffered receive,
+// redMPI detection) behaves exactly like raw bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include "sdrmpi/net/content.hpp"
 #include "sdrmpi/net/payload.hpp"
+#include "sdrmpi/util/alloc_counter.hpp"
 #include "sdrmpi/util/byte_counter.hpp"
 #include "sdrmpi/util/hash.hpp"
 #include "sdrmpi/util/rng.hpp"
@@ -536,6 +538,163 @@ TEST(ConcatRope, CopyToWritesContentsWithoutMaterializing) {
   EXPECT_FALSE(parts[1].is_materialized());
   EXPECT_EQ(util::fnv1a(out), rope.digest());
   EXPECT_EQ(out, bytes_of(parts));
+}
+
+// ------------------------------------------- host-byte digests hash once
+
+/// Bytes fed through FNV byte steps for a digest of `bytes`: every 64-byte
+/// block (counted from the start) that is not all zero, plus the tail.
+std::uint64_t expected_hashed(std::span<const std::byte> bytes) {
+  std::uint64_t fed = bytes.size() % 64;
+  for (std::size_t b = 0; b + 64 <= bytes.size(); b += 64) {
+    if (std::any_of(bytes.begin() + b, bytes.begin() + b + 64,
+                    [](std::byte x) { return x != std::byte{0}; })) {
+      fed += 64;
+    }
+  }
+  return fed;
+}
+
+/// n bytes of a seeded stream with no zero byte.
+std::vector<std::byte> nonzero_bytes(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng() | 1);
+  return out;
+}
+
+TEST(HostDigest, AllZeroBlocksFoldInClosedForm) {
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  std::uint64_t trial = 0;
+  for (std::size_t align = 0; align < 64; ++align) {
+    for (std::size_t tail : {0u, 1u, 31u, 63u}) {
+      // Below and above the live-table threshold: both hash host bytes.
+      for (std::size_t blocks : {1u, 3u, 9u}) {
+        const std::size_t n = 64 * blocks + tail;
+        std::vector<std::byte> bytes = nonzero_bytes(0x2e40ULL + trial++, n);
+        // A zero run from `align` over about two blocks, and a zero tail.
+        const std::size_t run = std::min<std::size_t>(130 + align, n - align);
+        std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(align), run,
+                    std::byte{0});
+        std::fill_n(bytes.end() - static_cast<std::ptrdiff_t>(tail / 2),
+                    tail / 2, std::byte{0});
+        const Payload p = Payload::copy_of(&pool, bytes);
+        const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+        EXPECT_EQ(p.digest(), util::fnv1a(bytes))
+            << "align=" << align << " n=" << n;
+        EXPECT_EQ(util::byte_counters().bytes_hashed - h0,
+                  expected_hashed(bytes))
+            << "align=" << align << " n=" << n;
+        // A view folds the blocks counted from its own first byte.
+        const Payload view = Payload::slice(&pool, p, align, n - align);
+        EXPECT_EQ(view.digest(),
+                  util::fnv1a(std::span<const std::byte>(bytes).subspan(align)))
+            << "align=" << align << " n=" << n;
+      }
+    }
+  }
+  // An all-zero buffer feeds only its tail.
+  const std::vector<std::byte> zeros(64 * 5 + 7, std::byte{0});
+  const Payload z = Payload::copy_of(&pool, zeros);
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(z.digest(), util::fnv1a(zeros));
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h0, 7u);
+}
+
+TEST(LiveDigestTable, EqualLiveBufferIsHashedOnce) {
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x11ULL, 4096);
+  const Payload a = Payload::copy_of(&pool, bytes);
+  const Payload b = Payload::copy_of(&pool, bytes);
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(a.digest(), util::fnv1a(bytes));
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h0, 4096u);
+  const std::uint64_t h1 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(b.digest(), util::fnv1a(bytes));
+  EXPECT_EQ(util::byte_counters().bytes_hashed, h1) << "equal buffer rehashed";
+  // Below the threshold every buffer hashes its own bytes.
+  const std::vector<std::byte> small(bytes.begin(), bytes.begin() + 255);
+  const Payload c = Payload::copy_of(&pool, small);
+  const Payload d = Payload::copy_of(&pool, small);
+  (void)c.digest();
+  const std::uint64_t h2 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(d.digest(), util::fnv1a(small));
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h2, 255u);
+}
+
+TEST(LiveDigestTable, DestroyedBufferNoLongerServes) {
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x12ULL, 1024);
+  Payload a = Payload::copy_of(&pool, bytes);
+  const Payload b = Payload::copy_of(&pool, bytes);
+  (void)a.digest();
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  (void)b.digest();
+  EXPECT_EQ(util::byte_counters().bytes_hashed, h0);
+  // b was served, not registered: once a is gone nothing holds the slot.
+  a.reset();
+  const Payload c = Payload::copy_of(&pool, bytes);
+  EXPECT_EQ(c.digest(), util::fnv1a(bytes));
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h0, 1024u);
+}
+
+TEST(LiveDigestTable, BuffersThatDifferOnlyOffTheSamplesNeverShare) {
+  // Flipping one byte at every position of a 512-byte buffer: most
+  // positions lie outside the sampled words, so those twins agree on the
+  // table key and only the full compare tells them apart.
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x13ULL, 512);
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    std::vector<std::byte> twin = bytes;
+    twin[k] ^= std::byte{0x80};
+    const Payload a = Payload::copy_of(&pool, bytes);
+    const Payload b = Payload::copy_of(&pool, twin);
+    ASSERT_EQ(a.digest(), util::fnv1a(bytes)) << "k=" << k;
+    const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+    ASSERT_EQ(b.digest(), util::fnv1a(twin)) << "k=" << k;
+    EXPECT_EQ(util::byte_counters().bytes_hashed - h0, 512u) << "k=" << k;
+  }
+}
+
+TEST(LiveDigestTable, EvictedHeaderDestroyLeavesTheNewOwnerIntact) {
+  // b evicts a whenever they share a slot (most positions k: same length,
+  // same sampled words); a's destroy must then leave b's entry alone.
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x14ULL, 512);
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    std::vector<std::byte> twin = bytes;
+    twin[k] ^= std::byte{0x80};
+    Payload a = Payload::copy_of(&pool, bytes);
+    const Payload b = Payload::copy_of(&pool, twin);
+    (void)a.digest();
+    (void)b.digest();
+    a.reset();
+    const Payload c = Payload::copy_of(&pool, twin);
+    const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+    ASSERT_EQ(c.digest(), util::fnv1a(twin)) << "k=" << k;
+    EXPECT_EQ(util::byte_counters().bytes_hashed, h0)
+        << "slot owner lost, k=" << k;
+  }
+}
+
+TEST(LiveDigestTable, DigestingAllocatesNothing) {
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x15ULL, 2048);
+  const Payload warm = Payload::copy_of(&pool, nonzero_bytes(0x16ULL, 300));
+  (void)warm.digest();  // first touch of this thread's table
+  const Payload a = Payload::copy_of(&pool, bytes);
+  const Payload b = Payload::copy_of(&pool, bytes);
+  const std::uint64_t before = util::alloc_count();
+  const std::uint64_t da = a.digest();  // registers a
+  const std::uint64_t db = b.digest();  // served from a
+  EXPECT_EQ(util::alloc_count() - before, 0u);
+  EXPECT_EQ(da, db);
 }
 
 // ------------------------------------------------------ lazy materialization
