@@ -8,12 +8,11 @@
 //
 // Harness flags every run_points() bench accepts:
 //   --pool=N      in-process worker threads (0 = hardware concurrency)
-//   --workers=N   forked process-level workers instead of pool threads
-//   --chunks=N    work chunks the sweep is sharded into (0 = auto)
 //   --cache=PATH  persistent result store; warm points skip simulation
 //   --listen=H:P  accept remote sweep-workerd processes (":0" = ephemeral
 //                 port, printed on stderr); misses run on the fleet with
-//                 lease-based re-dispatch, locally if the fleet dies
+//                 lease-based re-dispatch, locally if the fleet dies;
+//                 a localhost fleet is how a sweep gets process isolation
 //   --secret-file=PATH  shared secret for the HMAC registration handshake;
 //                 only workerds started with the same secret may join
 //   --stats       one deterministic fault-counter line on stderr at sweep
@@ -86,16 +85,10 @@ inline core::BatchOptions pool_options(const util::Options& opts) {
   return b;
 }
 
-/// Sweep-service configuration from the harness flags. --workers=N picks
-/// forked process-level workers; plain --pool=N keeps in-process threads.
+/// Sweep-service configuration from the harness flags.
 inline sweep::ServiceOptions service_options(const util::Options& opts) {
   sweep::ServiceOptions s;
   s.workers = static_cast<int>(opts.get_int("pool", 0));
-  if (opts.has("workers")) {
-    s.workers = static_cast<int>(opts.get_int("workers", 0));
-    s.process_workers = true;
-  }
-  s.chunks = static_cast<int>(opts.get_int("chunks", 0));
   s.cache_path = opts.get_string("cache", "");
   s.listen = opts.get_string("listen", "");
   const std::string secret_file = opts.get_string("secret-file", "");
@@ -145,8 +138,8 @@ inline void check_options(const util::Options& opts,
                           bool service_flags = true) {
   std::vector<std::string> accepted;
   if (service_flags) {
-    accepted = {"json", "pool", "workers", "chunks", "cache", "listen",
-                "secret-file", "stats", "stream"};
+    accepted = {"json", "pool", "cache", "listen", "secret-file", "stats",
+                "stream"};
   }
   accepted.insert(accepted.end(), extra.begin(), extra.end());
   try {

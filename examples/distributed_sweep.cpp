@@ -12,14 +12,14 @@
 //   sweep-workerd --connect=127.0.0.1:17117 &   # x3, then SIGKILL one
 //   cmp local.json r.json                       # byte-identical
 //
-// Worker count, shard layout, mid-sweep worker deaths, re-dispatch —
+// Worker count, chunk cuts, mid-sweep worker deaths, re-dispatch —
 // all invisible on stdout. Host-side accounting (fleet size, workers
 // lost, chunks re-dispatched, duplicates suppressed, local-fallback
 // points) goes to STDERR.
 //
 // Flags: --listen=H:P  --wait-workers=N  --wait-timeout-ms=MS
 //        --points=N  --ranks=N  --nrows=N  --iters=N
-//        --pool=N  --chunks=N  --cache=PATH
+//        --pool=N  --cache=PATH
 //        --secret-file=PATH (HMAC registration auth: only workerds started
 //                            with the same secret may join the fleet)
 //        --stats            (append one deterministic fault-counter line
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const util::Options opts(argc, argv);
   try {
     opts.expect({"listen", "wait-workers", "wait-timeout-ms", "points",
-                 "ranks", "nrows", "iters", "pool", "chunks", "cache",
+                 "ranks", "nrows", "iters", "pool", "cache",
                  "secret-file", "stats"});
   } catch (const std::invalid_argument& e) {
     std::cerr << "distributed_sweep: " << e.what() << "\n";
@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
 
   sweep::ServiceOptions sopts;
   sopts.workers = static_cast<int>(opts.get_int("pool", 0));
-  sopts.chunks = static_cast<int>(opts.get_int("chunks", 0));
   sopts.cache_path = opts.get_string("cache", "");
   sopts.listen = opts.get_string("listen", "");
   const std::string secret_file = opts.get_string("secret-file", "");

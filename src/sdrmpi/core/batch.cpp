@@ -52,22 +52,9 @@ std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
     for (auto& th : pool) th.join();
   }
 
-  // Deterministic error surfacing: the lowest-index failure wins, tagged
-  // with the failing point's position so sweep failures are attributable
-  // without bisection ("config[17]: ..."). The original exception type is
-  // preserved for the types run construction actually throws.
+  // Deterministic error surfacing: the lowest-index failure wins.
   for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i] == nullptr) continue;
-    const std::string prefix = "config[" + std::to_string(i) + "]: ";
-    try {
-      std::rethrow_exception(errors[i]);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(prefix + e.what());
-    } catch (const std::logic_error& e) {
-      throw std::logic_error(prefix + e.what());
-    } catch (const std::exception& e) {
-      throw std::runtime_error(prefix + e.what());
-    }
+    if (errors[i] != nullptr) rethrow_with_index(i, errors[i]);
   }
   return results;
 }
@@ -76,6 +63,19 @@ std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
                                 const AppFn& app, const BatchOptions& opts) {
   return run_many(
       configs, [&app](const RunConfig&, std::size_t) { return app; }, opts);
+}
+
+void rethrow_with_index(std::size_t index, const std::exception_ptr& error) {
+  const std::string prefix = "config[" + std::to_string(index) + "]: ";
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(prefix + e.what());
+  } catch (const std::logic_error& e) {
+    throw std::logic_error(prefix + e.what());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(prefix + e.what());
+  }
 }
 
 std::vector<RunConfig> Sweep::expand() const {

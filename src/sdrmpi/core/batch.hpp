@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -43,6 +44,15 @@ using AppFactory = std::function<AppFn(const RunConfig& cfg, std::size_t index)>
 [[nodiscard]] std::vector<RunResult> run_many(
     const std::vector<RunConfig>& configs, const AppFn& app,
     const BatchOptions& opts = {});
+
+/// Rethrows `error` tagged with the failing point's input position
+/// ("config[17]: ..."), so sweep failures are attributable without
+/// bisection. The type is kept for the types run construction throws:
+/// std::invalid_argument and other std::logic_errors stay what they are;
+/// any other exception becomes std::runtime_error. run_many and the
+/// sweep service both surface their lowest failing index through it.
+[[noreturn]] void rethrow_with_index(std::size_t index,
+                                     const std::exception_ptr& error);
 
 /// A sweep over a base config. Empty axis = keep the base's value. expand()
 /// emits the full cross product in axis-major order (protocol, replication,

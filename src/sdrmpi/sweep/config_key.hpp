@@ -2,9 +2,9 @@
 //
 // The sweep service caches RunResults by the 64-bit digest of the config
 // that produced them. Caching is *sound* because every run is bit-identical
-// for any pool/shard layout (the repo's standing determinism invariant):
-// re-running a config can never produce a different answer, so a stored
-// result is as good as a fresh one.
+// for any pool size or worker fleet (the repo's standing determinism
+// invariant): re-running a config can never produce a different answer, so
+// a stored result is as good as a fresh one.
 //
 // That soundness argument leans on one contract, pinned by
 // sweep_service_test: two RunConfigs produce the same canonical byte

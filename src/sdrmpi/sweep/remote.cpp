@@ -381,34 +381,31 @@ struct RemoteCoordinator::Impl {
       ++stats->duplicate_results;
       if (h.kind == frame::kFrameResult && ps.have_result_hash &&
           util::fnv1a(payload) != ps.result_hash) {
-        run->fatal =
-            "determinism violation: point " +
-            std::to_string(run->pts[p].id) +
-            " produced two different results from different workers";
+        run->fatal = "determinism violation: point " + std::to_string(p) +
+                     " produced two different results from different workers";
       }
       return;
     }
     ps.done = true;
     --run->undone;
     retire_from_assignments(p);
-    const std::size_t external_id = run->pts[p].id;
     if (h.kind == frame::kFrameResult) {
       core::RunResult result;
       try {
         result = decode_result(payload);
       } catch (const CodecError& e) {
         (*run->on_error)(PointError{
-            external_id, false,
+            p, false,
             std::string("remote worker sent an undecodable result: ") +
                 e.what()});
         return;
       }
       ps.have_result_hash = true;
       ps.result_hash = util::fnv1a(payload);
-      (*run->on_result)(external_id, std::move(result));
+      (*run->on_result)(p, std::move(result));
     } else {
       (*run->on_error)(PointError{
-          external_id, h.kind == frame::kFrameInvalidConfig,
+          p, h.kind == frame::kFrameInvalidConfig,
           std::string(reinterpret_cast<const char*>(payload.data()),
                       payload.size())});
     }
@@ -568,7 +565,7 @@ struct RemoteCoordinator::Impl {
         rs.state[it.point].done = true;
         --rs.undone;
         (*rs.on_error)(PointError{
-            rs.pts[it.point].id, false,
+            it.point, false,
             "remote sweep: chunk abandoned after " +
                 std::to_string(it.attempt - 1) +
                 " dispatch attempts (re-dispatch budget " +
@@ -684,7 +681,7 @@ struct RemoteCoordinator::Impl {
       core::RunResult result;
       bool ok = false;
       PointError err;
-      err.id = pt.id;
+      err.id = p;
       try {
         result = core::run(*pt.cfg, *pt.app);
         ok = true;
@@ -701,7 +698,7 @@ struct RemoteCoordinator::Impl {
         ++stats->local_fallback_points;
         if (ok) {
           rs.state[p].have_result_hash = false;
-          (*rs.on_result)(pt.id, std::move(result));
+          (*rs.on_result)(p, std::move(result));
         } else {
           (*rs.on_error)(std::move(err));
         }
@@ -776,23 +773,21 @@ RemoteStats RemoteCoordinator::stats() const {
 }
 
 void RemoteCoordinator::run(
-    const std::vector<std::vector<RemotePoint>>& chunks,
+    const std::vector<RemotePoint>& points,
     const std::function<void(std::size_t, core::RunResult&&)>& on_result,
     const std::function<void(PointError&&)>& on_error) {
   Impl::RunState rs;
   rs.on_result = &on_result;
   rs.on_error = &on_error;
-  // The service's chunk layout is advisory under pull scheduling: points
-  // are queued individually and chunks are cut to worker-reported
-  // throughput at serve time. Input order is preserved.
-  for (const auto& chunk : chunks) {
-    for (const RemotePoint& pt : chunk) {
-      Impl::PendingItem item;
-      item.point = static_cast<std::uint32_t>(rs.pts.size());
-      item.not_before = Clock::now();
-      rs.pts.push_back(pt);
-      rs.queue.push_back(item);
-    }
+  // Points queue individually, in input order; chunks are cut to
+  // worker-reported throughput at serve time.
+  rs.pts = points;
+  const auto now = Clock::now();
+  for (std::size_t p = 0; p < rs.pts.size(); ++p) {
+    Impl::PendingItem item;
+    item.point = static_cast<std::uint32_t>(p);
+    item.not_before = now;
+    rs.queue.push_back(item);
   }
   rs.state.resize(rs.pts.size());
   rs.undone = rs.pts.size();

@@ -1,13 +1,15 @@
 // Fault-tolerant multi-host sweep workers: the remote execution backend
-// behind the SweepService seam.
+// behind the SweepService seam, and the one that isolates simulations in
+// their own processes (a localhost fleet is how a local sweep gets crash
+// isolation).
 //
 // The coordinator listens on TCP (transport.hpp); sweep-workerd processes
 // connect, register, and execute dispatched chunks. The wire protocol is
-// the forked-worker frame format (frame_io.hpp) with coordination kinds
+// the result/error frame format of frame_io.hpp with coordination kinds
 // layered on top; configs cross the wire as canonical config_key bytes
 // (deserialize(serialize(c)) == c exactly), so a remote simulation starts
-// from a bit-identical RunConfig — shard layout, worker count, and
-// failure timing are invisible in results.
+// from a bit-identical RunConfig — chunk cuts, worker count, and failure
+// timing are invisible in results.
 //
 // Robustness model (the paper's fail-stop discipline applied to our own
 // orchestration, after the TeaMPI/FTHP-MPI pattern):
@@ -48,12 +50,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sdrmpi/core/batch.hpp"
 #include "sdrmpi/core/run_config.hpp"
-#include "sdrmpi/sweep/worker.hpp"
 
 namespace sdrmpi::sweep {
 
@@ -118,14 +120,30 @@ struct RemoteTuning {
   std::string secret;
 };
 
-/// One point of remote work: stable id + the coordinator-side config/app
-/// (the app is the local-degradation fallback; the spec is what a remote
-/// workerd resolves through the workload registry).
+/// One point of remote work: the coordinator-side config/app (the app is
+/// the local-degradation fallback; the spec is what a remote workerd
+/// resolves through the workload registry). Results and errors name a
+/// point by its position in the vector passed to RemoteCoordinator::run.
 struct RemotePoint {
-  std::size_t id = 0;
   const core::RunConfig* cfg = nullptr;
   const core::AppFn* app = nullptr;
   std::string spec;
+};
+
+/// Per-point failure relayed from a worker (or from the local fallback):
+/// the point's position, the exception message and whether it was a
+/// construction/invalid-config error.
+struct PointError {
+  std::size_t id = 0;
+  bool invalid_config = false;
+  std::string message;
+};
+
+/// A sweep the coordinator cannot complete soundly (two workers returned
+/// different results for one point) — distinct from a point failing with
+/// an application error, which is reported per point.
+struct WorkerError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 /// Robustness accounting for one coordinator run (folded into
@@ -157,11 +175,13 @@ class RemoteCoordinator {
   /// Currently registered (live) workers.
   [[nodiscard]] std::size_t connected_workers() const;
 
-  /// Executes every point of every chunk; blocks until each has exactly
-  /// one result or error. on_result/on_error are invoked from the calling
-  /// thread and from reader threads — callers serialize with their own
-  /// lock, exactly like run_forked. Stats accumulate across calls.
-  void run(const std::vector<std::vector<RemotePoint>>& chunks,
+  /// Executes every point; blocks until each has exactly one result or
+  /// error. Points queue in input order and chunks are cut at serve time
+  /// from each worker's reported throughput. on_result/on_error are
+  /// invoked from the calling thread and from reader threads — callers
+  /// serialize with their own lock. Throws WorkerError on a determinism
+  /// violation. Stats accumulate across calls.
+  void run(const std::vector<RemotePoint>& points,
            const std::function<void(std::size_t, core::RunResult&&)>& on_result,
            const std::function<void(PointError&&)>& on_error);
 

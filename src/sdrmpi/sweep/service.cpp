@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -10,36 +11,8 @@
 #include "sdrmpi/core/launcher.hpp"
 #include "sdrmpi/sweep/config_key.hpp"
 #include "sdrmpi/sweep/remote.hpp"
-#include "sdrmpi/sweep/worker.hpp"
 
 namespace sdrmpi::sweep {
-namespace {
-
-struct RecordedError {
-  bool present = false;
-  bool invalid_config = false;
-  std::string message;
-  std::exception_ptr native;  // in-process mode keeps the original
-};
-
-[[noreturn]] void rethrow_with_index(std::size_t input_index,
-                                     const RecordedError& err) {
-  const std::string prefix = "config[" + std::to_string(input_index) + "]: ";
-  if (err.native != nullptr) {
-    try {
-      std::rethrow_exception(err.native);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(prefix + e.what());
-    } catch (const std::exception& e) {
-      throw std::runtime_error(prefix + e.what());
-    }
-  }
-  if (err.invalid_config) throw std::invalid_argument(prefix + err.message);
-  throw std::runtime_error(prefix + err.message);
-}
-
-}  // namespace
-
 std::string format_fault_summary(const ServiceStats& s) {
   std::string out = "faults:";
   const struct {
@@ -102,7 +75,6 @@ std::vector<core::RunResult> SweepService::run(
   const std::size_t n = configs.size();
   stats_ = ServiceStats{};
   stats_.points = n;
-  stats_.process_workers = opts_.process_workers;
   std::vector<core::RunResult> results(n);
   if (n == 0) return results;
 
@@ -147,38 +119,18 @@ std::vector<core::RunResult> SweepService::run(
     apps[m] = factory(configs[misses[m]], misses[m]);
   }
 
-  // ---- shard into chunks ---------------------------------------------------
+  // ---- dispatch ------------------------------------------------------------
   int workers = opts_.workers > 0
                     ? opts_.workers
                     : static_cast<int>(std::thread::hardware_concurrency());
   workers = std::clamp(workers, 1,
                        std::max(1, static_cast<int>(misses.size())));
   stats_.workers = workers;
-  // Auto-chunking sizes to the executing fleet: pool threads locally,
-  // registered workers remotely. Either way the layout is scheduling
-  // only — results are pinned bit-identical across layouts.
-  const std::size_t fleet =
-      coordinator_ != nullptr
-          ? std::max<std::size_t>(1, coordinator_->connected_workers())
-          : static_cast<std::size_t>(workers);
-  std::size_t nchunks = opts_.chunks > 0
-                            ? static_cast<std::size_t>(opts_.chunks)
-                            : fleet * 4;
-  nchunks = std::clamp<std::size_t>(nchunks, 1,
-                                    std::max<std::size_t>(1, misses.size()));
-  if (misses.empty()) nchunks = 0;
-  stats_.chunks = nchunks;
 
-  // Contiguous blocks; the layout affects scheduling only, never results.
-  std::vector<std::vector<std::size_t>> chunk_members(nchunks);
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    chunk_members[m * nchunks / misses.size()].push_back(m);
-  }
-
-  // ---- dispatch ------------------------------------------------------------
   std::mutex collect_mutex;  // guards results/stats/store/stream
   std::unordered_map<std::uint64_t, std::size_t> dispatch_counts;
-  std::unordered_map<std::size_t, RecordedError> errors;  // miss input index
+  // One slot per miss, written once by whichever thread finishes it.
+  std::vector<std::exception_ptr> errors(misses.size());
 
   auto collect_result = [&](std::size_t m, core::RunResult&& result) {
     const std::size_t i = misses[m];
@@ -194,30 +146,24 @@ std::vector<core::RunResult> SweepService::run(
     }
   };
 
-  auto collect_error = [&](PointError&& err) {
-    std::lock_guard<std::mutex> lock(collect_mutex);
-    RecordedError rec;
-    rec.present = true;
-    rec.invalid_config = err.invalid_config;
-    rec.message = std::move(err.message);
-    errors.emplace(misses[err.id], std::move(rec));
-  };
-
   if (!misses.empty() && coordinator_ != nullptr) {
-    std::vector<std::vector<RemotePoint>> chunks(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      for (std::size_t m : chunk_members[c]) {
-        RemotePoint pt;
-        pt.id = m;
-        pt.cfg = &configs[misses[m]];
-        pt.app = &apps[m];
-        if (opts_.spec) pt.spec = opts_.spec(configs[misses[m]], misses[m]);
-        chunks[c].push_back(std::move(pt));
+    std::vector<RemotePoint> points(misses.size());
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      points[m].cfg = &configs[misses[m]];
+      points[m].app = &apps[m];
+      if (opts_.spec) {
+        points[m].spec = opts_.spec(configs[misses[m]], misses[m]);
       }
     }
+    auto collect_error = [&](PointError&& err) {
+      errors[err.id] =
+          err.invalid_config
+              ? std::make_exception_ptr(std::invalid_argument(err.message))
+              : std::make_exception_ptr(std::runtime_error(err.message));
+    };
     stats_.remote_workers = coordinator_->connected_workers();
     const RemoteStats before = coordinator_->stats();
-    coordinator_->run(chunks, collect_result, collect_error);
+    coordinator_->run(points, collect_result, collect_error);
     const RemoteStats after = coordinator_->stats();
     stats_.workers_lost = after.workers_lost - before.workers_lost;
     stats_.heartbeats_missed =
@@ -228,32 +174,18 @@ std::vector<core::RunResult> SweepService::run(
         after.duplicate_results - before.duplicate_results;
     stats_.local_fallback_points =
         after.local_fallback_points - before.local_fallback_points;
-  } else if (!misses.empty() && opts_.process_workers) {
-    std::vector<std::vector<WorkPoint>> chunks(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      for (std::size_t m : chunk_members[c]) {
-        chunks[c].push_back(WorkPoint{m, &configs[misses[m]], &apps[m]});
-      }
-    }
-    run_forked(chunks, workers, collect_result, collect_error);
   } else if (!misses.empty()) {
-    std::atomic<std::size_t> next_chunk{0};
+    // One point per fetch, as core::run_many does: scheduling only, never
+    // results.
+    std::atomic<std::size_t> next{0};
     auto pool_worker = [&] {
       for (;;) {
-        const std::size_t c =
-            next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= nchunks) return;
-        for (std::size_t m : chunk_members[c]) {
-          try {
-            core::RunResult result = core::run(configs[misses[m]], apps[m]);
-            collect_result(m, std::move(result));
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(collect_mutex);
-            RecordedError rec;
-            rec.present = true;
-            rec.native = std::current_exception();
-            errors.emplace(misses[m], std::move(rec));
-          }
+        const std::size_t m = next.fetch_add(1, std::memory_order_relaxed);
+        if (m >= misses.size()) return;
+        try {
+          collect_result(m, core::run(configs[misses[m]], apps[m]));
+        } catch (...) {
+          errors[m] = std::current_exception();
         }
       }
     };
@@ -267,11 +199,10 @@ std::vector<core::RunResult> SweepService::run(
     }
   }
 
-  // Deterministic error surfacing: lowest input index wins, tagged with it.
-  if (!errors.empty()) {
-    std::size_t lowest = n;
-    for (const auto& [idx, rec] : errors) lowest = std::min(lowest, idx);
-    rethrow_with_index(lowest, errors.at(lowest));
+  // Deterministic error surfacing: misses ascend in input order, so the
+  // first recorded error is the lowest failing input index.
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    if (errors[m] != nullptr) core::rethrow_with_index(misses[m], errors[m]);
   }
 
   // ---- resolve duplicates off their first occurrence -----------------------

@@ -12,10 +12,13 @@
 //      results without simulation; interrupted sweeps resume from the
 //      records that made it to disk. Sound because runs are
 //      bit-deterministic: a cached result equals a fresh one.
-//   4. The remaining unique points are partitioned into work chunks and
-//      executed by in-process pool workers or forked process-level
-//      workers (sweep/worker.hpp). Results are bit-identical for every
-//      shard layout — the pools-1-vs-8 invariant extended to sharding.
+//   4. The remaining unique points run on in-process pool threads, one
+//      point per atomic fetch as in core::run_many, or on a remote
+//      sweep-workerd fleet (remote.hpp) when `listen` is set. Results are
+//      bit-identical for every pool size and fleet — the pools-1-vs-8
+//      invariant extended to the service. Process isolation for a local
+//      sweep means a localhost sweep-workerd fleet: a killed worker's
+//      points are re-dispatched, not lost.
 //   5. Each point streams to an optional callback as it completes
 //      (benches emit BENCH-style JSON lines from it).
 //
@@ -38,14 +41,8 @@
 namespace sdrmpi::sweep {
 
 struct ServiceOptions {
-  /// Concurrent workers; 0 = std::thread::hardware_concurrency().
+  /// In-process pool threads; 0 = std::thread::hardware_concurrency().
   int workers = 0;
-  /// Work chunks the unique miss set is split into; 0 = auto (4 per
-  /// worker slot, clamped to the point count). More chunks = finer
-  /// load balancing; the chunk layout never changes results.
-  int chunks = 0;
-  /// Fork process-level workers instead of in-process pool threads.
-  bool process_workers = false;
   /// Path of the persistent result store; empty = in-memory dedupe only.
   std::string cache_path;
   /// Listen endpoint ("host:port"; port 0 = ephemeral) for remote
@@ -88,16 +85,14 @@ struct ServiceStats {
   std::size_t duplicates = 0;     ///< points collapsed onto an earlier digest
   std::size_t cache_hits = 0;     ///< unique digests served from the store
   std::size_t dispatched = 0;     ///< unique digests actually simulated
-  std::size_t chunks = 0;         ///< work chunks dispatched
-  int workers = 0;                ///< resolved worker count
-  bool process_workers = false;
+  int workers = 0;                ///< resolved pool thread count
   /// Highest dispatch count observed for any single digest. The dedupe
   /// contract says this is 1 (or 0 on a fully warm sweep); fig_sweepsvc
   /// --check gates on it.
   std::size_t max_dispatches_per_digest = 0;
 
-  // Remote-backend fault-tolerance accounting (all zero for local
-  // backends and for failure-free remote sweeps — the cold/warm JSON
+  // Remote-backend fault-tolerance accounting (all zero for the local
+  // pool and for failure-free remote sweeps — the cold/warm JSON
   // emitted by benches must not change shape or content when nothing
   // went wrong).
   std::size_t remote_workers = 0;       ///< fleet size when dispatch began
@@ -135,7 +130,9 @@ class SweepService {
   /// exactly the first-occurrence indices that miss the cache — points
   /// served from the store or collapsed by dedupe never build an app.
   /// The first failing point's construction error is rethrown after the
-  /// sweep drains, prefixed "config[i]: " with its input index.
+  /// sweep drains through core::rethrow_with_index ("config[i]: ", type
+  /// kept); a remote point's error arrives as invalid_argument for an
+  /// invalid config and runtime_error otherwise.
   std::vector<core::RunResult> run(const std::vector<core::RunConfig>& configs,
                                    const core::AppFactory& factory,
                                    const StreamFn& stream = {});

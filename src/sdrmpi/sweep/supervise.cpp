@@ -38,14 +38,36 @@ void backoff_sleep(const SuperviseOptions& opts, int restart_n) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-SuperviseOutcome supervise(const std::function<pid_t()>& spawn,
-                           const SuperviseOptions& opts) {
+}  // namespace
+
+bool exit_is_restartable(int exit_code) noexcept {
+  // 0: clean shutdown (the coordinator said goodbye) — done, not dead.
+  // 2: usage error — a re-exec re-reads the same bad command line forever.
+  // Everything else, signal deaths (128+N) above all, is what the
+  // supervisor exists for.
+  return exit_code != 0 && exit_code != 2;
+}
+
+SuperviseOutcome supervise_call(const std::function<int()>& body,
+                                const SuperviseOptions& opts) {
   SuperviseOutcome out;
   for (;;) {
-    const pid_t pid = spawn();
+    const pid_t pid = ::fork();
     if (pid < 0) {
       throw std::runtime_error(std::string("fork failed: ") +
                                std::strerror(errno));
+    }
+    if (pid == 0) {
+      // Child: run the body and leave without unwinding the parent's
+      // copied state (atexit handlers, stdio flushes belong to the
+      // parent's lifetime, not ours).
+      int code = 1;
+      try {
+        code = body();
+      } catch (...) {
+        code = 1;
+      }
+      ::_exit(code);
     }
     ++out.launches;
     if (opts.on_spawn) opts.on_spawn(pid, out.launches);
@@ -72,57 +94,21 @@ SuperviseOutcome supervise(const std::function<pid_t()>& spawn,
   }
 }
 
-}  // namespace
-
-bool exit_is_restartable(int exit_code) noexcept {
-  // 0: clean shutdown (the coordinator said goodbye) — done, not dead.
-  // 2: usage error — a re-exec re-reads the same bad command line forever.
-  // Everything else, signal deaths (128+N) above all, is what the
-  // supervisor exists for.
-  return exit_code != 0 && exit_code != 2;
-}
-
-SuperviseOutcome supervise_call(const std::function<int()>& body,
-                                const SuperviseOptions& opts) {
-  return supervise(
-      [&body]() -> pid_t {
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-          // Child: run the body and leave without unwinding the parent's
-          // copied state (atexit handlers, stdio flushes belong to the
-          // parent's lifetime, not ours).
-          int code = 1;
-          try {
-            code = body();
-          } catch (...) {
-            code = 1;
-          }
-          ::_exit(code);
-        }
-        return pid;
-      },
-      opts);
-}
-
 SuperviseOutcome supervise_exec(const std::vector<std::string>& argv,
                                 const SuperviseOptions& opts) {
   if (argv.empty()) throw std::runtime_error("supervise_exec: empty argv");
-  return supervise(
-      [&argv]() -> pid_t {
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-          std::vector<char*> cargv;
-          cargv.reserve(argv.size() + 1);
-          for (const std::string& a : argv) {
-            cargv.push_back(const_cast<char*>(a.c_str()));
-          }
-          cargv.push_back(nullptr);
-          ::execv(cargv[0], cargv.data());
-          // exec failed: exit 2 (unrestartable — the same path will fail
-          // the same way on every retry).
-          ::_exit(2);
+  return supervise_call(
+      [&argv] {
+        std::vector<char*> cargv;
+        cargv.reserve(argv.size() + 1);
+        for (const std::string& a : argv) {
+          cargv.push_back(const_cast<char*>(a.c_str()));
         }
-        return pid;
+        cargv.push_back(nullptr);
+        ::execv(cargv[0], cargv.data());
+        // exec failed: exit 2 (unrestartable — the same path will fail
+        // the same way on every retry).
+        return 2;
       },
       opts);
 }

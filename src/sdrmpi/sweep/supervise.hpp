@@ -10,13 +10,14 @@
 // TeaMPI/FTHP-MPI line the paper's successors took — failure detection
 // is only half of resilience; the other half is putting the replica back.
 //
-// Two entry points share one restart policy:
+// Two entry points, one fork site and one restart policy:
 //  - supervise_call(body): forks and runs `body` in the child
 //    (_exit(body())). Unit tests use it — the child inherits the test's
 //    resolver tables by fork memory copy, no binary or argv needed.
-//  - supervise_exec(argv): forks and execv()s a fresh binary image.
-//    sweep-workerd --supervise uses it — a re-exec resets *all* child
-//    state (a corrupted heap must not survive into the replacement).
+//  - supervise_exec(argv): supervise_call with an execv() body that
+//    returns 2 if the exec fails. sweep-workerd --supervise uses it — a
+//    re-exec resets *all* child state (a corrupted heap must not survive
+//    into the replacement).
 #pragma once
 
 #include <sys/types.h>

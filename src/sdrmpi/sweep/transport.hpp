@@ -1,6 +1,6 @@
 // TCP transport for the sweep worker frame protocol.
 //
-// The pipe frame format (frame_io.hpp) is already length-prefixed and
+// The frame format (frame_io.hpp) is already length-prefixed and
 // host-order independent, so crossing the machine boundary needs only a
 // socket under it: a listener the coordinator accepts workers on, a
 // connector for sweep-workerd, and poll helpers for deadline-driven
@@ -14,8 +14,8 @@
 //    connection-lost IoError the scheduler absorbs by re-dispatching the
 //    peer's leases. A dying worker must never take the coordinator down,
 //    and a dying coordinator must never take a worker down.
-//  - Sockets are CLOEXEC (forked sweep children must not inherit worker
-//    connections) and TCP_NODELAY (frames are small; Nagle would add
+//  - Sockets are CLOEXEC (a re-exec'd supervised workerd must not inherit
+//    its predecessor's connections) and TCP_NODELAY (frames are small; Nagle would add
 //    40 ms hiccups to heartbeats and dispatches).
 #pragma once
 

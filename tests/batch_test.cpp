@@ -4,7 +4,10 @@
 // relies on).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
 #include "test_support.hpp"
@@ -108,6 +111,34 @@ TEST(RunMany, LowestFailingIndexWins) {
     EXPECT_EQ(std::string(e.what()).rfind("config[3]: ", 0), 0u)
         << "message was: " << e.what();
   }
+}
+
+/// What core::rethrow_with_index(7, ...) turns `original` into: the
+/// dynamic type and message of the exception it throws.
+template <typename E>
+std::pair<std::type_index, std::string> tagged(const E& original) {
+  try {
+    core::rethrow_with_index(7, std::make_exception_ptr(original));
+  } catch (const std::exception& e) {
+    return {typeid(e), e.what()};
+  }
+  return {typeid(void), ""};
+}
+
+TEST(RethrowWithIndex, KeepsLogicErrorTypesAndWidensTheRest) {
+  // The one "config[i]: " helper behind run_many and the sweep service:
+  // invalid_argument and other logic_errors keep their type, any other
+  // std::exception becomes runtime_error.
+  const auto expect = [](std::type_index type, const char* what) {
+    return std::make_pair(type, std::string(what));
+  };
+  EXPECT_EQ(tagged(std::invalid_argument("nranks must be > 0")),
+            expect(typeid(std::invalid_argument),
+                   "config[7]: nranks must be > 0"));
+  EXPECT_EQ(tagged(std::logic_error("broken invariant")),
+            expect(typeid(std::logic_error), "config[7]: broken invariant"));
+  EXPECT_EQ(tagged(std::overflow_error("too many events")),
+            expect(typeid(std::runtime_error), "config[7]: too many events"));
 }
 
 TEST(RunMany, DeterministicAcrossPoolSizes) {

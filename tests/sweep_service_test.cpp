@@ -4,11 +4,11 @@
 //    every RunConfig field moves the digest, equal configs byte-match.
 //  - result_codec: decode(encode(r)) == r for every RunResult field.
 //  - ResultStore: persistence across reopen, torn-tail repair.
-//  - SweepService: shard-layout invariance (1 chunk / 7 chunks / forked
-//    process workers reproduce the run_many baseline bit-for-bit on a
-//    50-point fuzz sweep), dedupe-dispatches-once, resume-after-kill
-//    (a pre-populated store means only missing digests are simulated),
-//    and "config[i]: " error attribution.
+//  - SweepService: pool-size invariance (1 / 3 / 4 in-process pool
+//    threads reproduce the run_many baseline bit-for-bit on a 50-point
+//    fuzz sweep, each digest streamed once), dedupe-dispatches-once,
+//    resume-after-kill (a pre-populated store means only missing digests
+//    are simulated), and "config[i]: " error attribution.
 //  - Remote backend: TCP worker fleets (1/2/3 workers over loopback,
 //    the real run_worker loop in threads) reproduce the pool-1 baseline
 //    bit-for-bit through mid-chunk worker kills, lease expiry with a
@@ -50,7 +50,6 @@
 #include "sdrmpi/sweep/result_codec.hpp"
 #include "sdrmpi/sweep/supervise.hpp"
 #include "sdrmpi/sweep/transport.hpp"
-#include "sdrmpi/sweep/worker.hpp"
 #include "sdrmpi/util/rng.hpp"
 #include "test_support.hpp"
 
@@ -509,22 +508,26 @@ TEST(SweepService, ShardLayoutNeverChangesResults) {
   };
   const auto baseline = core::run_many(s.configs, factory, {.threads = 4});
 
-  const sweep::ServiceOptions layouts[] = {
-      {.workers = 1, .chunks = 1},                          // single chunk
-      {.workers = 4, .chunks = 7},                          // odd sharding
-      {.workers = 3, .chunks = 0, .process_workers = true}, // forked workers
-  };
-  for (const auto& layout : layouts) {
-    sweep::SweepService service(layout);
-    const auto runs = service.run(s.configs, factory);
+  for (const int workers : {1, 3, 4}) {
+    sweep::SweepService service({.workers = workers});
+    std::unordered_map<std::uint64_t, int> streamed;
+    const auto runs =
+        service.run(s.configs, factory, [&](const sweep::PointOutcome& out) {
+          EXPECT_FALSE(out.cached) << "workers=" << workers;
+          ++streamed[out.digest];
+        });
     ASSERT_EQ(runs.size(), baseline.size());
     for (std::size_t i = 0; i < runs.size(); ++i) {
       EXPECT_EQ(runs[i], baseline[i])
-          << "config " << i << " diverged (workers=" << layout.workers
-          << " chunks=" << layout.chunks
-          << " forked=" << layout.process_workers << ")";
+          << "config " << i << " diverged (workers=" << workers << ")";
     }
     EXPECT_LE(service.stats().max_dispatches_per_digest, 1u);
+    // Each unique digest streams exactly once, fresh.
+    EXPECT_EQ(streamed.size(), service.stats().unique_points);
+    for (const auto& [digest, count] : streamed) {
+      EXPECT_EQ(count, 1) << "digest " << digest << " streamed " << count
+                          << " times (workers=" << workers << ")";
+    }
   }
 }
 
@@ -667,16 +670,13 @@ TEST(SweepService, ErrorNamesTheFailingInputIndex) {
   auto factory = [&s](const core::RunConfig&, std::size_t i) {
     return s.apps[i];
   };
-  for (const bool forked : {false, true}) {
-    sweep::SweepService service(
-        {.workers = 2, .process_workers = forked});
-    try {
-      auto runs = service.run(s.configs, factory);
-      FAIL() << "expected std::invalid_argument (forked=" << forked << ")";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("config[4]: ", 0), 0u)
-          << "message was: " << e.what() << " (forked=" << forked << ")";
-    }
+  sweep::SweepService service({.workers = 2});
+  try {
+    auto runs = service.run(s.configs, factory);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("config[4]: ", 0), 0u)
+        << "message was: " << e.what();
   }
 }
 
@@ -718,28 +718,6 @@ TEST(WorkerFrames, MaximumLengthHeaderRoundTrips) {
   EXPECT_EQ(h.len, 1u);
   ::close(fds[0]);
   ::close(fds[1]);
-}
-
-TEST(WorkerForked, EveryFailingWorkerIsReported) {
-  // Two workers, one point each, both children die before delivering:
-  // the error used to name only the last failing worker.
-  const core::RunConfig cfg = test::quick_config(2, 1,
-                                                 core::ProtocolKind::Native);
-  const core::AppFn die = [](mpi::Env&) { ::_exit(7); };
-  std::vector<std::vector<sweep::WorkPoint>> chunks(2);
-  chunks[0].push_back(sweep::WorkPoint{0, &cfg, &die});
-  chunks[1].push_back(sweep::WorkPoint{1, &cfg, &die});
-  try {
-    sweep::run_forked(
-        chunks, /*workers=*/2, [](std::size_t, core::RunResult&&) {},
-        [](sweep::PointError&&) {});
-    FAIL() << "expected WorkerError";
-  } catch (const sweep::WorkerError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("sweep worker 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("sweep worker 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("; "), std::string::npos) << msg;
-  }
 }
 
 // -------------------------------------------------- config wire round-trip
@@ -1010,31 +988,23 @@ TEST(RemoteBackend, WorkerFleetsReproducePoolBaseline) {
   };
   const auto baseline = pool1_baseline(s);
 
-  const struct {
-    std::size_t nworkers;
-    int chunks;
-  } layouts[] = {{1, 1}, {2, 0}, {3, 5}};
-  for (const auto& layout : layouts) {
-    auto opts = remote_options(fast_tuning());
-    opts.chunks = layout.chunks;
-    RemoteRig rig(std::move(opts));
-    for (std::size_t w = 0; w < layout.nworkers; ++w) {
+  for (const std::size_t nworkers : {1u, 2u, 3u}) {
+    RemoteRig rig(remote_options(fast_tuning()));
+    for (std::size_t w = 0; w < nworkers; ++w) {
       rig.start_worker(table_resolver(s),
                        {.name = "w" + std::to_string(w)});
     }
-    ASSERT_TRUE(rig.wait_for_workers(layout.nworkers));
+    ASSERT_TRUE(rig.wait_for_workers(nworkers));
     const auto runs = rig.service->run(s.configs, factory);
     const auto& st = rig.service->stats();
-    EXPECT_EQ(st.remote_workers, layout.nworkers);
+    EXPECT_EQ(st.remote_workers, nworkers);
     EXPECT_EQ(st.workers_lost, 0u);
     EXPECT_EQ(st.heartbeats_missed, 0u);
     EXPECT_EQ(st.duplicate_results, 0u);
     EXPECT_EQ(st.local_fallback_points, 0u);
     EXPECT_LE(st.max_dispatches_per_digest, 1u);
     expect_matches_baseline(
-        runs, baseline,
-        "fleet of " + std::to_string(layout.nworkers) + " workers, chunks=" +
-            std::to_string(layout.chunks));
+        runs, baseline, "fleet of " + std::to_string(nworkers) + " workers");
     rig.shutdown();
   }
 }
@@ -1046,9 +1016,7 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
   };
   const auto baseline = pool1_baseline(s);
 
-  auto opts = remote_options(fast_tuning());
-  opts.chunks = 8;  // 3 points per chunk: the abort lands mid-chunk
-  RemoteRig rig(std::move(opts));
+  RemoteRig rig(remote_options(fast_tuning()));
   // The doomed worker fail-stops while resolving its third point — the
   // coordinator sees the same torn stream a SIGKILLed workerd produces.
   auto calls = std::make_shared<std::atomic<int>>(0);
@@ -1082,9 +1050,7 @@ TEST(RemoteBackend, LeaseExpiryRedispatchesAndSuppressesTheLateTwin) {
   auto tuning = fast_tuning();
   tuning.lease_ms = 120;
   tuning.redispatch_budget = 10;  // slow-CI slack: bouncing must not error
-  auto opts = remote_options(tuning);
-  opts.chunks = 4;
-  RemoteRig rig(std::move(opts));
+  RemoteRig rig(remote_options(tuning));
   // Whichever worker resolves a point first stalls well past the lease,
   // then answers anyway; its heartbeats keep flowing the whole time
   // (stalled != dead), so this exercises lease re-dispatch in isolation.
@@ -1142,9 +1108,7 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
   auto tuning = fast_tuning();
   tuning.heartbeat_interval_ms = 25;
   tuning.heartbeat_deadline_ms = 250;
-  auto opts = remote_options(tuning);
-  opts.chunks = 4;
-  RemoteRig rig(std::move(opts));
+  RemoteRig rig(remote_options(tuning));
   // The silent worker never heartbeats (test hook) and hangs on its first
   // point: no frame of any kind after registration. Only the deadline
   // detector can reclaim its chunks — the socket stays open throughout.
@@ -1178,9 +1142,7 @@ TEST(RemoteBackend, LastWorkerDeathDegradesToLocalExecution) {
   };
   const auto baseline = pool1_baseline(s);
 
-  auto opts = remote_options(fast_tuning());
-  opts.chunks = 4;
-  RemoteRig rig(std::move(opts));
+  RemoteRig rig(remote_options(fast_tuning()));
   auto calls = std::make_shared<std::atomic<int>>(0);
   auto inner = table_resolver(s);
   rig.start_worker(
@@ -1229,9 +1191,7 @@ TEST(RemoteBackend, ExhaustedRedispatchBudgetIsAHardError) {
   auto tuning = fast_tuning();
   tuning.lease_ms = 50;
   tuning.redispatch_budget = 1;
-  auto opts = remote_options(tuning);
-  opts.chunks = 2;
-  RemoteRig rig(std::move(opts));
+  RemoteRig rig(remote_options(tuning));
   // Every resolve stalls past the lease on both workers: each unit burns
   // attempt 1 on one worker and attempt 2 on the other, then must surface
   // as a hard error instead of bouncing forever.
