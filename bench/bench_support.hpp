@@ -92,7 +92,9 @@ inline sweep::ServiceOptions service_options(const util::Options& opts) {
   s.cache_path = opts.get_string("cache", "");
   s.listen = opts.get_string("listen", "");
   const std::string secret_file = opts.get_string("secret-file", "");
-  if (!secret_file.empty()) s.secret = sweep::auth::load_secret_file(secret_file);
+  if (!secret_file.empty()) {
+    s.remote.secret = sweep::auth::load_secret_file(secret_file);
+  }
   return s;
 }
 
@@ -263,9 +265,10 @@ inline std::vector<PointResult> run_points(const std::vector<Point>& pts,
 /// JSON block below: a failure-free run (remote or not) emits byte-for-
 /// byte the same document as before the remote backend existed.
 inline bool had_fault_events(const sweep::ServiceStats& s) {
-  return s.workers_lost > 0 || s.heartbeats_missed > 0 ||
-         s.chunks_redispatched > 0 || s.duplicate_results > 0 ||
-         s.local_fallback_points > 0;
+  const sweep::RemoteStats& r = s.remote;
+  return r.workers_lost > 0 || r.heartbeats_missed > 0 ||
+         r.chunks_redispatched > 0 || r.duplicate_results > 0 ||
+         r.local_fallback_points > 0;
 }
 
 /// Emits one JSON document: bench name + one record per point with the
@@ -333,11 +336,11 @@ inline void emit_json(std::ostream& os, const std::string& bench_name,
   if (stats != nullptr && had_fault_events(*stats)) {
     os << ",\n  \"fault_tolerance\": {\"remote_workers\": "
        << stats->remote_workers << ", \"workers_lost\": "
-       << stats->workers_lost << ", \"heartbeats_missed\": "
-       << stats->heartbeats_missed << ", \"chunks_redispatched\": "
-       << stats->chunks_redispatched << ", \"duplicate_results\": "
-       << stats->duplicate_results << ", \"local_fallback_points\": "
-       << stats->local_fallback_points << "}";
+       << stats->remote.workers_lost << ", \"heartbeats_missed\": "
+       << stats->remote.heartbeats_missed << ", \"chunks_redispatched\": "
+       << stats->remote.chunks_redispatched << ", \"duplicate_results\": "
+       << stats->remote.duplicate_results << ", \"local_fallback_points\": "
+       << stats->remote.local_fallback_points << "}";
   }
   os << "\n}\n";
 }

@@ -98,14 +98,15 @@ int main(int argc, char** argv) {
   // committed BENCH_sweepsvc.json never changes shape without a failure.
   auto ft_suffix = [](const sweep::ServiceStats& s) -> std::string {
     if (!bench::had_fault_events(s)) return "";
+    const sweep::RemoteStats& r = s.remote;
     return ", \"remote_workers\": " + std::to_string(s.remote_workers) +
-           ", \"workers_lost\": " + std::to_string(s.workers_lost) +
-           ", \"heartbeats_missed\": " + std::to_string(s.heartbeats_missed) +
+           ", \"workers_lost\": " + std::to_string(r.workers_lost) +
+           ", \"heartbeats_missed\": " + std::to_string(r.heartbeats_missed) +
            ", \"chunks_redispatched\": " +
-           std::to_string(s.chunks_redispatched) +
-           ", \"duplicate_results\": " + std::to_string(s.duplicate_results) +
+           std::to_string(r.chunks_redispatched) +
+           ", \"duplicate_results\": " + std::to_string(r.duplicate_results) +
            ", \"local_fallback_points\": " +
-           std::to_string(s.local_fallback_points);
+           std::to_string(r.local_fallback_points);
   };
 
   if (bench::json_mode(opts)) {

@@ -12,9 +12,9 @@
 //   sweep-workerd --connect=127.0.0.1:17117 &   # x3, then SIGKILL one
 //   cmp local.json r.json                       # byte-identical
 //
-// Worker count, chunk cuts, mid-sweep worker deaths, re-dispatch —
+// Worker count, dispatch order, mid-sweep worker deaths, re-dispatch —
 // all invisible on stdout. Host-side accounting (fleet size, workers
-// lost, chunks re-dispatched, duplicates suppressed, local-fallback
+// lost, points re-dispatched, duplicates suppressed, local-fallback
 // points) goes to STDERR.
 //
 // Flags: --listen=H:P  --wait-workers=N  --wait-timeout-ms=MS
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                            " iters=" + std::to_string(iters);
 
   // Seed x protocol grid: every point a distinct digest, SDR and Native
-  // interleaved so chunks mix cheap and expensive simulations.
+  // interleaved so cheap and expensive simulations alternate.
   std::vector<std::string> labels;
   std::vector<core::RunConfig> configs;
   for (int i = 0; i < npoints; ++i) {
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   const std::string secret_file = opts.get_string("secret-file", "");
   if (!secret_file.empty()) {
     try {
-      sopts.secret = sweep::auth::load_secret_file(secret_file);
+      sopts.remote.secret = sweep::auth::load_secret_file(secret_file);
     } catch (const std::exception& e) {
       std::cerr << "distributed_sweep: " << e.what() << "\n";
       return 2;
@@ -144,16 +144,18 @@ int main(int argc, char** argv) {
   }
 
   const sweep::ServiceStats& st = service.stats();
+  const sweep::RemoteStats& faults = st.remote;
   std::cerr << "[distributed_sweep] points=" << st.points
             << " unique=" << st.unique_points
             << " dispatched=" << st.dispatched
             << " cache_hits=" << st.cache_hits
             << " remote_workers=" << st.remote_workers
-            << " workers_lost=" << st.workers_lost
-            << " heartbeats_missed=" << st.heartbeats_missed
-            << " chunks_redispatched=" << st.chunks_redispatched
-            << " duplicate_results=" << st.duplicate_results
-            << " local_fallback_points=" << st.local_fallback_points << "\n";
+            << " workers_lost=" << faults.workers_lost
+            << " heartbeats_missed=" << faults.heartbeats_missed
+            << " chunks_redispatched=" << faults.chunks_redispatched
+            << " duplicate_results=" << faults.duplicate_results
+            << " local_fallback_points=" << faults.local_fallback_points
+            << "\n";
   if (opts.get_bool("stats", false)) {
     std::cerr << "[distributed_sweep] " << sweep::format_fault_summary(st)
               << "\n";

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sdrmpi/core/launcher.hpp"
@@ -45,15 +43,13 @@ constexpr std::uint64_t make_reply_id(std::uint32_t gen, std::uint32_t point) {
 /// the frame_io 4 GiB limit and produced by our own workers.
 constexpr std::uint32_t kMaxControlPayload = 4096;
 
-void set_send_timeout(int fd, int ms) {
-  // A hung peer must stall a frame write for at most the failure-detection
-  // deadline, never forever: a blocked dispatch would freeze the whole
-  // scheduler loop. Timed-out writes surface as failures and the peer is
-  // declared lost.
+/// Bounds a blocking socket send (SO_SNDTIMEO) or receive (SO_RCVTIMEO)
+/// to `ms`; 0 clears the bound. Timed-out calls fail like a lost peer.
+void set_timeout(int fd, int option, int ms) {
   timeval tv{};
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
 }
 
 }  // namespace
@@ -69,10 +65,11 @@ struct RemoteCoordinator::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;
   bool shutting_down = false;
-  bool ever_registered = false;
   std::size_t live_workers = 0;
   std::uint32_t generation = 0;
-  Clock::time_point fleet_empty_since{};  // set when live_workers hits 0
+  // When live_workers last became 0 (or run() started with none): the
+  // registration_wait_ms window before local fallback counts from here.
+  Clock::time_point fleet_empty_since{};
 
   struct WorkerConn {
     int id = -1;
@@ -81,40 +78,30 @@ struct RemoteCoordinator::Impl {
     std::thread reader;
     Clock::time_point last_seen;
     bool alive = true;
-    bool hungry = false;        // sent a WorkRequest not yet served
-    std::uint64_t ewma_ns = 0;  // self-reported per-point cost estimate
+    bool hungry = false;  // sent a WorkRequest not yet served
     std::mutex write_mu;  // dispatch / shutdown frames interleave safely
   };
   std::vector<std::unique_ptr<WorkerConn>> workers;  // every worker ever
 
-  /// One undispatched point. Where PR 8 queued fixed chunks, the pull
-  /// scheduler queues points and cuts a chunk to size at serve time, so
-  /// a slow worker draws one point while a fast one draws dozens.
-  struct PendingItem {
-    std::uint32_t point = 0;  // index into the run's point table
-    int attempt = 1;          // dispatch attempts incl. the next one
-    Clock::time_point not_before;
-    int prev_worker = -1;  // last holder; re-dispatch prefers someone else
-  };
-  struct Assignment {
-    int worker_id = -1;
-    std::vector<PendingItem> items;  // still undelivered under this lease
-    Clock::time_point lease_deadline;
-    bool active = false;
-  };
+  /// One point of the run. A point is queued (holder < 0), leased to one
+  /// worker until lease_deadline (holder >= 0), or done.
   struct PointState {
     bool done = false;
     bool have_result_hash = false;
     std::uint64_t result_hash = 0;  // fnv1a of the encoded result bytes
+    int holder = -1;
+    Clock::time_point lease_deadline;
+    int attempt = 1;  // dispatch attempts incl. the next one
+    Clock::time_point not_before;
+    int prev_worker = -1;  // last holder; re-dispatch prefers someone else
   };
   struct RunState {
     std::vector<RemotePoint> pts;
     std::vector<PointState> state;
-    std::deque<PendingItem> queue;
-    std::vector<Assignment> assignments;
+    std::deque<std::uint32_t> queue;  // points awaiting dispatch
     std::size_t undone = 0;
     std::string fatal;
-    /// Last time the scheduler moved: a chunk served, a result delivered,
+    /// Last time the scheduler moved: a point served, a result delivered,
     /// or a lease recycled. Drives the stuck-fleet aging below — a pull
     /// scheduler never hands work to a fleet that stops asking, so budget
     /// exhaustion must be measured in wall time, not bounced dispatches.
@@ -126,6 +113,9 @@ struct RemoteCoordinator::Impl {
 
   explicit Impl(const Endpoint& listen, RemoteTuning t, RemoteStats* s)
       : tuning(std::move(t)), stats(s), listener(listen.host, listen.port) {
+    if (tuning.lease_ms <= 0) {
+      throw std::invalid_argument("remote sweep: lease_ms must be positive");
+    }
     acceptor = std::thread([this] { accept_loop(); });
   }
 
@@ -189,10 +179,10 @@ struct RemoteCoordinator::Impl {
       frame::write_frame(fd, kFrameHelloReject, 0, why.data(), why.size());
       ::close(fd);
     };
-    if (!wait_readable(fd, tuning.heartbeat_deadline_ms)) {
-      ::close(fd);  // connected but never said hello
-      return;
-    }
+    // The acceptor handshakes one peer at a time, so every handshake read
+    // is bounded: a peer that stalls mid-frame (or never says hello) is
+    // dropped after the deadline instead of wedging every later worker.
+    set_timeout(fd, SO_RCVTIMEO, tuning.heartbeat_deadline_ms);
     frame::FrameHeader h;
     if (!frame::read_frame_header(fd, h) || h.kind != kFrameHello ||
         h.len > kMaxControlPayload) {
@@ -242,7 +232,12 @@ struct RemoteCoordinator::Impl {
       ::close(fd);
       return;
     }
-    set_send_timeout(fd, std::max(tuning.heartbeat_deadline_ms, 1000));
+    // Registered: silence is now the heartbeat deadline's call (counted
+    // in heartbeats_missed), not a read timeout. A hung peer must stall a
+    // frame write for at most that deadline, never forever — a blocked
+    // dispatch would freeze the whole scheduler loop.
+    set_timeout(fd, SO_RCVTIMEO, 0);
+    set_timeout(fd, SO_SNDTIMEO, std::max(tuning.heartbeat_deadline_ms, 1000));
 
     auto conn = std::make_unique<WorkerConn>();
     WorkerConn* w = conn.get();
@@ -254,7 +249,6 @@ struct RemoteCoordinator::Impl {
       w->id = static_cast<int>(workers.size());
       workers.push_back(std::move(conn));
       ++live_workers;
-      ever_registered = true;
       ++stats->workers_registered;
     }
     w->reader = std::thread([this, w] { reader_loop(w); });
@@ -271,10 +265,6 @@ struct RemoteCoordinator::Impl {
     if (!frame::write_frame(fd, kFrameAuthChallenge, 0, nonce.data(),
                             nonce.size())) {
       ::close(fd);
-      return false;
-    }
-    if (!wait_readable(fd, tuning.heartbeat_deadline_ms)) {
-      reject("authentication failed: no response to the HMAC challenge");
       return false;
     }
     frame::FrameHeader h;
@@ -324,10 +314,10 @@ struct RemoteCoordinator::Impl {
       frame::FrameHeader h;
       frame::IoError err;
       if (!frame::read_frame_header(w->fd, h, &err)) return;
-      const bool control = h.kind != frame::kFrameResult &&
-                           h.kind != frame::kFrameInvalidConfig &&
-                           h.kind != frame::kFrameRuntimeError;
-      if (control && h.len > kMaxControlPayload) return;  // confused peer
+      const bool delivery = h.kind == frame::kFrameResult ||
+                            h.kind == frame::kFrameInvalidConfig ||
+                            h.kind == frame::kFrameRuntimeError;
+      if (!delivery && h.len > kMaxControlPayload) return;  // confused peer
       std::vector<std::byte> payload(h.len);
       if (h.len > 0 &&
           !frame::read_all(w->fd, payload.data(), h.len, &err)) {
@@ -335,30 +325,13 @@ struct RemoteCoordinator::Impl {
       }
       std::lock_guard<std::mutex> lk(mu);
       w->last_seen = Clock::now();
-      if (h.kind == frame::kFrameResult ||
-          h.kind == frame::kFrameInvalidConfig ||
-          h.kind == frame::kFrameRuntimeError) {
+      if (delivery) {
         handle_delivery(h, payload);
       } else if (h.kind == kFrameWorkRequest) {
         w->hungry = true;
-        if (payload.size() >= 8) {
-          try {
-            ByteReader r(payload);
-            w->ewma_ns = r.u64();
-          } catch (const CodecError&) {
-          }
-        }
-      } else if (h.kind == kFrameHeartbeat && payload.size() >= 8) {
-        // Heartbeats piggyback the throughput estimate so chunk sizing
-        // tracks a worker that sped up or slowed down mid-lease.
-        try {
-          ByteReader r(payload);
-          w->ewma_ns = r.u64();
-        } catch (const CodecError&) {
-        }
       }
-      // Empty heartbeats (and unknown kinds, for forward compatibility)
-      // only refresh last_seen.
+      // Heartbeats (and unknown kinds, for forward compatibility) only
+      // refresh last_seen.
       cv.notify_all();
     }
   }
@@ -387,8 +360,8 @@ struct RemoteCoordinator::Impl {
       return;
     }
     ps.done = true;
+    ps.holder = -1;  // the lease is settled, whoever held it
     --run->undone;
-    retire_from_assignments(p);
     if (h.kind == frame::kFrameResult) {
       core::RunResult result;
       try {
@@ -411,43 +384,22 @@ struct RemoteCoordinator::Impl {
     }
   }
 
-  /// mu held. Drops `p` from every live lease so expiry re-dispatches
-  /// only genuinely undelivered points.
-  void retire_from_assignments(std::uint32_t p) {
-    for (Assignment& a : run->assignments) {
-      if (!a.active) continue;
-      a.items.erase(std::remove_if(a.items.begin(), a.items.end(),
-                                   [p](const PendingItem& it) {
-                                     return it.point == p;
-                                   }),
-                    a.items.end());
-      if (a.items.empty()) a.active = false;
-    }
-  }
-
-  /// mu held. Requeues an assignment's undelivered items for re-dispatch
-  /// (next attempt, backoff, avoid the previous holder).
-  void recycle_assignment(Assignment& a, const Clock::time_point now) {
-    a.active = false;
-    bool any = false;
-    for (PendingItem& it : a.items) {
-      if (run->state[it.point].done) continue;
-      ++it.attempt;
-      it.not_before = now + backoff(it.attempt);
-      it.prev_worker = a.worker_id;
-      run->queue.push_back(it);
-      any = true;
-    }
-    a.items.clear();
-    if (any) {
-      ++stats->chunks_redispatched;
-      run->last_progress = now;  // the scheduler moved; aging restarts
-    }
+  /// mu held. Takes leased point `p` back from its holder and queues it
+  /// for re-dispatch (next attempt, backoff, avoid the previous holder).
+  void requeue(std::uint32_t p, const Clock::time_point now) {
+    PointState& ps = run->state[p];
+    ps.prev_worker = ps.holder;
+    ps.holder = -1;
+    ++ps.attempt;
+    ps.not_before = now + backoff(ps.attempt);
+    run->queue.push_back(p);
+    ++stats->chunks_redispatched;
+    run->last_progress = now;  // the scheduler moved; aging restarts
   }
 
   /// mu held. Declares a worker dead (reader EOF/error or heartbeat
-  /// deadline), wakes its reader if still blocked, and requeues its
-  /// undelivered leases with backoff.
+  /// deadline), wakes its reader if still blocked, and requeues the
+  /// points it held.
   void declare_dead(WorkerConn* w, bool by_deadline) {
     if (!w->alive) return;
     w->alive = false;
@@ -460,9 +412,8 @@ struct RemoteCoordinator::Impl {
     if (w->fd >= 0) ::shutdown(w->fd, SHUT_RDWR);
     if (run == nullptr) return;
     const Clock::time_point now = Clock::now();
-    for (Assignment& a : run->assignments) {
-      if (!a.active || a.worker_id != w->id) continue;
-      recycle_assignment(a, now);
+    for (std::uint32_t p = 0; p < run->state.size(); ++p) {
+      if (run->state[p].holder == w->id) requeue(p, now);
     }
   }
 
@@ -473,9 +424,7 @@ struct RemoteCoordinator::Impl {
     ++generation;
     run = &rs;
     rs.last_progress = Clock::now();
-    const Clock::time_point reg_deadline =
-        Clock::now() +
-        std::chrono::milliseconds(tuning.registration_wait_ms);
+    if (live_workers == 0) fleet_empty_since = rs.last_progress;
 
     while (rs.undone > 0 && rs.fatal.empty()) {
       const Clock::time_point now = Clock::now();
@@ -490,13 +439,12 @@ struct RemoteCoordinator::Impl {
         }
       }
 
-      // 2. Lease expiry: a stalled (but alive) worker loses its
-      //    undelivered points to a survivor; its late results are
-      //    suppressed as duplicates when they eventually arrive.
-      if (tuning.lease_ms > 0) {
-        for (Assignment& a : rs.assignments) {
-          if (!a.active || now < a.lease_deadline) continue;
-          recycle_assignment(a, now);
+      // 2. Lease expiry: a stalled (but alive) worker loses its point to
+      //    a survivor; its late result is suppressed as a duplicate when
+      //    it eventually arrives.
+      for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
+        if (rs.state[p].holder >= 0 && now >= rs.state[p].lease_deadline) {
+          requeue(p, now);
         }
       }
 
@@ -505,16 +453,16 @@ struct RemoteCoordinator::Impl {
       //    fleet that stops asking), so "this work is going nowhere" is
       //    measured in wall time: a lease interval with zero scheduler
       //    progress ages every queued point one attempt. Healthy fleets
-      //    never age — each serve and each per-point delivery resets the
-      //    progress clock.
-      if (tuning.lease_ms > 0 && live_workers > 0 && !rs.queue.empty() &&
-          now - rs.last_progress >
-              std::chrono::milliseconds(tuning.lease_ms)) {
+      //    never age — each serve and each delivery resets the progress
+      //    clock.
+      if (live_workers > 0 && !rs.queue.empty() &&
+          now - rs.last_progress > std::chrono::milliseconds(tuning.lease_ms)) {
         bool any = false;
-        for (PendingItem& it : rs.queue) {
-          if (rs.state[it.point].done) continue;
-          ++it.attempt;
-          it.not_before = now + backoff(it.attempt);
+        for (const std::uint32_t p : rs.queue) {
+          PointState& ps = rs.state[p];
+          if (ps.done) continue;
+          ++ps.attempt;
+          ps.not_before = now + backoff(ps.attempt);
           any = true;
         }
         if (any) ++stats->chunks_redispatched;
@@ -527,25 +475,18 @@ struct RemoteCoordinator::Impl {
       drain_over_budget(rs);
       if (rs.undone == 0 || !rs.fatal.empty()) break;
 
-      // 5. Serve hungry workers: cut each requester a chunk sized to its
-      //    reported throughput.
+      // 5. Serve hungry workers one point each.
       const bool served = serve_hungry(lk, rs);
       if (rs.undone == 0 || !rs.fatal.empty()) break;
       if (served) continue;  // re-examine state after the writes
 
-      // 6. Degrade to local execution when the fleet is gone: the last
-      //    worker died mid-sweep (and any supervisor grace window has
-      //    lapsed), or nobody registered within the window.
-      if (live_workers == 0) {
-        const bool window_over =
-            ever_registered
-                ? Clock::now() - fleet_empty_since >=
-                      std::chrono::milliseconds(tuning.fleet_death_grace_ms)
-                : Clock::now() >= reg_deadline;
-        if (window_over) {
-          local_fallback(lk, rs);
-          continue;
-        }
+      // 6. Degrade to local execution once the fleet has been empty for
+      //    the whole registration window.
+      if (live_workers == 0 &&
+          Clock::now() - fleet_empty_since >=
+              std::chrono::milliseconds(tuning.registration_wait_ms)) {
+        local_fallback(lk, rs);
+        continue;
       }
 
       // 7. Sleep until the next deadline could fire (or a frame arrives).
@@ -555,107 +496,70 @@ struct RemoteCoordinator::Impl {
     if (!rs.fatal.empty()) throw WorkerError(rs.fatal);
   }
 
-  /// mu held. Errors out every queued point past the re-dispatch budget.
+  /// mu held. Drops delivered points from the queue and errors out every
+  /// queued point past the re-dispatch budget.
   void drain_over_budget(RunState& rs) {
-    for (std::size_t scan = rs.queue.size(); scan > 0; --scan) {
-      PendingItem it = rs.queue.front();
-      rs.queue.pop_front();
-      if (rs.state[it.point].done) continue;
-      if (it.attempt > tuning.redispatch_budget + 1) {
-        rs.state[it.point].done = true;
-        --rs.undone;
-        (*rs.on_error)(PointError{
-            it.point, false,
-            "remote sweep: chunk abandoned after " +
-                std::to_string(it.attempt - 1) +
-                " dispatch attempts (re-dispatch budget " +
-                std::to_string(tuning.redispatch_budget) + ")"});
-        continue;
-      }
-      rs.queue.push_back(it);
-    }
+    std::erase_if(rs.queue, [&](const std::uint32_t p) {
+      PointState& ps = rs.state[p];
+      if (ps.done) return true;
+      if (ps.attempt <= tuning.redispatch_budget + 1) return false;
+      ps.done = true;
+      --rs.undone;
+      (*rs.on_error)(PointError{
+          p, false,
+          "remote sweep: point abandoned after " +
+              std::to_string(ps.attempt - 1) +
+              " dispatch attempts (re-dispatch budget " +
+              std::to_string(tuning.redispatch_budget) + ")"});
+      return true;
+    });
   }
 
   /// mu held (released around socket writes). Serves every hungry live
-  /// worker a chunk cut from the due queue: size targets
-  /// target_chunk_ms of work at the worker's reported per-point EWMA,
-  /// clamped to its fair share of what is due; a worker with no estimate
-  /// yet draws a single probe point. Returns true when at least one
-  /// dispatch frame went out.
+  /// worker the first due point of the queue under a fresh lease. Returns
+  /// true when at least one dispatch frame went out.
   bool serve_hungry(std::unique_lock<std::mutex>& lk, RunState& rs) {
     bool any = false;
     for (std::size_t wi = 0; wi < workers.size(); ++wi) {
       WorkerConn* w = workers[wi].get();
-      if (!w->alive || !w->hungry || rs.queue.empty()) continue;
+      if (!w->alive || !w->hungry) continue;
       const Clock::time_point now = Clock::now();
 
-      // Eligible = due, undone, and not bounced straight back to the
-      // holder it just expired from (when anyone else is alive to try).
-      auto eligible = [&](const PendingItem& it) {
-        return !rs.state[it.point].done && now >= it.not_before &&
-               (it.prev_worker != w->id || live_workers <= 1);
-      };
-      std::size_t due = 0;
-      for (const PendingItem& it : rs.queue) {
-        if (eligible(it)) ++due;
-      }
-      if (due == 0) continue;
-
-      std::size_t want = 1;  // no estimate: probe with one point
-      if (w->ewma_ns > 0) {
-        const double target_ns =
-            static_cast<double>(tuning.target_chunk_ms) * 1e6;
-        const auto by_rate = static_cast<std::size_t>(std::max(
-            1.0, target_ns / static_cast<double>(w->ewma_ns)));
-        const std::size_t fair =
-            (due + live_workers - 1) / std::max<std::size_t>(1, live_workers);
-        want = std::clamp<std::size_t>(by_rate, 1,
-                                       std::max<std::size_t>(1, fair));
-      }
-
-      Assignment a;
-      a.worker_id = w->id;
-      for (std::size_t scan = rs.queue.size();
-           scan > 0 && a.items.size() < want; --scan) {
-        PendingItem it = rs.queue.front();
-        rs.queue.pop_front();
-        if (rs.state[it.point].done) continue;
-        if (!eligible(it)) {
-          rs.queue.push_back(it);
-          continue;
-        }
-        a.items.push_back(it);
-      }
-      if (a.items.empty()) continue;
+      // Due, undone, and not bounced straight back to the holder it just
+      // expired from (when anyone else is alive to try).
+      const auto due = std::find_if(
+          rs.queue.begin(), rs.queue.end(), [&](const std::uint32_t p) {
+            const PointState& ps = rs.state[p];
+            return !ps.done && now >= ps.not_before &&
+                   (ps.prev_worker != w->id || live_workers <= 1);
+          });
+      if (due == rs.queue.end()) continue;
+      const std::uint32_t p = *due;
+      rs.queue.erase(due);
 
       ByteWriter msg;
-      msg.u32(static_cast<std::uint32_t>(a.items.size()));
-      for (const PendingItem& it : a.items) {
-        msg.u64(make_reply_id(generation, it.point));
-        const auto cfg_bytes = serialize_config(*rs.pts[it.point].cfg);
-        msg.u32(static_cast<std::uint32_t>(cfg_bytes.size()));
-        for (std::byte b : cfg_bytes) msg.u8(std::to_integer<std::uint8_t>(b));
-        msg.str(rs.pts[it.point].spec);
-      }
-      a.lease_deadline =
-          now + std::chrono::milliseconds(
-                    tuning.lease_ms > 0 ? tuning.lease_ms : 1 << 30);
-      a.active = true;
+      const auto cfg_bytes = serialize_config(*rs.pts[p].cfg);
+      msg.u32(static_cast<std::uint32_t>(cfg_bytes.size()));
+      for (std::byte b : cfg_bytes) msg.u8(std::to_integer<std::uint8_t>(b));
+      msg.str(rs.pts[p].spec);
+      const std::uint64_t reply_id = make_reply_id(generation, p);
+      rs.state[p].holder = w->id;
+      rs.state[p].lease_deadline =
+          now + std::chrono::milliseconds(tuning.lease_ms);
       w->hungry = false;
       rs.last_progress = now;
-      rs.assignments.push_back(std::move(a));
 
       lk.unlock();
       bool ok;
       {
         std::lock_guard<std::mutex> wl(w->write_mu);
         ok = w->fd >= 0 &&
-             frame::write_frame(w->fd, kFrameDispatch, 0, msg.bytes().data(),
-                                msg.bytes().size());
+             frame::write_frame(w->fd, kFrameDispatch, reply_id,
+                                msg.bytes().data(), msg.bytes().size());
       }
       lk.lock();
       if (!ok) {
-        declare_dead(w, /*by_deadline=*/false);  // requeues the assignment
+        declare_dead(w, /*by_deadline=*/false);  // requeues the point
       } else {
         any = true;
       }
@@ -667,14 +571,14 @@ struct RemoteCoordinator::Impl {
   /// still undone on the calling thread — the sweep completes even with
   /// zero surviving workers.
   void local_fallback(std::unique_lock<std::mutex>& lk, RunState& rs) {
-    // All leases are dead (their workers are), so the queue plus any
-    // never-dispatched item covers every undone point.
+    // Every holder is dead, so the undone points are exactly the work.
     std::vector<std::uint32_t> todo;
     for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
-      if (!rs.state[p].done) todo.push_back(p);
+      if (rs.state[p].done) continue;
+      rs.state[p].holder = -1;
+      todo.push_back(p);
     }
     rs.queue.clear();
-    for (Assignment& a : rs.assignments) a.active = false;
     lk.unlock();
     for (std::uint32_t p : todo) {
       const RemotePoint& pt = rs.pts[p];
@@ -710,7 +614,7 @@ struct RemoteCoordinator::Impl {
 
   [[nodiscard]] Clock::duration next_wakeup(const RunState& rs) const {
     // Wake for the earliest of: heartbeat deadline, lease expiry, backoff
-    // release, stuck-fleet aging, fleet-death grace lapse. Clamped so a
+    // release, stuck-fleet aging, empty-fleet window lapse. Clamped so a
     // missed notify can never hang the scheduler.
     auto best = std::chrono::milliseconds(250);
     auto consider = [&best](Clock::duration d) {
@@ -727,23 +631,21 @@ struct RemoteCoordinator::Impl {
                  now);
       }
     }
-    if (tuning.lease_ms > 0) {
-      for (const Assignment& a : rs.assignments) {
-        if (a.active) consider(a.lease_deadline - now);
-      }
-      if (live_workers > 0 && !rs.queue.empty()) {
+    for (const PointState& ps : rs.state) {
+      if (ps.holder >= 0) consider(ps.lease_deadline - now);
+    }
+    if (live_workers > 0) {
+      // Backoff releases only matter while someone could take the work.
+      if (!rs.queue.empty()) {
         consider(rs.last_progress +
                  std::chrono::milliseconds(tuning.lease_ms) - now);
       }
-    }
-    // Backoff releases only matter while someone could take the work;
-    // with no live worker the next event is a registration (cv notify)
-    // or a deadline, so the 250 ms clamp suffices.
-    if (live_workers > 0) {
-      for (const PendingItem& it : rs.queue) consider(it.not_before - now);
-    } else if (ever_registered && tuning.fleet_death_grace_ms > 0) {
+      for (const std::uint32_t p : rs.queue) {
+        consider(rs.state[p].not_before - now);
+      }
+    } else {
       consider(fleet_empty_since +
-               std::chrono::milliseconds(tuning.fleet_death_grace_ms) - now);
+               std::chrono::milliseconds(tuning.registration_wait_ms) - now);
     }
     return best;
   }
@@ -779,17 +681,10 @@ void RemoteCoordinator::run(
   Impl::RunState rs;
   rs.on_result = &on_result;
   rs.on_error = &on_error;
-  // Points queue individually, in input order; chunks are cut to
-  // worker-reported throughput at serve time.
+  // Points queue in input order; each WorkRequest draws the first due.
   rs.pts = points;
-  const auto now = Clock::now();
-  for (std::size_t p = 0; p < rs.pts.size(); ++p) {
-    Impl::PendingItem item;
-    item.point = static_cast<std::uint32_t>(p);
-    item.not_before = now;
-    rs.queue.push_back(item);
-  }
   rs.state.resize(rs.pts.size());
+  for (std::uint32_t p = 0; p < rs.pts.size(); ++p) rs.queue.push_back(p);
   rs.undone = rs.pts.size();
   if (rs.undone == 0) return;
   impl_->drive(rs);
@@ -900,11 +795,8 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     }
     break;
   }
-  set_send_timeout(fd, static_cast<int>(heartbeat_interval_ms) * 4 + 1000);
-
-  // Per-point cost estimate (EWMA over host execution time) shared with
-  // the heartbeat thread: the coordinator sizes our next chunk from it.
-  std::atomic<std::uint64_t> ewma_ns{0};
+  set_timeout(fd, SO_SNDTIMEO,
+              static_cast<int>(heartbeat_interval_ms) * 4 + 1000);
 
   // Heartbeat thread: beats even while a long simulation runs — that is
   // the whole point (busy != dead; only silence is death).
@@ -925,12 +817,9 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
       }
       if (budget == 0) continue;  // test hook: fall silent, stay connected
       if (budget > 0) --budget;
-      ByteWriter beat;
-      beat.u64(ewma_ns.load(std::memory_order_relaxed));
       std::lock_guard<std::mutex> wl(write_mu);
       frame::IoError err;
-      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, beat.bytes().data(),
-                              beat.bytes().size(), &err)) {
+      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, nullptr, 0, &err)) {
         return;  // coordinator gone; the main loop will notice on read
       }
     }
@@ -944,19 +833,15 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     heartbeat.join();
   };
 
-  // Pull scheduling: ask for work now and after every finished batch.
+  // Pull scheduling: ask for one point now and again on every Dispatch.
   auto request_work = [&]() -> bool {
-    ByteWriter req;
-    req.u64(ewma_ns.load(std::memory_order_relaxed));
     std::lock_guard<std::mutex> wl(write_mu);
-    const bool ok = frame::write_frame(fd, kFrameWorkRequest, 0,
-                                       req.bytes().data(), req.bytes().size());
+    const bool ok = frame::write_frame(fd, kFrameWorkRequest, 0, nullptr, 0);
     if (ok && opts.stats != nullptr) ++opts.stats->work_requests;
     return ok;
   };
   request_work();
 
-  bool aborted = false;
   for (;;) {
     frame::FrameHeader h;
     frame::IoError err;
@@ -967,69 +852,48 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     if (h.kind != kFrameDispatch) continue;  // forward compatibility
     if (opts.stats != nullptr) ++opts.stats->dispatches;
 
-    bool connection_lost = false;
+    std::vector<std::byte> cfg_bytes;
+    std::string spec;
     try {
       ByteReader r(payload);
-      const std::uint32_t npoints = r.u32();
-      for (std::uint32_t i = 0; i < npoints && !connection_lost; ++i) {
-        const std::uint64_t reply_id = r.u64();
-        const std::uint32_t cfg_len = r.u32();
-        std::vector<std::byte> cfg_bytes(cfg_len);
-        for (std::uint32_t b = 0; b < cfg_len; ++b) {
-          cfg_bytes[b] = static_cast<std::byte>(r.u8());
-        }
-        const std::string spec = r.str();
-
-        std::uint8_t kind = frame::kFrameResult;
-        std::vector<std::byte> reply;
-        const Clock::time_point t0 = Clock::now();
-        try {
-          const core::RunConfig cfg = deserialize_config(cfg_bytes);
-          const core::AppFn app = resolver(cfg, spec);
-          core::RunResult result = core::run(cfg, app);
-          reply = encode_result(result);
-        } catch (const std::invalid_argument& e) {
-          kind = frame::kFrameInvalidConfig;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        } catch (const CodecError& e) {
-          kind = frame::kFrameInvalidConfig;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        } catch (const std::exception& e) {
-          kind = frame::kFrameRuntimeError;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        }
-        const auto point_ns = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(
-                1, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       Clock::now() - t0)
-                       .count()));
-        const std::uint64_t prev = ewma_ns.load(std::memory_order_relaxed);
-        ewma_ns.store(prev == 0 ? point_ns : (prev * 7 + point_ns) / 8,
-                      std::memory_order_relaxed);
-        if (opts.stats != nullptr) {
-          ++opts.stats->points_executed;
-          opts.stats->ewma_ns = ewma_ns.load(std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> wl(write_mu);
-        frame::IoError werr;
-        if (!frame::write_frame(fd, kind, reply_id, reply.data(),
-                                reply.size(), &werr)) {
-          connection_lost = true;  // EPIPE/RST: coordinator is gone
-        }
-      }
+      cfg_bytes.resize(r.u32());
+      for (std::byte& b : cfg_bytes) b = static_cast<std::byte>(r.u8());
+      spec = r.str();
     } catch (const CodecError&) {
       break;  // malformed dispatch: treat the stream as torn
-    } catch (const WorkerAbort&) {
-      aborted = true;  // test hook: simulate a fail-stop crash
     }
-    if (connection_lost || aborted) break;
-    if (!request_work()) break;  // batch done: ask for the next chunk
+    // Ask for the next point before running this one, so it is already
+    // queued when this one finishes.
+    if (!request_work()) break;
+
+    std::uint8_t kind = frame::kFrameResult;
+    std::vector<std::byte> reply;
+    auto fail = [&](std::uint8_t k, const char* what) {
+      kind = k;
+      const std::string msg = what;
+      reply.resize(msg.size());
+      std::memcpy(reply.data(), msg.data(), msg.size());
+    };
+    try {
+      const core::RunConfig cfg = deserialize_config(cfg_bytes);
+      const core::AppFn app = resolver(cfg, spec);
+      reply = encode_result(core::run(cfg, app));
+    } catch (const std::invalid_argument& e) {
+      fail(frame::kFrameInvalidConfig, e.what());
+    } catch (const CodecError& e) {
+      fail(frame::kFrameInvalidConfig, e.what());
+    } catch (const std::exception& e) {
+      fail(frame::kFrameRuntimeError, e.what());
+    } catch (const WorkerAbort&) {
+      break;  // test hook: simulate a fail-stop crash
+    }
+    if (opts.stats != nullptr) ++opts.stats->points_executed;
+    std::lock_guard<std::mutex> wl(write_mu);
+    frame::IoError werr;
+    if (!frame::write_frame(fd, kind, h.id, reply.data(), reply.size(),
+                            &werr)) {
+      break;  // EPIPE/RST: coordinator is gone
+    }
   }
 
   stop_heartbeat();

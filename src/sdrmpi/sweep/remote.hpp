@@ -4,12 +4,12 @@
 // isolation).
 //
 // The coordinator listens on TCP (transport.hpp); sweep-workerd processes
-// connect, register, and execute dispatched chunks. The wire protocol is
+// connect, register, and execute dispatched points. The wire protocol is
 // the result/error frame format of frame_io.hpp with coordination kinds
 // layered on top; configs cross the wire as canonical config_key bytes
 // (deserialize(serialize(c)) == c exactly), so a remote simulation starts
-// from a bit-identical RunConfig — chunk cuts, worker count, and failure
-// timing are invisible in results.
+// from a bit-identical RunConfig — worker count, dispatch order and
+// failure timing are invisible in results.
 //
 // Robustness model (the paper's fail-stop discipline applied to our own
 // orchestration, after the TeaMPI/FTHP-MPI pattern):
@@ -19,31 +19,32 @@
 //    different wire contract). With a shared secret configured the
 //    handshake adds an HMAC challenge/response (auth.hpp): a wrong or
 //    missing secret draws a reasoned HelloReject before any config bytes
-//    cross the wire.
-//  - Worker-pull scheduling: workers *request* chunks (WorkRequest
-//    frames) sized from the per-point throughput EWMA they report in
-//    heartbeats, so a slow worker drains a short queue while a fast one
-//    streams — heterogeneous fleets stay busy without the coordinator
-//    guessing speeds. The lease/re-dispatch/first-wins machinery below is
-//    unchanged; pull only decides who gets how much, never what a result
-//    looks like.
+//    cross the wire. A peer that stalls mid-handshake is dropped after
+//    heartbeat_deadline_ms, so it cannot block later registrations.
+//  - Worker-pull scheduling: every WorkRequest frame is answered with
+//    exactly one point. A worker asks for its next point as soon as a
+//    Dispatch arrives, before running it, so one point waits behind the
+//    one running and a fast worker never idles on a round trip; a slow
+//    worker simply asks less often. Pull only decides who runs a point,
+//    never what its result looks like.
 //  - Heartbeats: workers beat at the interval the coordinator advertises
 //    in its HelloAck; a worker silent past heartbeat_deadline_ms is
 //    declared dead even if the kernel still holds its socket open (hung
 //    host, network partition).
-//  - Chunk leases: every dispatch carries an implicit lease. A dead
-//    worker's undelivered points — or a live-but-stalled worker's after
-//    lease_ms — are re-dispatched to survivors with capped exponential
-//    backoff, up to a re-dispatch budget per chunk; past the budget the
-//    points surface as hard errors rather than spinning forever.
+//  - Point leases: every dispatch leases one point to one worker. A dead
+//    worker's points — or a live-but-stalled worker's after lease_ms —
+//    are re-dispatched to survivors with capped exponential backoff, up
+//    to a re-dispatch budget per point; past the budget the point
+//    surfaces as a hard error rather than spinning forever.
 //  - Duplicate suppression: results are deterministic, so the first
 //    result for a point wins and a late answer from a lease-expired
 //    worker is counted, digest-compared against the first (a mismatch is
 //    a determinism violation and fails the sweep loudly), and dropped —
 //    never double-delivered, never double-stored.
-//  - Graceful degradation: when the last worker dies (or none ever
-//    registers), the coordinator finishes the remaining points locally
-//    in-process. A sweep never fails because the fleet did.
+//  - Graceful degradation: once the coordinator has had no live worker
+//    for registration_wait_ms — nobody registered, or the whole fleet
+//    died and no replacement came back — it finishes the remaining points
+//    locally in-process. A sweep never fails because the fleet did.
 #pragma once
 
 #include <cstddef>
@@ -61,21 +62,20 @@ namespace sdrmpi::sweep {
 
 /// Remote worker protocol version, exchanged in the registration
 /// handshake together with kConfigKeyVersion and kResultCodecVersion.
-/// v2: worker-pull scheduling (WorkRequest frames, EWMA-bearing
-/// heartbeats) and the optional HMAC challenge/response (auth.hpp) —
-/// a v1 worker would wait forever for pushed chunks, so the version gate
-/// rejects it at registration instead.
-inline constexpr std::uint32_t kRemoteProtocolVersion = 2;
+/// v3: one point per Dispatch, its reply id in the frame header; empty
+/// Heartbeat and WorkRequest payloads. A v2 worker would misparse the
+/// Dispatch payload, so the version gate rejects it at registration.
+inline constexpr std::uint32_t kRemoteProtocolVersion = 3;
 
 // Frame kinds layered on the frame_io result/error kinds (0..2).
 inline constexpr std::uint8_t kFrameHello = 10;        ///< worker -> coord
 inline constexpr std::uint8_t kFrameHelloAck = 11;     ///< coord -> worker
 inline constexpr std::uint8_t kFrameHelloReject = 12;  ///< coord -> worker
 inline constexpr std::uint8_t kFrameHeartbeat = 13;    ///< worker -> coord
+/// One point: reply id in the header, payload = config bytes + app spec.
 inline constexpr std::uint8_t kFrameDispatch = 14;     ///< coord -> worker
 inline constexpr std::uint8_t kFrameShutdown = 15;     ///< coord -> worker
-/// Worker-pull scheduling: the worker asks for its next chunk, carrying
-/// its observed per-point EWMA (u64 nanoseconds; 0 = no estimate yet).
+/// Worker-pull scheduling: the worker asks for its next point (empty).
 inline constexpr std::uint8_t kFrameWorkRequest = 16;  ///< worker -> coord
 /// Shared-secret registration (auth.hpp): 32-byte nonce challenge and the
 /// worker's HMAC-SHA256 response over (hello payload || nonce).
@@ -85,38 +85,30 @@ inline constexpr std::uint8_t kFrameAuthResponse = 18;   ///< worker -> coord
 /// Failure-detection and re-dispatch tuning. Defaults suit real sweeps;
 /// tests shrink everything to tens of milliseconds.
 struct RemoteTuning {
-  /// How long run() waits for a first worker to register before degrading
-  /// to local execution (workers started moments after the coordinator
-  /// must not be missed).
+  /// How long the coordinator waits with no live worker before finishing
+  /// the remaining points locally. The window opens when run() starts
+  /// with an empty fleet (workers started moments after the coordinator
+  /// must not be missed) or when the last worker dies (a supervised
+  /// workerd's replacement needs time to re-exec and re-register).
   int registration_wait_ms = 10000;
   /// Heartbeat period advertised to workers in the HelloAck.
   int heartbeat_interval_ms = 1000;
-  /// A worker silent (no frame of any kind) past this is declared dead.
+  /// A worker silent (no frame of any kind) past this is declared dead;
+  /// a peer stalled mid-handshake is dropped after it.
   int heartbeat_deadline_ms = 5000;
-  /// Lease on a dispatched chunk: undelivered points past this are
-  /// re-dispatched to another worker even if the holder still heartbeats
-  /// (stalled != dead; its late results are suppressed as duplicates).
-  /// <= 0 disables lease expiry (death detection still re-dispatches).
+  /// Lease on a dispatched point (> 0): past this it is re-dispatched to
+  /// another worker even if the holder still heartbeats (stalled != dead;
+  /// its late result is suppressed as a duplicate).
   int lease_ms = 120000;
-  /// Re-dispatches allowed per chunk before its undelivered points are
-  /// reported as hard errors.
+  /// Re-dispatches allowed per point before it is reported as a hard
+  /// error.
   int redispatch_budget = 3;
-  /// Capped exponential backoff between re-dispatches of the same chunk:
+  /// Capped exponential backoff between re-dispatches of the same point:
   /// min(backoff_base_ms << (attempt-1), backoff_cap_ms).
   int backoff_base_ms = 50;
   int backoff_cap_ms = 2000;
-  /// Worker-pull chunk sizing: a chunk served to a hungry worker targets
-  /// this much work, sized from the worker's reported per-point EWMA
-  /// (chunk = clamp(target_chunk_ms / ewma, 1, fair share)). A worker
-  /// with no estimate yet gets a single probe point.
-  int target_chunk_ms = 250;
-  /// Grace window after the fleet dies before the coordinator degrades to
-  /// local execution: a supervised workerd's replacement needs time to
-  /// re-exec and re-register. 0 (default) keeps the PR 8 behavior —
-  /// degrade as soon as the last worker is gone.
-  int fleet_death_grace_ms = 0;
   /// Shared secret for registration authentication (auth.hpp). Empty =
-  /// unauthenticated (the default; existing flows are untouched).
+  /// unauthenticated (the default).
   std::string secret;
 };
 
@@ -152,18 +144,19 @@ struct RemoteStats {
   std::size_t workers_registered = 0;  ///< handshakes accepted, lifetime
   std::size_t workers_lost = 0;        ///< deaths declared (EOF or deadline)
   std::size_t heartbeats_missed = 0;   ///< deadline-expiry deaths only
-  std::size_t chunks_redispatched = 0; ///< re-dispatch events (death+lease)
+  std::size_t chunks_redispatched = 0; ///< points re-dispatched (death+lease)
   std::size_t duplicate_results = 0;   ///< late answers suppressed
   std::size_t local_fallback_points = 0;  ///< points finished in-process
 };
 
 /// Coordinator: owns the listener and the registered-worker set for the
 /// life of the service (workers connect once and serve every run() of a
-/// cold+warm bench pair), and schedules chunks with leases per run().
+/// cold+warm bench pair), and leases points to them per run().
 class RemoteCoordinator {
  public:
   /// Binds and starts accepting immediately (listen spec "host:port",
-  /// port 0 = ephemeral). Throws std::runtime_error on bind failure.
+  /// port 0 = ephemeral). Throws std::runtime_error on bind failure and
+  /// std::invalid_argument when tuning.lease_ms <= 0.
   RemoteCoordinator(const std::string& listen, RemoteTuning tuning);
   ~RemoteCoordinator();
   RemoteCoordinator(const RemoteCoordinator&) = delete;
@@ -176,8 +169,8 @@ class RemoteCoordinator {
   [[nodiscard]] std::size_t connected_workers() const;
 
   /// Executes every point; blocks until each has exactly one result or
-  /// error. Points queue in input order and chunks are cut at serve time
-  /// from each worker's reported throughput. on_result/on_error are
+  /// error. Points queue in input order and each WorkRequest draws the
+  /// first one due. on_result/on_error are
   /// invoked from the calling thread and from reader threads — callers
   /// serialize with their own lock. Throws WorkerError on a determinism
   /// violation. Stats accumulate across calls.
@@ -204,7 +197,7 @@ using AppResolver =
                               const std::string& spec)>;
 
 /// Thrown by a test AppResolver to simulate a fail-stop worker crash:
-/// run_worker hard-closes the socket mid-chunk (the coordinator sees the
+/// run_worker hard-closes the socket mid-point (the coordinator sees the
 /// same EOF/ECONNRESET a SIGKILLed workerd produces) and returns.
 struct WorkerAbort {};
 
@@ -213,7 +206,6 @@ struct WorkerStats {
   std::size_t points_executed = 0;  ///< simulations run to completion
   std::size_t dispatches = 0;       ///< Dispatch frames received
   std::size_t work_requests = 0;    ///< WorkRequest frames sent
-  std::uint64_t ewma_ns = 0;        ///< final per-point EWMA estimate
 };
 
 struct WorkerOptions {

@@ -13,17 +13,34 @@
 #include "sdrmpi/sweep/remote.hpp"
 
 namespace sdrmpi::sweep {
+namespace {
+
+/// Per-run delta of the coordinator's lifetime counters.
+RemoteStats since(const RemoteStats& before, const RemoteStats& after) {
+  RemoteStats d = after;
+  d.workers_registered -= before.workers_registered;
+  d.workers_lost -= before.workers_lost;
+  d.heartbeats_missed -= before.heartbeats_missed;
+  d.chunks_redispatched -= before.chunks_redispatched;
+  d.duplicate_results -= before.duplicate_results;
+  d.local_fallback_points -= before.local_fallback_points;
+  return d;
+}
+
+}  // namespace
+
 std::string format_fault_summary(const ServiceStats& s) {
   std::string out = "faults:";
+  const RemoteStats& r = s.remote;
   const struct {
     const char* name;
     std::size_t value;
   } counters[] = {
-      {"workers_lost", s.workers_lost},
-      {"heartbeats_missed", s.heartbeats_missed},
-      {"chunks_redispatched", s.chunks_redispatched},
-      {"duplicate_results", s.duplicate_results},
-      {"local_fallback_points", s.local_fallback_points},
+      {"workers_lost", r.workers_lost},
+      {"heartbeats_missed", r.heartbeats_missed},
+      {"chunks_redispatched", r.chunks_redispatched},
+      {"duplicate_results", r.duplicate_results},
+      {"local_fallback_points", r.local_fallback_points},
   };
   bool any = false;
   for (const auto& c : counters) {
@@ -42,9 +59,6 @@ SweepService::SweepService(ServiceOptions opts) : opts_(std::move(opts)) {
   store_ = opts_.cache_path.empty()
                ? std::make_unique<ResultStore>()
                : std::make_unique<ResultStore>(opts_.cache_path);
-  // The shared secret rides ServiceOptions (callers think in service
-  // terms) but is enforced by the coordinator's handshake.
-  opts_.remote.secret = opts_.secret;
   if (!opts_.listen.empty()) {
     // The coordinator outlives individual run() calls so workers can
     // register before the first sweep and keep serving across cold/warm
@@ -164,16 +178,7 @@ std::vector<core::RunResult> SweepService::run(
     stats_.remote_workers = coordinator_->connected_workers();
     const RemoteStats before = coordinator_->stats();
     coordinator_->run(points, collect_result, collect_error);
-    const RemoteStats after = coordinator_->stats();
-    stats_.workers_lost = after.workers_lost - before.workers_lost;
-    stats_.heartbeats_missed =
-        after.heartbeats_missed - before.heartbeats_missed;
-    stats_.chunks_redispatched =
-        after.chunks_redispatched - before.chunks_redispatched;
-    stats_.duplicate_results =
-        after.duplicate_results - before.duplicate_results;
-    stats_.local_fallback_points =
-        after.local_fallback_points - before.local_fallback_points;
+    stats_.remote = since(before, coordinator_->stats());
   } else if (!misses.empty()) {
     // One point per fetch, as core::run_many does: scheduling only, never
     // results.

@@ -50,13 +50,9 @@ struct ServiceOptions {
   /// misses are dispatched to registered workers with lease-based
   /// re-dispatch, and finished locally if the fleet dies (remote.hpp).
   std::string listen;
-  /// Failure-detection / re-dispatch tuning for the remote backend.
+  /// Failure-detection / re-dispatch tuning and the registration secret
+  /// (RemoteTuning::secret) for the remote backend.
   RemoteTuning remote;
-  /// Shared secret for worker registration (auth.hpp): when non-empty the
-  /// coordinator challenges every Hello with an HMAC nonce and rejects
-  /// peers that cannot answer, before any config bytes cross the wire.
-  /// Copied into RemoteTuning at construction; empty = unauthenticated.
-  std::string secret;
   /// Maps a point to the app-spec string a remote workerd resolves via
   /// the workload registry ("cg nrows=768 iters=8"). The spec is also
   /// folded into each point's content address (config_key overload), so
@@ -91,24 +87,20 @@ struct ServiceStats {
   /// --check gates on it.
   std::size_t max_dispatches_per_digest = 0;
 
-  // Remote-backend fault-tolerance accounting (all zero for the local
-  // pool and for failure-free remote sweeps — the cold/warm JSON
-  // emitted by benches must not change shape or content when nothing
-  // went wrong).
-  std::size_t remote_workers = 0;       ///< fleet size when dispatch began
-  std::size_t workers_lost = 0;         ///< deaths declared during this run
-  std::size_t heartbeats_missed = 0;    ///< deadline-expiry deaths
-  std::size_t chunks_redispatched = 0;  ///< lease/death re-dispatch events
-  std::size_t duplicate_results = 0;    ///< late answers suppressed
-  std::size_t local_fallback_points = 0;  ///< points finished in-process
+  std::size_t remote_workers = 0;  ///< fleet size when dispatch began
+  /// Remote-backend fault-tolerance counters accrued during this run (all
+  /// zero for the local pool and for failure-free remote sweeps — the
+  /// cold/warm JSON emitted by benches must not change shape or content
+  /// when nothing went wrong).
+  RemoteStats remote;
 };
 
-/// Deterministic one-line summary of the nonzero fault counters in `s`
-/// ("faults: workers_lost=1 chunks_redispatched=2"), or "faults: none"
-/// when the sweep was failure-free. Counter order is fixed so CI can grep
-/// a crashed sweep's log without caring which backend ran it; the
-/// --stats flag of sweep-workerd / distributed_sweep and the bench
-/// harness all print exactly this line on stderr at sweep end.
+/// Deterministic one-line summary of the nonzero fault counters in
+/// `s.remote` ("faults: workers_lost=1 chunks_redispatched=2"), or
+/// "faults: none" when the sweep was failure-free. Counter order is fixed
+/// so CI can grep a crashed sweep's log without caring which backend ran
+/// it; the --stats flag of distributed_sweep and the bench harness print
+/// exactly this line on stderr at sweep end.
 [[nodiscard]] std::string format_fault_summary(const ServiceStats& s);
 
 class SweepService {

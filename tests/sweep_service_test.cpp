@@ -11,18 +11,20 @@
 //    are simulated), and "config[i]: " error attribution.
 //  - Remote backend: TCP worker fleets (1/2/3 workers over loopback,
 //    the real run_worker loop in threads) reproduce the pool-1 baseline
-//    bit-for-bit through mid-chunk worker kills, lease expiry with a
+//    bit-for-bit through mid-point worker kills, lease expiry with a
 //    suppressed late twin, heartbeat-deadline death, last-worker death
 //    (local degradation), an empty fleet, an exhausted re-dispatch
 //    budget (hard error), a version-mismatch registration reject, and
-//    worker-pull scheduling across a fast+slow fleet.
+//    one-point-per-pull scheduling across a fast+slow fleet.
 //  - Auth: the self-contained SHA-256/HMAC against the FIPS / RFC 4231
 //    vectors, and the registration challenge end to end (wrong secret,
 //    missing secret, worker refusing an unauthenticated coordinator,
 //    authenticated fleet bit-identical to the baseline).
 //  - Handshake fuzz: truncated / oversized / bit-flipped registration
-//    frames against a live coordinator (which must keep serving), and a
-//    hostile coordinator against run_worker (which must throw cleanly).
+//    frames against a live coordinator (which must keep serving), a
+//    stalled Hello prefix (which must not block later registrations),
+//    and a hostile coordinator against run_worker (which must throw
+//    cleanly).
 //  - Supervisor: the restart policy unit-level, plus a SIGKILLed
 //    supervised worker whose replacement finishes the sweep and a spent
 //    restart budget degrading to local fallback.
@@ -868,15 +870,14 @@ TEST(FrameIo, LostPeerSurfacesAsConnectionLostErrno) {
 
 // ---------------------------------------------------------- remote backend
 
-/// Tuning shrunk to test scale: fast heartbeats, no lease expiry unless a
-/// scenario opts in, generous deadlines so a loaded CI machine cannot
-/// declare a healthy worker dead.
+/// Tuning shrunk to test scale: fast heartbeats, the default (minutes
+/// long) lease unless a scenario opts in, generous deadlines so a loaded
+/// CI machine cannot declare a healthy worker dead.
 sweep::RemoteTuning fast_tuning() {
   sweep::RemoteTuning t;
   t.registration_wait_ms = 8000;
   t.heartbeat_interval_ms = 25;
   t.heartbeat_deadline_ms = 4000;
-  t.lease_ms = 0;
   t.redispatch_budget = 5;
   t.backoff_base_ms = 5;
   t.backoff_cap_ms = 40;
@@ -998,10 +999,10 @@ TEST(RemoteBackend, WorkerFleetsReproducePoolBaseline) {
     const auto runs = rig.service->run(s.configs, factory);
     const auto& st = rig.service->stats();
     EXPECT_EQ(st.remote_workers, nworkers);
-    EXPECT_EQ(st.workers_lost, 0u);
-    EXPECT_EQ(st.heartbeats_missed, 0u);
-    EXPECT_EQ(st.duplicate_results, 0u);
-    EXPECT_EQ(st.local_fallback_points, 0u);
+    EXPECT_EQ(st.remote.workers_lost, 0u);
+    EXPECT_EQ(st.remote.heartbeats_missed, 0u);
+    EXPECT_EQ(st.remote.duplicate_results, 0u);
+    EXPECT_EQ(st.remote.local_fallback_points, 0u);
     EXPECT_LE(st.max_dispatches_per_digest, 1u);
     expect_matches_baseline(
         runs, baseline, "fleet of " + std::to_string(nworkers) + " workers");
@@ -1032,10 +1033,10 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
 
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
-  EXPECT_EQ(st.workers_lost, 1u);
-  EXPECT_EQ(st.heartbeats_missed, 0u);  // EOF death, not a silent deadline
-  EXPECT_GE(st.chunks_redispatched, 1u);
-  EXPECT_EQ(st.local_fallback_points, 0u);  // the survivor carried the sweep
+  EXPECT_EQ(st.remote.workers_lost, 1u);
+  EXPECT_EQ(st.remote.heartbeats_missed, 0u);  // EOF death, not a silent deadline
+  EXPECT_GE(st.remote.chunks_redispatched, 1u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);  // the survivor carried the sweep
   expect_matches_baseline(runs, baseline, "kill-a-worker-mid-chunk");
   rig.shutdown();
 }
@@ -1072,10 +1073,10 @@ TEST(RemoteBackend, LeaseExpiryRedispatchesAndSuppressesTheLateTwin) {
       s.configs, factory,
       [&streamed](const sweep::PointOutcome& out) { ++streamed[out.digest]; });
   const auto& st = rig.service->stats();
-  EXPECT_EQ(st.workers_lost, 0u);  // the stalled worker never died
-  EXPECT_EQ(st.heartbeats_missed, 0u);
-  EXPECT_GE(st.chunks_redispatched, 1u);
-  EXPECT_EQ(st.local_fallback_points, 0u);
+  EXPECT_EQ(st.remote.workers_lost, 0u);  // the stalled worker never died
+  EXPECT_EQ(st.remote.heartbeats_missed, 0u);
+  EXPECT_GE(st.remote.chunks_redispatched, 1u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);
   // Exactly one stream delivery and one store record per digest: the late
   // twin is suppressed, never double-delivered, never double-stored.
   EXPECT_EQ(streamed.size(), st.unique_points);
@@ -1111,7 +1112,7 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
   RemoteRig rig(remote_options(tuning));
   // The silent worker never heartbeats (test hook) and hangs on its first
   // point: no frame of any kind after registration. Only the deadline
-  // detector can reclaim its chunks — the socket stays open throughout.
+  // detector can reclaim its points — the socket stays open throughout.
   auto inner = table_resolver(s);
   auto hung = std::make_shared<std::atomic<bool>>(false);
   rig.start_worker(
@@ -1127,10 +1128,10 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
 
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
-  EXPECT_EQ(st.workers_lost, 1u);
-  EXPECT_EQ(st.heartbeats_missed, 1u);  // a deadline death, not an EOF
-  EXPECT_GE(st.chunks_redispatched, 1u);
-  EXPECT_EQ(st.local_fallback_points, 0u);
+  EXPECT_EQ(st.remote.workers_lost, 1u);
+  EXPECT_EQ(st.remote.heartbeats_missed, 1u);  // a deadline death, not an EOF
+  EXPECT_GE(st.remote.chunks_redispatched, 1u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);
   expect_matches_baseline(runs, baseline, "heartbeat-deadline schedule");
   rig.shutdown();
 }
@@ -1142,7 +1143,9 @@ TEST(RemoteBackend, LastWorkerDeathDegradesToLocalExecution) {
   };
   const auto baseline = pool1_baseline(s);
 
-  RemoteRig rig(remote_options(fast_tuning()));
+  auto tuning = fast_tuning();
+  tuning.registration_wait_ms = 100;  // no replacement is coming
+  RemoteRig rig(remote_options(tuning));
   auto calls = std::make_shared<std::atomic<int>>(0);
   auto inner = table_resolver(s);
   rig.start_worker(
@@ -1157,8 +1160,8 @@ TEST(RemoteBackend, LastWorkerDeathDegradesToLocalExecution) {
   // in-process, bit-identically.
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
-  EXPECT_EQ(st.workers_lost, 1u);
-  EXPECT_GT(st.local_fallback_points, 0u);
+  EXPECT_EQ(st.remote.workers_lost, 1u);
+  EXPECT_GT(st.remote.local_fallback_points, 0u);
   expect_matches_baseline(runs, baseline, "last-worker-death schedule");
   rig.shutdown();
 }
@@ -1176,10 +1179,21 @@ TEST(RemoteBackend, EmptyFleetFallsBackToLocalAfterTheWindow) {
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
   EXPECT_EQ(st.remote_workers, 0u);
-  EXPECT_EQ(st.workers_lost, 0u);
-  EXPECT_EQ(st.local_fallback_points, st.unique_points);
+  EXPECT_EQ(st.remote.workers_lost, 0u);
+  EXPECT_EQ(st.remote.local_fallback_points, st.unique_points);
   expect_matches_baseline(runs, baseline, "empty fleet");
   rig.shutdown();
+}
+
+TEST(RemoteBackend, NonPositiveLeaseIsRejected) {
+  // A lease of 0 would expire every point the moment it is dispatched.
+  for (const int lease_ms : {0, -1}) {
+    auto tuning = fast_tuning();
+    tuning.lease_ms = lease_ms;
+    EXPECT_THROW(sweep::SweepService service(remote_options(tuning)),
+                 std::invalid_argument)
+        << "lease_ms=" << lease_ms;
+  }
 }
 
 TEST(RemoteBackend, ExhaustedRedispatchBudgetIsAHardError) {
@@ -1219,14 +1233,20 @@ TEST(RemoteBackend, ExhaustedRedispatchBudgetIsAHardError) {
 
 TEST(RemoteBackend, VersionMismatchIsRejectedAtRegistration) {
   sweep::SweepService service(remote_options(fast_tuning()));
-  try {
-    sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
-                      {.name = "stale-binary", .protocol_version = 99});
-    FAIL() << "expected the registration to be rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("registration rejected"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("protocol version"), std::string::npos) << msg;
+  // 2 is the previous wire format (multi-point Dispatch frames); 99 is a
+  // binary from the future.
+  for (const std::uint32_t version : {2u, 99u}) {
+    try {
+      sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
+                        {.name = "stale-binary", .protocol_version = version});
+      FAIL() << "expected registration of v" << version << " to be rejected";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("registration rejected"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("protocol version " + std::to_string(version)),
+                std::string::npos)
+          << msg;
+    }
   }
   EXPECT_EQ(service.connected_workers(), 0u);
 }
@@ -1238,23 +1258,21 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
   };
   const auto baseline = pool1_baseline(s);
 
-  auto tuning = fast_tuning();
-  tuning.target_chunk_ms = 30;  // small chunks: both workers must cycle
-  RemoteRig rig(remote_options(tuning));
-  // A ~30 ms-per-point worker next to an unthrottled one. Under pull
-  // scheduling the slow worker's EWMA keeps its chunks near 1 point while
-  // the fast worker streams — but both must execute real work (a push
-  // scheduler splitting the queue up front would also pass this; the
-  // EWMA sizing is what keeps the tail short).
+  RemoteRig rig(remote_options(fast_tuning()));
+  // A ~30 ms-per-point worker next to an unthrottled one. Every pull is
+  // answered with exactly one point, so the fast worker simply asks more
+  // often — and each worker asks for its next point as soon as one
+  // arrives, so both keep a point queued behind the one running.
   auto fast_points = std::make_shared<std::atomic<int>>(0);
   auto slow_points = std::make_shared<std::atomic<int>>(0);
   auto inner = table_resolver(s);
+  sweep::WorkerStats fast_stats;
   rig.start_worker(
       [inner, fast_points](const core::RunConfig& cfg, const std::string& sp) {
         fast_points->fetch_add(1);
         return inner(cfg, sp);
       },
-      {.name = "fast"});
+      {.name = "fast", .stats = &fast_stats});
   sweep::WorkerStats slow_stats;
   rig.start_worker(
       [inner, slow_points](const core::RunConfig& cfg, const std::string& sp) {
@@ -1267,17 +1285,23 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
 
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
-  EXPECT_EQ(st.workers_lost, 0u);
-  EXPECT_EQ(st.local_fallback_points, 0u);
+  EXPECT_EQ(st.remote.workers_lost, 0u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);
   // Pull scheduling fed both ends of the speed spectrum.
   EXPECT_GE(fast_points->load(), 1);
   EXPECT_GE(slow_points->load(), 1);
   expect_matches_baseline(runs, baseline, "fast+slow pull schedule");
-  rig.shutdown();  // joins the worker threads: slow_stats is now stable
-  EXPECT_GE(slow_stats.points_executed, 1u);
-  EXPECT_GE(slow_stats.dispatches, 1u);
-  EXPECT_GE(slow_stats.work_requests, 1u);
-  EXPECT_GT(slow_stats.ewma_ns, 0u);
+  const std::size_t dispatched = st.dispatched;
+  rig.shutdown();  // joins the worker threads: the stats are now stable
+  for (const auto* ws : {&fast_stats, &slow_stats}) {
+    EXPECT_GE(ws->points_executed, 1u);
+    // One point per Dispatch, and one WorkRequest per Dispatch plus the
+    // opening one (the last request is still unanswered at shutdown).
+    EXPECT_EQ(ws->dispatches, ws->points_executed);
+    EXPECT_EQ(ws->work_requests, ws->dispatches + 1);
+  }
+  EXPECT_EQ(fast_stats.points_executed + slow_stats.points_executed,
+            dispatched);
 }
 
 // ---------------------------------------------------------- SO_REUSEADDR
@@ -1386,7 +1410,7 @@ TEST(Auth, SecretFileStripsOneTrailingNewlineAndRejectsEmpty) {
 
 TEST(Auth, WrongSecretIsRejectedWithAReason) {
   auto opts = remote_options(fast_tuning());
-  opts.secret = "correct horse battery staple";
+  opts.remote.secret = "correct horse battery staple";
   sweep::SweepService service(std::move(opts));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
@@ -1403,7 +1427,7 @@ TEST(Auth, WrongSecretIsRejectedWithAReason) {
 
 TEST(Auth, MissingSecretIsRefusedBeforeAnyConfigBytes) {
   auto opts = remote_options(fast_tuning());
-  opts.secret = "correct horse battery staple";
+  opts.remote.secret = "correct horse battery staple";
   sweep::SweepService service(std::move(opts));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
@@ -1450,7 +1474,7 @@ TEST(Auth, AuthenticatedFleetReproducesThePoolBaseline) {
   const auto baseline = pool1_baseline(s);
 
   auto opts = remote_options(fast_tuning());
-  opts.secret = "fleet-secret";
+  opts.remote.secret = "fleet-secret";
   RemoteRig rig(std::move(opts));
   rig.start_worker(table_resolver(s),
                    {.name = "auth-a", .secret = "fleet-secret"});
@@ -1461,8 +1485,8 @@ TEST(Auth, AuthenticatedFleetReproducesThePoolBaseline) {
   const auto runs = rig.service->run(s.configs, factory);
   const auto& st = rig.service->stats();
   EXPECT_EQ(st.remote_workers, 2u);
-  EXPECT_EQ(st.workers_lost, 0u);
-  EXPECT_EQ(st.local_fallback_points, 0u);
+  EXPECT_EQ(st.remote.workers_lost, 0u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);
   expect_matches_baseline(runs, baseline, "authenticated fleet");
   rig.shutdown();
 }
@@ -1534,11 +1558,11 @@ TEST(HandshakeFuzz, MalformedHellosNeverKillTheCoordinator) {
   const auto baseline = pool1_baseline(s);
 
   // Some bit flips below still form a valid Hello, registering a phantom
-  // worker we immediately hang up on; the grace window keeps an unlucky
-  // phantom-death-just-before-run from tripping local fallback before the
-  // real worker registers.
+  // worker we immediately hang up on; the empty-fleet window keeps an
+  // unlucky phantom-death-just-before-run from tripping local fallback
+  // before the real worker registers.
   auto tuning = fast_tuning();
-  tuning.fleet_death_grace_ms = 4000;
+  tuning.registration_wait_ms = 4000;
   RemoteRig rig(remote_options(tuning));
   const std::string addr = rig.service->remote_address();
   const auto good = hello_image();
@@ -1587,8 +1611,42 @@ TEST(HandshakeFuzz, MalformedHellosNeverKillTheCoordinator) {
   rig.start_worker(table_resolver(s), {.name = "survivor"});
   ASSERT_TRUE(rig.wait_for_workers(1));
   const auto runs = rig.service->run(s.configs, factory);
-  EXPECT_EQ(rig.service->stats().local_fallback_points, 0u);
+  EXPECT_EQ(rig.service->stats().remote.local_fallback_points, 0u);
   expect_matches_baseline(runs, baseline, "post-fuzz sweep");
+  rig.shutdown();
+}
+
+TEST(HandshakeFuzz, StalledHelloPrefixDoesNotBlockLaterWorkers) {
+  const FuzzSweep s = draw_sweep(8);
+  auto factory = [&s](const core::RunConfig&, std::size_t i) {
+    return s.apps[i];
+  };
+  const auto baseline = pool1_baseline(s);
+
+  auto tuning = fast_tuning();
+  tuning.heartbeat_deadline_ms = 1000;  // also bounds each handshake read
+  RemoteRig rig(remote_options(tuning));
+  const std::string addr = rig.service->remote_address();
+  const sweep::Endpoint ep = sweep::parse_endpoint(addr);
+
+  // A peer sends 5 of the 13 Hello header bytes and then holds the
+  // socket open without another byte or a FIN.
+  const int stalled = sweep::connect_tcp(
+      ep.host.empty() ? "127.0.0.1" : ep.host, ep.port, 5000);
+  const auto hello = hello_image();
+  ASSERT_TRUE(sweep::frame::write_all(stalled, hello.data(), 5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  rig.start_worker(table_resolver(s), {.name = "behind-the-staller"});
+  const bool registered = rig.wait_for_workers(1, 5000);
+  // Closed before any assertion can return early: a coordinator wedged
+  // on this socket would otherwise hang the rig's teardown.
+  ::close(stalled);
+  ASSERT_TRUE(registered) << "a stalled Hello prefix blocked registration";
+
+  const auto runs = rig.service->run(s.configs, factory);
+  EXPECT_EQ(rig.service->stats().remote.local_fallback_points, 0u);
+  expect_matches_baseline(runs, baseline, "sweep behind a stalled hello");
   rig.shutdown();
 }
 
@@ -1715,12 +1773,12 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
   auto tuning = fast_tuning();
   // Replacement window: the supervised worker's re-exec must beat the
   // local-fallback degradation, not race it.
-  tuning.fleet_death_grace_ms = 8000;
+  tuning.registration_wait_ms = 8000;
   auto opts = remote_options(tuning);
   auto service = std::make_unique<sweep::SweepService>(std::move(opts));
   const std::string addr = service->remote_address();
 
-  // Marker file: only the first child SIGKILLs itself mid-chunk; its
+  // Marker file: only the first child SIGKILLs itself mid-point; its
   // replacement (a fresh fork) finds the marker and behaves. Fork-copied
   // memory cannot carry this flag — only the filesystem spans processes.
   StoreFile marker("supervisor_kill_marker");
@@ -1744,7 +1802,7 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
                             std::fopen(marker.path().c_str(), "wb")) {
                       std::fclose(f);
                     }
-                    ::kill(::getpid(), SIGKILL);  // fail-stop, mid-chunk
+                    ::kill(::getpid(), SIGKILL);  // fail-stop, mid-point
                   }
                   return inner(cfg, sp);
                 },
@@ -1771,9 +1829,9 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
   // size it started with, because the supervisor put the replica back.
   EXPECT_EQ(service->connected_workers(), 1u);
   const auto& st = service->stats();
-  EXPECT_GE(st.workers_lost, 1u);
-  EXPECT_GE(st.chunks_redispatched, 1u);
-  EXPECT_EQ(st.local_fallback_points, 0u);  // the replacement did the work
+  EXPECT_GE(st.remote.workers_lost, 1u);
+  EXPECT_GE(st.remote.chunks_redispatched, 1u);
+  EXPECT_EQ(st.remote.local_fallback_points, 0u);  // the replacement did the work
   expect_matches_baseline(runs, baseline, "supervised-SIGKILL schedule");
 
   service.reset();  // Shutdown frame: the replacement child exits 0
@@ -1791,14 +1849,14 @@ TEST(Supervisor, SpentRestartBudgetDegradesToLocalFallback) {
   const auto baseline = pool1_baseline(s);
 
   auto tuning = fast_tuning();
-  tuning.fleet_death_grace_ms = 1000;  // longer than the supervisor backoff
-  tuning.redispatch_budget = 10;       // deaths must not exhaust the chunks
+  tuning.registration_wait_ms = 1000;  // longer than the supervisor backoff
+  tuning.redispatch_budget = 10;       // deaths must not exhaust a point
   auto opts = remote_options(tuning);
   auto service = std::make_unique<sweep::SweepService>(std::move(opts));
   const std::string addr = service->remote_address();
 
   // Every child dies on its first resolve: the supervisor burns its whole
-  // budget mid-sweep, the fleet stays dead past the grace window, and the
+  // budget mid-sweep, the fleet stays dead past the window, and the
   // sweep must complete locally — degraded, never failed. Dispatches only
   // flow while run() is active, so the sweep and the supervisor must run
   // concurrently (and the deltas the service reports only cover deaths
@@ -1842,8 +1900,8 @@ TEST(Supervisor, SpentRestartBudgetDegradesToLocalFallback) {
 
   const auto& st = service->stats();
   EXPECT_EQ(st.remote_workers, 1u);  // fleet size when the sweep started
-  EXPECT_EQ(st.workers_lost, 3u);    // every launch died holding a lease
-  EXPECT_EQ(st.local_fallback_points, st.unique_points);
+  EXPECT_EQ(st.remote.workers_lost, 3u);    // every launch died holding a lease
+  EXPECT_EQ(st.remote.local_fallback_points, st.unique_points);
   expect_matches_baseline(runs, baseline, "spent-budget schedule");
   EXPECT_EQ(outcome.exit_code, 128 + SIGKILL);
   EXPECT_EQ(outcome.launches, 3);
@@ -1856,13 +1914,13 @@ TEST(Supervisor, SpentRestartBudgetDegradesToLocalFallback) {
 TEST(ServiceStats, FaultSummaryIsDeterministicAndOmitsZeroCounters) {
   sweep::ServiceStats st;
   EXPECT_EQ(sweep::format_fault_summary(st), "faults: none");
-  st.workers_lost = 2;
-  st.chunks_redispatched = 3;
+  st.remote.workers_lost = 2;
+  st.remote.chunks_redispatched = 3;
   EXPECT_EQ(sweep::format_fault_summary(st),
             "faults: workers_lost=2 chunks_redispatched=3");
-  st.heartbeats_missed = 1;
-  st.duplicate_results = 4;
-  st.local_fallback_points = 5;
+  st.remote.heartbeats_missed = 1;
+  st.remote.duplicate_results = 4;
+  st.remote.local_fallback_points = 5;
   EXPECT_EQ(sweep::format_fault_summary(st),
             "faults: workers_lost=2 heartbeats_missed=1 "
             "chunks_redispatched=3 duplicate_results=4 "

@@ -3,9 +3,11 @@
 // Connects to a sweep-service coordinator (a bench/example started with
 // --listen, or any SweepService with ServiceOptions::listen set),
 // registers with the version handshake (plus the HMAC challenge/response
-// when --secret-file is given), heartbeats, and pulls dispatched points
-// through the workload registry until the coordinator shuts the fleet
-// down.
+// when --secret-file is given), heartbeats, and pulls points one at a
+// time — each WorkRequest is answered with one Dispatch, and the next
+// request goes out as soon as a point arrives, so one point waits behind
+// the one running — resolving each through the workload registry until
+// the coordinator shuts the fleet down.
 //
 // Usage:
 //   sweep-workerd --connect=HOST:PORT [--name=N] [--retries=K]
@@ -19,6 +21,12 @@
 // pid on stderr ("supervisor: child pid P ...") so harnesses can kill
 // the *worker* and watch it heal; a fleet under supervision ends a kill
 // test with the same live worker count it started with.
+//
+// --stats prints one deterministic counter line on exit
+// ("[sweep-workerd] stats: points_executed=P dispatches=D
+// work_requests=R"). A worker that ran to a clean shutdown has P == D
+// (one point per Dispatch) and R == D + 1 (the last request goes
+// unanswered).
 //
 // Exit status: 0 after a clean coordinator shutdown (or a coordinator
 // that simply went away after registration — there is nobody left to
@@ -66,7 +74,7 @@ int run_worker_main(const std::string& connect,
   if (print_stats) wopts.stats = &stats;
   auto emit_stats = [&] {
     if (!print_stats) return;
-    // Deterministic counters only (no host-time EWMA): CI diffs these.
+    // Deterministic counters only (no host time): CI checks these.
     std::fprintf(stderr,
                  "[sweep-workerd] stats: points_executed=%zu dispatches=%zu "
                  "work_requests=%zu\n",
