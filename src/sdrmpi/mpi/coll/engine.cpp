@@ -15,9 +15,9 @@
 //    element size) — deterministic, like MPICH's count >= pof2 guard.
 #include "sdrmpi/mpi/coll/engine.hpp"
 
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "sdrmpi/mpi/comm.hpp"
 #include "sdrmpi/mpi/endpoint.hpp"
@@ -83,7 +83,14 @@ net::Payload CollEngine::sendrecv_p(const net::Payload& s, int dst,
 
 net::Payload CollEngine::combine(const net::Payload& a, const net::Payload& b,
                                  std::size_t elem, const ReduceFn& fn) {
-  assert(a.size() == b.size());
+  // Ranks that disagree on a reduction length deliver a short operand; a
+  // combine over it would read past its slab, so fail in every build.
+  if (a.size() != b.size()) {
+    throw std::invalid_argument(
+        "reduce: operand lengths differ across ranks (" +
+        std::to_string(a.size()) + " vs " + std::to_string(b.size()) +
+        " bytes)");
+  }
   if (a.empty()) return {};
   // Reductions over Zeros short-circuit: every predefined op maps
   // (0, 0) -> 0, so an all-Zeros reduction stays a descriptor end to end
@@ -93,11 +100,20 @@ net::Payload CollEngine::combine(const net::Payload& a, const net::Payload& b,
     return a;
   }
   const std::size_t count = elem > 0 ? a.size() / elem : 0;
-  // One copy: operand a lands in the result slab (materializing lazily if
-  // symbolic), then operand b folds in place before the handle is shared.
-  std::byte* inout = nullptr;
-  net::Payload out = net::Payload::copy_of_mutable(pool_, a.bytes(), inout);
-  fn(inout, b.data(), count);
+  // No copy: op(a, b) is written straight into a fresh slab (symbolic
+  // operands materialize lazily). Neither operand is ever written, so a
+  // Rabenseifner half that views a slab still in flight stays intact.
+  // Bytes past the last whole element (a length that elem does not
+  // divide, or elem == 0) are not reduced: they are a's, as if a had been
+  // copied in first, so no byte of the pooled slab is left unwritten.
+  std::byte* out_data = nullptr;
+  net::Payload out = net::Payload::fresh(pool_, a.size(), out_data);
+  fn(out_data, a.data(), b.data(), count);
+  const std::size_t reduced = count * elem;
+  if (reduced < a.size()) {
+    std::memcpy(out_data + reduced, a.data() + reduced, a.size() - reduced);
+    util::count_bytes_copied(a.size() - reduced);
+  }
   return out;
 }
 

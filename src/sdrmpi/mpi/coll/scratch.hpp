@@ -3,8 +3,8 @@
 // Collectives are blocking at the application level, so one endpoint never
 // runs two schedules at once and a single scratch set can be recycled
 // across every collective call: the block-handle tables and request lists
-// keep their vector capacity, and reduction accumulators are pooled
-// payload slabs (Payload::copy_of_mutable). Steady-state collective loops
+// keep their vector capacity, and reduction results are written straight
+// into pooled payload slabs (Payload::fresh). Steady-state collective loops
 // therefore touch the heap zero times — the bound tests/pool_test.cpp pins.
 #pragma once
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sdrmpi/mpi/endpoint.hpp"
@@ -48,6 +49,12 @@ class Comm {
   [[nodiscard]] Request irecv_bytes(std::span<std::byte> buf, int src,
                                     int tag) const {
     return ep_->irecv(info().ctx_p2p, src, tag, buf);
+  }
+  /// Sends an existing payload handle without copying its bytes, e.g. a
+  /// fresh_payload() slab the caller filled in place.
+  [[nodiscard]] Request isend_payload(net::Payload payload, int dst,
+                                      int tag) const {
+    return ep_->isend_payload(info().ctx_p2p, dst, tag, std::move(payload));
   }
 
   // ---- symbolic point-to-point (no application buffer exists) ----
@@ -178,12 +185,14 @@ class Comm {
   // SymColl path the class C/D skeletons use.
 
   /// Pooled payload helpers for the payload-native entry points.
-  [[nodiscard]] net::Payload make_payload(
-      std::span<const std::byte> bytes) const {
-    return ep_->fabric().make_payload(bytes);
-  }
   [[nodiscard]] net::Payload make_payload(const net::ContentDesc& desc) const {
     return net::Payload::symbolic(&ep_->buffer_pool(), desc);
+  }
+  /// An uninitialized pooled slab of `n` bytes (net::Payload::fresh): fill
+  /// `data` in place, then share the handle — no scratch buffer, no copy.
+  [[nodiscard]] net::Payload fresh_payload(std::size_t n,
+                                           std::byte*& data) const {
+    return net::Payload::fresh(&ep_->buffer_pool(), n, data);
   }
 
   /// Broadcast `mine` (valid at root, `len` bytes everywhere); returns the

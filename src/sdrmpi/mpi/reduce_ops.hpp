@@ -13,18 +13,23 @@
 
 namespace sdrmpi::mpi {
 
-/// Combines `count` elements: inout[i] = op(inout[i], in[i]).
-using ReduceFn =
-    std::function<void(std::byte* inout, const std::byte* in, std::size_t count)>;
+/// Combines `count` elements: out[i] = op(a[i], b[i]), operand a first.
+/// Three operands let a reduction write its result straight into a fresh
+/// buffer instead of copying a there first. `out` may alias `a`: element
+/// i of both operands is read before out[i] is written.
+using ReduceFn = std::function<void(std::byte* out, const std::byte* a,
+                                    const std::byte* b, std::size_t count)>;
 
 namespace detail {
 
 template <class T, class F>
 ReduceFn make_reduce(F f) {
-  return [f](std::byte* inout, const std::byte* in, std::size_t count) {
-    auto* a = reinterpret_cast<T*>(inout);
-    const auto* b = reinterpret_cast<const T*>(in);
-    for (std::size_t i = 0; i < count; ++i) a[i] = f(a[i], b[i]);
+  return [f](std::byte* out, const std::byte* a, const std::byte* b,
+             std::size_t count) {
+    auto* o = reinterpret_cast<T*>(out);
+    const auto* x = reinterpret_cast<const T*>(a);
+    const auto* y = reinterpret_cast<const T*>(b);
+    for (std::size_t i = 0; i < count; ++i) o[i] = f(x[i], y[i]);
   };
 }
 

@@ -94,28 +94,33 @@ class Payload {
 
   ~Payload() { release(); }
 
+  /// An uninitialized Raw slab of `n` bytes from `pool` (heap when pool is
+  /// null); `data` points at its bytes, which the caller must fill *before*
+  /// the handle is shared — after that the payload is immutable like any
+  /// other. Writers produce their contents straight into the slab: a
+  /// reduction combine writes op(a, b) there, a materialized skeleton
+  /// generates its pattern there, so neither copies a scratch buffer in.
+  /// n == 0 yields an empty (null) handle and data == nullptr.
+  [[nodiscard]] static Payload fresh(util::BufferPool* pool, std::size_t n,
+                                     std::byte*& data) {
+    if (n == 0) {
+      data = nullptr;
+      return {};
+    }
+    Payload p(pool, n, n);
+    data = p.mutable_data();
+    return p;
+  }
+
   /// Copies `bytes` into a slab from `pool` (heap when pool is null).
   /// An empty span yields an empty (null) handle.
   [[nodiscard]] static Payload copy_of(util::BufferPool* pool,
                                        std::span<const std::byte> bytes) {
     if (bytes.empty()) return {};
-    Payload p(pool, bytes.size(), bytes.size());
-    std::memcpy(p.mutable_data(), bytes.data(), bytes.size());
+    std::byte* data = nullptr;
+    Payload p = fresh(pool, bytes.size(), data);
+    std::memcpy(data, bytes.data(), bytes.size());
     util::count_bytes_copied(bytes.size());
-    return p;
-  }
-
-  /// Copies `bytes` like copy_of, but hands back a mutable view of the
-  /// fresh slab through `data` so the caller can transform the contents in
-  /// place *before* the handle is shared — the collective engine's
-  /// reduction combine (copy operand a, fold operand b in) costs one copy
-  /// instead of scratch + copy. The view is only valid until the handle
-  /// is aliased; after that the payload is immutable like any other.
-  [[nodiscard]] static Payload copy_of_mutable(util::BufferPool* pool,
-                                               std::span<const std::byte> bytes,
-                                               std::byte*& data) {
-    Payload p = copy_of(pool, bytes);
-    data = p.h_ != nullptr ? slab_data(p.h_) : nullptr;
     return p;
   }
 

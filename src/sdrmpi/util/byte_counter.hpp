@@ -3,7 +3,9 @@
 //
 // bytes_copied counts every host memcpy/fill of simulated payload bytes
 // (Payload::copy_of/concat, lazy materialization, receive-side delivery
-// copies); bytes_hashed counts every payload byte fed through an FNV-1a
+// copies). A writer filling a Payload::fresh slab produces the contents in
+// place, like an application filling its own buffer, and counts nothing;
+// bytes_hashed counts every payload byte fed through an FNV-1a
 // byte step. Digests served without byte steps count nothing: the Zeros
 // closed form, folded all-zero 64-byte blocks, the per-shape memos and
 // the live-digest table (net/payload.hpp). Together they are the

@@ -9,8 +9,9 @@
 //
 //   Symbolic      sends content descriptors (net::ContentDesc::pattern) and
 //                 posts zero-copy sink receives — O(1) host bytes/message;
-//   Materialized  sends the *identical* pattern bytes through real buffers
-//                 and buffered receives — the oracle twin the determinism
+//   Materialized  sends the *identical* pattern bytes, generated in place
+//                 into pooled payload slabs, and posts buffered receives
+//                 into real buffers — the oracle twin the determinism
 //                 fuzzer runs against Symbolic, asserting bit-identical
 //                 virtual-time traces and identical content digests.
 #pragma once
@@ -59,18 +60,18 @@ class SymXfer {
     return util::hash_combine(seed_, static_cast<std::uint64_t>(tag));
   }
 
-  /// Nonblocking skeleton send of `bytes` pattern bytes. The application
-  /// buffer (materialized mode) is reusable on return — the endpoint pools
-  /// the payload inside isend — so one scratch buffer serves all sends.
+  /// Nonblocking skeleton send of `bytes` pattern bytes. Materialized mode
+  /// generates them straight into a fresh pooled slab and sends that
+  /// handle: no application buffer exists and no byte is copied.
   [[nodiscard]] mpi::Request isend(std::size_t bytes, int dst, int tag) {
     if (symbolic_ || dst == mpi::kProcNull) {
       return comm_.isend_symbolic(
           net::ContentDesc::pattern(shape_seed(tag), bytes), dst, tag);
     }
-    if (send_scratch_.size() < bytes) send_scratch_.resize(bytes);
-    net::fill_pattern(shape_seed(tag), 0, bytes, send_scratch_.data());
-    return comm_.isend_bytes(
-        std::span<const std::byte>(send_scratch_.data(), bytes), dst, tag);
+    std::byte* data = nullptr;
+    net::Payload p = comm_.fresh_payload(bytes, data);
+    net::fill_pattern(shape_seed(tag), 0, bytes, data);
+    return comm_.isend_payload(std::move(p), dst, tag);
   }
 
   /// Nonblocking skeleton receive of up to `cap` bytes. Materialized mode
@@ -113,7 +114,6 @@ class SymXfer {
   mpi::Comm comm_;
   bool symbolic_;
   std::uint64_t seed_;
-  std::vector<std::byte> send_scratch_;
   /// Outstanding materialized receives (heap storage is address-stable
   /// under vector growth, so the posted spans stay valid).
   std::vector<std::pair<const mpi::ReqState*, std::vector<std::byte>>> live_;
@@ -133,7 +133,9 @@ class SymXfer {
 /// (workload seed, shape tag) — every sender of a given collective emits
 /// the same pattern, so symbolic digests hit the per-run (seed, len) memo
 /// and a class-D collective phase costs O(1) host bytes per call after the
-/// first.
+/// first. Materialized blocks and reduction inputs are generated straight
+/// into fresh pooled slabs (Comm::fresh_payload), so the only host bytes
+/// they occupy are the payloads themselves — no scratch vector, no copy.
 class SymColl {
  public:
   SymColl(mpi::Comm comm, PayloadMode mode, std::uint64_t seed)
@@ -187,10 +189,9 @@ class SymColl {
     if (symbolic_) {
       mine = comm_.make_payload(net::ContentDesc::zeros(bytes));
     } else {
-      if (scratch_.size() < bytes) scratch_.resize(bytes);
-      std::fill_n(scratch_.begin(), bytes, std::byte{0});
-      mine = comm_.make_payload(
-          std::span<const std::byte>(scratch_.data(), bytes));
+      std::byte* data = nullptr;
+      mine = comm_.fresh_payload(bytes, data);
+      std::fill_n(data, bytes, std::byte{0});
     }
     const net::Payload out = comm_.allreduce_payload(
         mine, sizeof(double), mpi::reduce_fn<double>(mpi::Op::Sum));
@@ -203,16 +204,15 @@ class SymColl {
     if (symbolic_) {
       return comm_.make_payload(net::ContentDesc::pattern(seed, bytes));
     }
-    if (scratch_.size() < bytes) scratch_.resize(bytes);
-    net::fill_pattern(seed, 0, bytes, scratch_.data());
-    return comm_.make_payload(
-        std::span<const std::byte>(scratch_.data(), bytes));
+    std::byte* data = nullptr;
+    net::Payload p = comm_.fresh_payload(bytes, data);
+    net::fill_pattern(seed, 0, bytes, data);
+    return p;
   }
 
   mpi::Comm comm_;
   bool symbolic_;
   std::uint64_t seed_;
-  std::vector<std::byte> scratch_;
   std::vector<net::Payload> blocks_;
   std::vector<net::Payload> sendblocks_;
 };

@@ -4,13 +4,14 @@
 // Three layers of coverage:
 //  * the classic per-collective suites below (default Auto tuning, sizes
 //    1..16);
-//  * the algorithm matrix: every registered algorithm x non-power-of-two
-//    comm sizes (3, 5, 7) x {real, symbolic} payloads, results checked
+//  * the algorithm matrix: every registered algorithm x comm sizes 3, 5, 7
+//    (non-powers of two) and 8 x {real, symbolic} payloads, results checked
 //    against the naive reference semantics (typed values) and against the
 //    reference-shape tuning point (content checksums);
 //  * regression tests for the alltoall(v) argument validation.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "sdrmpi/workloads/symbolic.hpp"
@@ -369,7 +370,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Algorithm matrix: every registered algorithm of every collective, on
-// non-power-of-two communicators, with real and symbolic payloads.
+// non-power-of-two communicators and on 8 ranks, with real and symbolic
+// payloads.
 // ---------------------------------------------------------------------------
 
 /// One forced-algorithm tuning per registered algorithm (others Auto),
@@ -462,6 +464,34 @@ TEST_P(CollAlgorithmMatrix, RealPayloadsMatchReference) {
     for (auto v : vout) EXPECT_EQ(v, n * (n + 1) / 2);
     EXPECT_EQ(w.allreduce_value<std::int64_t>(r, mpi::Op::Max), n - 1);
 
+    // allreduce_payload over a materialized payload of integer-valued
+    // doubles: each combine writes op(a, b) into a fresh slab, so the sum
+    // is exact and the caller's input keeps its bytes and digest.
+    // Rabenseifner's kept half views a slab whose other half is still in
+    // flight, so a combine that wrote into an operand would corrupt both.
+    // 4099 elements give ragged Rabenseifner segments.
+    constexpr std::size_t kCount = 4099;
+    std::vector<double> in(kCount);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      in[i] = static_cast<double>((r + 1) * (i % 13 + 1));
+    }
+    std::byte* data = nullptr;
+    const net::Payload pin = w.fresh_payload(kCount * sizeof(double), data);
+    std::memcpy(data, in.data(), kCount * sizeof(double));
+    const std::uint64_t before = pin.digest();
+    const net::Payload pout = w.allreduce_payload(
+        pin, sizeof(double), mpi::reduce_fn<double>(mpi::Op::Sum));
+    ASSERT_EQ(pout.size(), pin.size());
+    std::vector<double> got(kCount);
+    pout.copy_to(reinterpret_cast<std::byte*>(got.data()));
+    const double ranks = n * (n + 1) / 2.0;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(got[i], ranks * static_cast<double>(i % 13 + 1)) << "i=" << i;
+    }
+    EXPECT_EQ(pin.digest(), before);
+    EXPECT_EQ(util::fnv1a(pin.bytes()), before) << "input overwritten";
+    EXPECT_EQ(std::memcmp(pin.data(), in.data(), kCount * sizeof(double)), 0);
+
     // allgather: per-rank blocks of 3 values.
     std::vector<std::int64_t> mine{r, 10 * r, 100 * r};
     std::vector<std::int64_t> all(static_cast<std::size_t>(3 * n));
@@ -506,7 +536,10 @@ TEST_P(CollAlgorithmMatrix, SymbolicTwinMatchesMaterialized) {
         c.allgather(block, /*tag=*/22, cs);
         c.alltoall(block, /*tag=*/33, cs);
       }
-      for (const std::size_t bytes : {std::size_t{8}, std::size_t{4096}}) {
+      // 12 B is not a whole number of doubles: the 4 B tail must match
+      // the symbolic twin's zeros too.
+      for (const std::size_t bytes :
+           {std::size_t{8}, std::size_t{12}, std::size_t{4096}}) {
         c.allreduce_zeros(bytes, cs);
       }
       env.report_checksum(cs.digest());
@@ -533,7 +566,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn([] {
       std::vector<MatrixCase> cases;
       for (const auto& [name, tuning] : tuning_matrix()) {
-        for (const int np : {3, 5, 7}) {
+        for (const int np : {3, 5, 7, 8}) {
           cases.push_back({name + "_np" + std::to_string(np), tuning, np});
         }
       }
@@ -631,6 +664,26 @@ TEST(CollValidation, BcastWithMismatchedLengthsFailsWithAReason) {
   ASSERT_FALSE(res.errors.empty());
   EXPECT_NE(res.errors.front().find("exceed the payload size"),
             std::string::npos)
+      << res.errors.front();
+}
+
+// Ranks that disagree on a reduce length must fail with a reason: the
+// root receives a short operand, and combining it used to read past its
+// slab in release builds and report a clean run with a wrong result.
+TEST(CollValidation, ReduceWithMismatchedLengthsFailsWithAReason) {
+  auto res = core::run(
+      quick_config(2, 1, core::ProtocolKind::Native), [](mpi::Env& env) {
+        const std::size_t count = env.rank() == 0 ? 4096 : 16;
+        std::vector<double> send(count, 1.0 + env.rank());
+        std::vector<double> recv(count);
+        env.world().reduce(std::span<const double>(send),
+                           std::span<double>(recv), mpi::Op::Sum, /*root=*/0);
+      });
+  ASSERT_FALSE(res.errors.empty());
+  EXPECT_NE(res.errors.front().find("operand lengths differ"),
+            std::string::npos)
+      << res.errors.front();
+  EXPECT_NE(res.errors.front().find("32768 vs 128"), std::string::npos)
       << res.errors.front();
 }
 

@@ -6,7 +6,8 @@
 // are exact and whose leaves are hashed once per chain, host bytes fold
 // all-zero blocks and reuse the digest of an equal live buffer, and the
 // symbolic end-to-end path (symbolic send → sink or buffered receive,
-// redMPI detection) behaves exactly like raw bytes.
+// redMPI detection) behaves exactly like raw bytes. Fresh slabs are filled
+// in place: their writer's bytes are never counted as a copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "sdrmpi/util/byte_counter.hpp"
 #include "sdrmpi/util/hash.hpp"
 #include "sdrmpi/util/rng.hpp"
+#include "sdrmpi/workloads/symbolic.hpp"
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -821,6 +823,39 @@ TEST(SymbolicPayload, PoollessSymbolicHandlesUseTheHeap) {
   EXPECT_EQ(p.digest(), util::fnv1a(p.bytes()));
 }
 
+// ----------------------------------------------------------- fresh slabs
+
+TEST(FreshSlab, ZeroLengthIsAnEmptyHandle) {
+  util::BufferPool pool;
+  std::byte sentinel{};
+  std::byte* data = &sentinel;  // must be reset
+  const Payload p = Payload::fresh(&pool, 0, data);
+  EXPECT_FALSE(p);
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(data, nullptr);
+  EXPECT_EQ(p.digest(), util::kFnvOffset);
+}
+
+TEST(FreshSlab, FillingInPlaceCopiesNothingAndDigestsTheWrittenBytes) {
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> expect = nonzero_bytes(0xf7e5ULL, 5000);
+  const std::uint64_t c0 = util::byte_counters().bytes_copied;
+  std::byte* data = nullptr;
+  Payload p = Payload::fresh(&pool, expect.size(), data);
+  ASSERT_NE(data, nullptr);
+  std::copy(expect.begin(), expect.end(), data);  // the writer's own fill
+  EXPECT_EQ(util::byte_counters().bytes_copied, c0)
+      << "fresh must not count a copy";
+  EXPECT_EQ(p.kind(), ContentKind::Raw);
+  EXPECT_EQ(p.size(), expect.size());
+  EXPECT_EQ(p.data(), data);
+  EXPECT_EQ(p.digest(), util::fnv1a(expect));
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), p.data()));
+  p.reset();
+  EXPECT_EQ(pool.cached_slabs(), 1u);  // the slab went home
+}
+
 // --------------------------------------------------------- end-to-end MPI
 
 TEST(SymbolicEndToEnd, SymbolicSendToSinkRecvNeverTouchesBytes) {
@@ -847,6 +882,34 @@ TEST(SymbolicEndToEnd, SymbolicSendToSinkRecvNeverTouchesBytes) {
   // Wire accounting saw the full message; the host never copied it.
   EXPECT_GE(res.fabric.payload_bytes, size);
   EXPECT_LT(res.bytes_copied, std::size_t{64} << 10);
+}
+
+// A materialized skeleton block is generated straight into its payload
+// slab, and the allgather forwards handles, so the host copies only frame
+// headers — not the 1 MiB blocks the wire carries. The symbolic twin
+// delivers the same contents.
+TEST(SymbolicEndToEnd, MaterializedSymCollAllgatherCopiesNoBlockBytes) {
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  core::RunConfig cfg;
+  cfg.nranks = 4;
+  const auto app = [](wl::PayloadMode mode) {
+    return [mode](mpi::Env& env) {
+      wl::SymColl coll(env.world(), mode, /*seed=*/0x5a11ULL);
+      util::Checksum cs;
+      coll.allgather(kBlock, /*tag=*/3, cs);
+      env.report_checksum(cs.digest());
+    };
+  };
+  const auto mat = core::run(cfg, app(wl::PayloadMode::Materialized));
+  ASSERT_TRUE(test::run_clean(mat));
+  EXPECT_GE(mat.fabric.payload_bytes, 3 * kBlock);
+  EXPECT_LT(mat.bytes_copied, std::size_t{64} << 10);
+  const auto sym = core::run(cfg, app(wl::PayloadMode::Symbolic));
+  ASSERT_TRUE(test::run_clean(sym));
+  ASSERT_EQ(sym.slots.size(), mat.slots.size());
+  for (std::size_t s = 0; s < sym.slots.size(); ++s) {
+    EXPECT_EQ(sym.slots[s].checksum, mat.slots[s].checksum) << "slot " << s;
+  }
 }
 
 TEST(SymbolicEndToEnd, SymbolicSendIntoRealBufferMaterializesTheContents) {
