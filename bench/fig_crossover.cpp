@@ -10,10 +10,10 @@
 //           efficiency = T_native0 / T_ckpt
 //   sdr   — n ranks replicated r=2 (2n processes);
 //           efficiency = T_native0 / (2 * T_sdr)
-// where T_native0 is the failure-free native makespan. Both fault grids
-// execute through the warm-prefix fork runner (sweep/warm.hpp): one
-// warm-up per machine, one forked child per fault scenario (fork() plus
-// late-armed control-lane faults; no simulator state is snapshotted).
+// where T_native0 is the failure-free native makespan. Each (machine,
+// schedule) pair is one ordinary sweep point (bench::run_points), so the
+// harness flags (--pool, --cache, --listen, --stats, --stream) apply, and
+// schedules that drew no fault dedupe into one simulation per machine.
 //
 // --check gates the crossover (ckpt wins at rate 0, sdr wins at the top
 // rate, the efficiency-difference sign changes exactly once, every run is
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_support.hpp"
-#include "sdrmpi/sweep/warm.hpp"
 #include "sdrmpi/util/rng.hpp"
 
 namespace {
@@ -75,6 +74,9 @@ int main(int argc, char** argv) {
   wl_opts.set("nrows", "1024");
   wl_opts.set("iters", "24");
   const auto app = wl::make_workload("cg", wl_opts);
+  // What a remote sweep-workerd rebuilds for each point under --listen;
+  // must describe exactly the app above.
+  const std::string spec = "cg nrows=1024 iters=24";
 
   // Failure-free native baseline: the work both machines must deliver.
   core::RunConfig native_cfg;
@@ -106,22 +108,25 @@ int main(int argc, char** argv) {
   const std::vector<double> rates = {0.0, 1.0, 2.0, 4.0, 8.0, 16.0};
 
   // One schedule per rate, shared verbatim by both machines (the Ckpt
-  // validator and the warm runner both require at_time-only faults).
-  std::vector<std::vector<core::FaultSpec>> schedules;
-  schedules.reserve(rates.size());
+  // validator requires at_time-only faults). Points are ckpt/sdr pairs in
+  // rate order: point 2i is rate i on ckpt, 2i+1 the same on sdr.
+  std::vector<bench::Point> points;
+  points.reserve(2 * rates.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    schedules.push_back(draw_schedule(0xc105506eULL + i, rates[i], horizon,
-                                      nranks));
+    const auto schedule =
+        draw_schedule(0xc105506eULL + i, rates[i], horizon, nranks);
+    const std::string rate = util::format_double(rates[i], 1);
+    core::RunConfig ckpt = ckpt_cfg;
+    ckpt.faults = schedule;
+    points.push_back({"ckpt/rate=" + rate, std::move(ckpt), app, spec});
+    core::RunConfig sdr = sdr_cfg;
+    sdr.faults = schedule;
+    points.push_back({"sdr/rate=" + rate, std::move(sdr), app, spec});
   }
-
-  // One warm-up + forked children per machine. The warm prefix ends well
-  // before the earliest drawn fault can matter; scenarios with earlier
-  // faults transparently fall back to cold runs inside the runner.
-  const Time warm_until = t0 / 8;
-  const auto ckpt_runs =
-      sweep::run_warm_forked(ckpt_cfg, app, schedules, warm_until);
-  const auto sdr_runs =
-      sweep::run_warm_forked(sdr_cfg, app, schedules, warm_until);
+  // Unclean runs are reported by the "every run completes clean" gate
+  // below instead of aborting the sweep.
+  const auto results =
+      bench::run_points(points, opts, /*allow_unclean=*/true);
 
   struct Row {
     double rate = 0.0;
@@ -133,15 +138,16 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   rows.reserve(rates.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
+    const core::RunResult& ckpt = results[2 * i].run;
+    const core::RunResult& sdr = results[2 * i + 1].run;
     Row row;
     row.rate = rates[i];
-    row.faults = schedules[i].size();
-    row.eff_ckpt = static_cast<double>(t0) /
-                   static_cast<double>(ckpt_runs[i].makespan);
+    row.faults = points[2 * i].cfg.faults.size();
+    row.eff_ckpt = static_cast<double>(t0) / static_cast<double>(ckpt.makespan);
     // Replication holds 2n processes for the run's duration.
-    row.eff_sdr = static_cast<double>(t0) /
-                  (2.0 * static_cast<double>(sdr_runs[i].makespan));
-    row.clean = ckpt_runs[i].clean() && sdr_runs[i].clean();
+    row.eff_sdr =
+        static_cast<double>(t0) / (2.0 * static_cast<double>(sdr.makespan));
+    row.clean = ckpt.clean() && sdr.clean();
     rows.push_back(row);
   }
 
@@ -154,14 +160,16 @@ int main(int argc, char** argv) {
               << "  \"points\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
+      const core::RunResult& ckpt = results[2 * i].run;
+      const core::RunResult& sdr = results[2 * i + 1].run;
       std::cout << "    {\"expected_failures\": " << r.rate
                 << ", \"drawn_faults\": " << r.faults
-                << ", \"ckpt_seconds\": " << ckpt_runs[i].seconds()
-                << ", \"sdr_seconds\": " << sdr_runs[i].seconds()
+                << ", \"ckpt_seconds\": " << ckpt.seconds()
+                << ", \"sdr_seconds\": " << sdr.seconds()
                 << ", \"checkpoints_taken\": "
-                << ckpt_runs[i].protocol.checkpoints_taken
-                << ", \"restarts\": " << ckpt_runs[i].protocol.restarts
-                << ", \"rework_ns\": " << ckpt_runs[i].protocol.rework_ns
+                << ckpt.protocol.checkpoints_taken
+                << ", \"restarts\": " << ckpt.protocol.restarts
+                << ", \"rework_ns\": " << ckpt.protocol.rework_ns
                 << ", \"efficiency_ckpt\": " << r.eff_ckpt
                 << ", \"efficiency_sdr\": " << r.eff_sdr
                 << ", \"clean\": " << (r.clean ? "true" : "false") << "}"

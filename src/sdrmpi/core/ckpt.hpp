@@ -50,9 +50,9 @@ class CkptController {
 
   JobContext* job_;
   Time last_ckpt_ = 0;
-  /// Control lane for boundary/restart events: fixed tie-break positions
-  /// so charges ordered identically whether armed cold or mid-run (warm
-  /// fork). Starts above the fault lanes (= fault indices, a handful).
+  /// Control lane for boundary/restart events, which are armed mid-run:
+  /// fixed tie-break positions, independent of how many ordinary events
+  /// precede them. Starts above the fault lanes (= fault indices).
   std::uint64_t next_lane_ = std::uint64_t{1} << 16;
 };
 

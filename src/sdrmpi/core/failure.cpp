@@ -11,10 +11,9 @@ void FailureDetector::arm_time_faults() {
     const FaultSpec& f = job_->config.faults[fi];
     if (f.at_time < 0) continue;
     const int slot = f.slot;
-    // Control lane = fault index: arming these late (a warm-prefix fork
-    // injecting its fault scenario mid-run) lands each fault in the same
-    // (t, seq) tie-break slot launch-time arming uses, so the total order
-    // is identical either way.
+    // Control lane = fault index: a fixed (t, seq) tie-break position
+    // that wins ties against ordinary events, like the checkpoint events
+    // armed mid-run on the lanes above; the golden corpus pins the order.
     job_->engine->schedule_ctl(f.at_time, fi, [this, slot] {
       do_crash(slot, job_->engine->now());
     });

@@ -141,11 +141,10 @@ struct SlotResult {
 /// Per-subsystem host-memory accounting for one run (bytes). Host-side
 /// only: NOT part of the golden-trace digest, and excluded from RunResult
 /// equality — unlike bytes_copied/bytes_hashed these depend on allocator
-/// and cache state (a warm-forked engine reuses recycled stacks and pooled
-/// buffers, so its totals legitimately differ from a cold run's). This is
-/// the "what dominates next" instrument for the scaling work: when a rank
-/// count stops fitting, the guilty subsystem is visible here instead of
-/// guessed.
+/// and cache state, and on host diagnostics (the SDRMPI_STACK_WATERMARK
+/// fill populates stack_depth_peak). This is the "what dominates next"
+/// instrument for the scaling work: when a rank count stops fitting, the
+/// guilty subsystem is visible here instead of guessed.
 struct MemStats {
   std::uint64_t stack_bytes_reserved = 0;  ///< fiber stacks mapped at finish
   std::uint64_t stack_bytes_peak = 0;      ///< high-water mapped stack bytes

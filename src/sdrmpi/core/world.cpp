@@ -29,6 +29,22 @@ void validate(const RunConfig& cfg) {
     if (cfg.replication != 1) {
       throw std::invalid_argument("ckpt protocol requires replication == 1");
     }
+    const CkptConfig& ck = cfg.ckpt;
+    if (ck.interval < 0) {
+      throw std::invalid_argument("ckpt.interval must be >= 0");
+    }
+    if (ck.checkpoint_cost < 0) {
+      throw std::invalid_argument("ckpt.checkpoint_cost must be >= 0");
+    }
+    if (ck.restart_cost < 0) {
+      throw std::invalid_argument("ckpt.restart_cost must be >= 0");
+    }
+    if (ck.interval > 0 && ck.checkpoint_cost >= ck.interval) {
+      // Each boundary would charge a whole interval or more: the app never
+      // advances and the boundary chain spins to the time limit.
+      throw std::invalid_argument(
+          "ckpt.checkpoint_cost must be < ckpt.interval");
+    }
     for (const FaultSpec& f : cfg.faults) {
       if (f.at_time < 0) {
         // No process actually dies under the charge-forward model, so a
@@ -184,36 +200,27 @@ void World::install_recovery() {
 }
 
 sim::RunOutcome World::drive() {
-  if (!spawned_) {
-    spawned_ = true;
-    // Every run starts with cold digest memos so bytes_hashed is a pure
-    // function of the run (independent of which pool thread executes it or
-    // what ran on that thread before); within the run, repeated symbolic
-    // shapes and equal live buffers still digest for free.
-    net::clear_digest_memos();
-    bytes_at_start_ = util::byte_counters();
-    const Topology& topo = job_.topo;
-    for (int s = 0; s < topo.nslots(); ++s) {
-      const std::string name = "r" + std::to_string(topo.rank_of(s)) + ".w" +
-                               std::to_string(topo.world_of(s));
-      const int pid = engine_.spawn(name, [this, s] { slot_body(s); });
-      job_.endpoint(s).bind_process(pid);
-      job_.pids[static_cast<std::size_t>(s)] = pid;
-    }
-    if (job_.config.protocol == ProtocolKind::Ckpt) {
-      ckpt_ = std::make_unique<CkptController>(job_);
-      job_.ckpt = ckpt_.get();
-      ckpt_->arm();
-    }
-    detector_.arm_time_faults();
+  // Every run starts with cold digest memos so bytes_hashed is a pure
+  // function of the run (independent of which pool thread executes it or
+  // what ran on that thread before); within the run, repeated symbolic
+  // shapes and equal live buffers still digest for free.
+  net::clear_digest_memos();
+  bytes_at_start_ = util::byte_counters();
+  const Topology& topo = job_.topo;
+  for (int s = 0; s < topo.nslots(); ++s) {
+    const std::string name = "r" + std::to_string(topo.rank_of(s)) + ".w" +
+                             std::to_string(topo.world_of(s));
+    const int pid = engine_.spawn(name, [this, s] { slot_body(s); });
+    job_.endpoint(s).bind_process(pid);
+    job_.pids[static_cast<std::size_t>(s)] = pid;
   }
-  return engine_.run();
-}
-
-void World::arm_faults(std::vector<FaultSpec> faults) {
-  job_.config.faults = std::move(faults);
-  job_.fault_fired.assign(job_.config.faults.size(), false);
+  if (job_.config.protocol == ProtocolKind::Ckpt) {
+    ckpt_ = std::make_unique<CkptController>(job_);
+    job_.ckpt = ckpt_.get();
+    ckpt_->arm();
+  }
   detector_.arm_time_faults();
+  return engine_.run();
 }
 
 RunResult World::collect(const sim::RunOutcome& outcome) {

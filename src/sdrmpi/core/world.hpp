@@ -39,17 +39,9 @@ class World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  /// Spawns the initial application processes (first call only) and drives
-  /// the engine until completion, deadlock, or the time limit.
+  /// Spawns the application processes and drives the engine until
+  /// completion, deadlock, or the time limit. Call once per World.
   sim::RunOutcome drive();
-
-  /// Late fault arming for warm-prefix forks (sweep/warm.hpp): installs
-  /// `faults` as the run's fault schedule and schedules them on the
-  /// engine's control lanes. Only valid between a paused drive() and its
-  /// resumption, with at_time-only faults strictly beyond the engine's
-  /// executed_frontier(); the control-lane tie-breaks then make the resumed
-  /// run bit-identical to a cold run configured with the same faults.
-  void arm_faults(std::vector<FaultSpec> faults);
 
   /// Gathers per-slot outcomes and traffic totals after drive().
   [[nodiscard]] RunResult collect(const sim::RunOutcome& outcome);
@@ -72,7 +64,6 @@ class World {
   JobContext job_;
   FailureDetector detector_;
   std::unique_ptr<CkptController> ckpt_;  // protocol == Ckpt only
-  bool spawned_ = false;
   /// Thread-local byte-counter snapshot at drive() start; collect()
   /// reports the delta (a run stays on one host thread for its lifetime).
   util::ByteCounters bytes_at_start_{};

@@ -15,18 +15,9 @@ namespace {
 
 // Default fiber stack size. Workload state lives on the heap (vectors), so
 // the stack only holds call frames; 256 KiB leaves generous headroom for
-// deep protocol/collective recursion. Overridable via SDRMPI_FIBER_STACK_KB
-// for unusually stack-hungry apps, or per-engine via set_fiber_stack_bytes().
-std::size_t default_fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    if (const char* env = std::getenv("SDRMPI_FIBER_STACK_KB")) {
-      const long kb = std::atol(env);
-      if (kb >= 64) return static_cast<std::size_t>(kb) * 1024;
-    }
-    return std::size_t{256 * 1024};
-  }();
-  return bytes;
-}
+// deep protocol/collective recursion. Overridable per engine via
+// set_fiber_stack_bytes().
+constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
 
 // Byte the watermark fill paints the stack with; anything else after a
 // fiber ran marks a frame that reached that depth.
@@ -65,7 +56,7 @@ void Engine::set_fiber_stack_bytes(std::size_t bytes) {
 }
 
 std::size_t Engine::fiber_stack_bytes() const noexcept {
-  return stack_bytes_ != 0 ? stack_bytes_ : default_fiber_stack_bytes();
+  return stack_bytes_ != 0 ? stack_bytes_ : kDefaultFiberStackBytes;
 }
 
 int Engine::spawn(std::string name, std::function<void()> body, Time start_at) {
@@ -102,12 +93,6 @@ void Engine::charge_all(Time dt) {
   rebuild_runnable_heap();
 }
 
-Time Engine::executed_frontier() const noexcept {
-  Time t = event_now_;
-  for (const auto& p : procs_) t = std::max(t, p->clock());
-  return t;
-}
-
 RunOutcome Engine::run() {
   RunOutcome out;
   for (;;) {
@@ -122,13 +107,6 @@ RunOutcome Engine::run() {
     const Time next_t = run_event ? et : pt;
     if (time_limit_ > 0 && next_t > time_limit_) {
       out.time_limit_hit = true;
-      break;
-    }
-    // Pause is checked only here, between dispatches — never inside the
-    // inline drains — so pausing cannot perturb the total order (see
-    // set_pause_time). Calling run() again resumes exactly here.
-    if (pause_at_ > 0 && next_t > pause_at_) {
-      out.paused = true;
       break;
     }
 
@@ -155,7 +133,7 @@ RunOutcome Engine::run() {
     }
     if (p->state() == ProcState::Failed) out.failed_pids.push_back(p->pid());
   }
-  out.deadlock = any_blocked && !out.time_limit_hit && !out.paused;
+  out.deadlock = any_blocked && !out.time_limit_hit;
   out.end_time = end;
   out.events_executed = events_executed_;
   out.context_switches = context_switches_;

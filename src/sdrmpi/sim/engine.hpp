@@ -31,7 +31,6 @@ namespace sdrmpi::sim {
 struct RunOutcome {
   bool deadlock = false;          // blocked processes with empty event queue
   bool time_limit_hit = false;    // virtual-time cap exceeded
-  bool paused = false;            // stopped at set_pause_time(), resumable
   Time end_time = 0;              // max clock over all processes at the end
   std::vector<int> blocked_pids;  // populated on deadlock
   std::vector<int> failed_pids;   // processes that threw unexpectedly
@@ -79,9 +78,10 @@ class Engine {
 
   /// First insertion sequence handed out by schedule(). Sequences below it
   /// form the *control lanes* used by schedule_ctl(): events whose tie-break
-  /// position is fixed by the caller instead of by arrival order, so late
-  /// arming (a forked warm-prefix child injecting fault events mid-run)
-  /// lands in exactly the slot a cold run's early arming would have used.
+  /// position is fixed by the caller instead of by arrival order. Fault and
+  /// checkpoint events armed mid-run (restart charges, re-armed boundaries)
+  /// thus keep fixed tie-break positions however many ordinary events were
+  /// scheduled before them; the golden corpus pins the resulting order.
   static constexpr std::uint64_t kCtlLanes = std::uint64_t{1} << 20;
 
   /// Schedules an action on control lane `lane` (< kCtlLanes): the event
@@ -105,8 +105,8 @@ class Engine {
   void set_time_limit(Time t) noexcept { time_limit_ = t; }
 
   /// Usable fiber-stack bytes for stacks allocated from now on (0 restores
-  /// the SDRMPI_FIBER_STACK_KB / 256 KiB default). Takes effect at the next
-  /// lazy stack allocation; cached stacks of a different size are dropped.
+  /// the 256 KiB default). Takes effect at the next lazy stack allocation;
+  /// cached stacks of a different size are dropped.
   void set_fiber_stack_bytes(std::size_t bytes);
   [[nodiscard]] std::size_t fiber_stack_bytes() const noexcept;
 
@@ -120,21 +120,6 @@ class Engine {
   [[nodiscard]] const StackStats& stack_stats() const noexcept {
     return stack_stats_;
   }
-
-  /// Makes run() stop (outcome.paused, resumable by calling run() again)
-  /// before dispatching any item with timestamp > t. Checked ONLY between
-  /// scheduler dispatches — never inside the inline event drains of
-  /// maybe_yield()/block() — so a paused run's state is bit-identical to a
-  /// cold run's state at the same dispatch point and resuming continues
-  /// the exact same total order. 0 disables (clear_pause()).
-  void set_pause_time(Time t) noexcept { pause_at_ = t; }
-  void clear_pause() noexcept { pause_at_ = 0; }
-
-  /// Largest virtual time any work has reached: executed events and all
-  /// process clocks. After a paused run() this is the earliest time at
-  /// which new events (e.g. fault injections armed post-fork) may be
-  /// scheduled without rewriting history.
-  [[nodiscard]] Time executed_frontier() const noexcept;
 
   /// Drives the simulation until all processes terminate, deadlock, or the
   /// time limit. The whole simulation executes on the calling host thread
@@ -252,12 +237,11 @@ class Engine {
 
   Time event_now_ = 0;     // timestamp of the event being executed
   Time time_limit_ = 0;    // 0 = unlimited
-  Time pause_at_ = 0;      // 0 = no pause point
   Process* running_ = nullptr;
 
   ucontext_t sched_ctx_{};          // where fibers switch back to
   std::vector<FiberStack> stack_cache_;
-  std::size_t stack_bytes_ = 0;  // 0 = env/default (see set_fiber_stack_bytes)
+  std::size_t stack_bytes_ = 0;  // 0 = 256 KiB default
   std::size_t stack_cache_cap_ = kDefaultStackCacheCap;
   StackStats stack_stats_;
   bool stack_watermark_ = false;  // SDRMPI_STACK_WATERMARK fill enabled

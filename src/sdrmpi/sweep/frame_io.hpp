@@ -1,6 +1,5 @@
-// Length-prefixed result frames over raw fds — the wire format of the
-// warm-prefix fork runner's pipes (warm.cpp) and of the TCP remote-worker
-// transport (transport.hpp / remote.hpp).
+// Length-prefixed result frames over raw fds — the wire format of the TCP
+// remote-worker transport (transport.hpp / remote.hpp).
 //
 // Frame layout (little-endian, host-order independent):
 //   [u8 kind][u64 point id][u32 payload length][payload bytes]
@@ -14,9 +13,7 @@
 // Failures report *why* through an optional IoError out-param: callers on
 // socket transports map EPIPE/ECONNRESET-class errnos to a worker-lost
 // condition instead of treating them like local I/O bugs (and instead of
-// dying to SIGPIPE — see transport.hpp's ignore_sigpipe()). A forked
-// child must stay on raw fds (a forked copy of the parent's stdio buffers
-// must never be flushed twice).
+// dying to SIGPIPE — see transport.hpp's ignore_sigpipe()).
 #pragma once
 
 #include <unistd.h>

@@ -1,18 +1,12 @@
-// Checkpoint/restart protocol (ProtocolKind::Ckpt) and warm-prefix forked
-// execution.
-//
-//  - Charge-forward cost model: boundaries charge checkpoint_cost to every
-//    live clock, a fail-stop fault charges restart + rework at detection
-//    time, and nobody dies — runs stay clean and deterministic.
-//  - Warm-prefix forked execution (sweep/warm.hpp): one warm-up + fork per
-//    fault scenario reproduces cold core::run() bit-for-bit, including the
-//    cold fallback for faults inside the already-executed prefix.
+// Checkpoint/restart protocol (ProtocolKind::Ckpt): the charge-forward
+// cost model. Boundaries charge checkpoint_cost to every live clock, a
+// fail-stop fault charges restart + rework at detection time, and nobody
+// dies — runs stay clean and deterministic.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
-#include "sdrmpi/sweep/warm.hpp"
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -57,23 +51,39 @@ TEST(Ckpt, BoundariesChargeEveryLiveClock) {
 }
 
 TEST(Ckpt, FaultChargesRestartPlusRework) {
-  // Boundaries at 100us and 200us precede the 250us fault: the rolled-back
-  // interval is exactly 50us of virtual time.
-  core::RunConfig cfg = ckpt_config(100000);
-  cfg.faults.push_back({.slot = 1, .at_time = 250000, .at_send = -1});
-  const auto faulty = core::run(cfg, test::small_workload("cg"));
-  ASSERT_TRUE(test::run_clean(faulty)) << "ckpt faults must not kill anyone";
-  EXPECT_EQ(faulty.protocol.restarts, 1u);
-  EXPECT_EQ(faulty.protocol.failures_observed, 1u);
-  EXPECT_EQ(faulty.protocol.rework_ns, 50000u);
-
+  // Boundaries fall at 100us and 200us. One fault at 250us rolls back
+  // exactly 50us; faults at 120us and 260us roll back 20us + 60us.
+  struct Case {
+    std::vector<core::FaultSpec> faults;
+    std::uint64_t rework_ns;
+  };
+  const std::vector<Case> cases = {
+      {{{.slot = 1, .at_time = 250000, .at_send = -1}}, 50000},
+      {{{.slot = 0, .at_time = 120000, .at_send = -1},
+        {.slot = 2, .at_time = 260000, .at_send = -1}},
+       80000},
+  };
   const auto clean = core::run(ckpt_config(100000),
                                test::small_workload("cg"));
-  // restart_cost + rework land on every clock; boundary count may differ
-  // by the stretch, so only the lower bound is exact.
-  EXPECT_GE(faulty.makespan, clean.makespan + 20000 + 50000);
-  // All four slots finished (no replicas to fail over to — nobody died).
-  for (const auto& s : faulty.slots) EXPECT_EQ(s.final_state, "Finished");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    core::RunConfig cfg = ckpt_config(100000);
+    cfg.faults = cases[i].faults;
+    const auto faulty = core::run(cfg, test::small_workload("cg"));
+    ASSERT_TRUE(test::run_clean(faulty))
+        << "ckpt faults must not kill anyone (case " << i << ")";
+    const std::uint64_t nfaults = cases[i].faults.size();
+    EXPECT_EQ(faulty.protocol.restarts, nfaults) << "case " << i;
+    EXPECT_EQ(faulty.protocol.failures_observed, nfaults) << "case " << i;
+    EXPECT_EQ(faulty.protocol.rework_ns, cases[i].rework_ns) << "case " << i;
+    // restart_cost + rework land on every clock; boundary count may differ
+    // by the stretch, so only the lower bound is exact.
+    EXPECT_GE(faulty.makespan,
+              clean.makespan + static_cast<Time>(nfaults) * 20000 +
+                  static_cast<Time>(cases[i].rework_ns))
+        << "case " << i;
+    // All four slots finished (no replicas to fail over to — nobody died).
+    for (const auto& s : faulty.slots) EXPECT_EQ(s.final_state, "Finished");
+  }
 }
 
 TEST(Ckpt, FaultBeyondCompletionIsAbsorbedFree) {
@@ -104,82 +114,20 @@ TEST(Ckpt, ValidatorRejectsReplicationAndSendPlacedFaults) {
   EXPECT_THROW(
       { auto r = core::run(send_fault, test::small_workload("cg")); },
       std::invalid_argument);
-}
 
-// ---------------------------------------------------- warm-prefix forking
-
-TEST(WarmFork, CkptScenariosMatchColdRunsBitForBit) {
-  const core::RunConfig base = ckpt_config(100000);
-  const std::vector<std::vector<core::FaultSpec>> scenarios = {
-      {},
-      {{.slot = 1, .at_time = 250000, .at_send = -1}},
-      {{.slot = 0, .at_time = 120000, .at_send = -1},
-       {.slot = 2, .at_time = 260000, .at_send = -1}},
-      // Inside the warm prefix: must transparently fall back to a cold run.
-      {{.slot = 3, .at_time = 10000, .at_send = -1}},
-  };
-  const auto warm = sweep::run_warm_forked(base, test::small_workload("cg"),
-                                           scenarios, /*warm_until=*/50000);
-  ASSERT_EQ(warm.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    core::RunConfig cfg = base;
-    cfg.faults = scenarios[i];
-    const auto cold = core::run(cfg, test::small_workload("cg"));
-    ASSERT_TRUE(test::run_clean(cold)) << "scenario " << i;
-    EXPECT_EQ(warm[i], cold) << "scenario " << i;
+  // Negative costs would speed a run up; a boundary costing a whole
+  // interval or more would never let the app advance.
+  std::vector<core::RunConfig> bad_costs(4, ckpt_config(10000));
+  bad_costs[0].ckpt.interval = -1;
+  bad_costs[1].ckpt.checkpoint_cost = -5000;
+  bad_costs[2].ckpt.restart_cost = -1;
+  bad_costs[3].ckpt.checkpoint_cost = 10000;
+  for (std::size_t i = 0; i < bad_costs.size(); ++i) {
+    EXPECT_THROW(
+        { auto r = core::run(bad_costs[i], test::small_workload("cg")); },
+        std::invalid_argument)
+        << "case " << i;
   }
-}
-
-TEST(WarmFork, SdrFailoverScenariosMatchColdRunsBitForBit) {
-  // The runner is protocol-agnostic: forked SDR failovers (world-1 replica
-  // deaths at absolute times) reproduce cold runs too.
-  const core::RunConfig base =
-      test::quick_config(4, 2, core::ProtocolKind::Sdr);
-  const std::vector<std::vector<core::FaultSpec>> scenarios = {
-      {},
-      {{.slot = 5, .at_time = 200000, .at_send = -1}},
-      {{.slot = 6, .at_time = 150000, .at_send = -1},
-       {.slot = 4, .at_time = 300000, .at_send = -1}},
-  };
-  const auto warm = sweep::run_warm_forked(base, test::small_workload("cg"),
-                                           scenarios, /*warm_until=*/60000);
-  ASSERT_EQ(warm.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    core::RunConfig cfg = base;
-    cfg.faults = scenarios[i];
-    const auto cold = core::run(cfg, test::small_workload("cg"));
-    EXPECT_EQ(warm[i], cold) << "scenario " << i;
-  }
-}
-
-TEST(WarmFork, RejectsMisuse) {
-  const core::RunConfig base = ckpt_config(100000);
-  const std::vector<std::vector<core::FaultSpec>> one = {{}};
-  EXPECT_THROW(
-      {
-        auto r = sweep::run_warm_forked(base, test::small_workload("cg"),
-                                        one, /*warm_until=*/0);
-      },
-      std::invalid_argument);
-
-  core::RunConfig faulty_base = base;
-  faulty_base.faults.push_back({.slot = 0, .at_time = 90000, .at_send = -1});
-  EXPECT_THROW(
-      {
-        auto r = sweep::run_warm_forked(faulty_base,
-                                        test::small_workload("cg"), one,
-                                        /*warm_until=*/50000);
-      },
-      std::invalid_argument);
-
-  const std::vector<std::vector<core::FaultSpec>> send_placed = {
-      {{.slot = 0, .at_time = -1, .at_send = 3}}};
-  EXPECT_THROW(
-      {
-        auto r = sweep::run_warm_forked(base, test::small_workload("cg"),
-                                        send_placed, /*warm_until=*/50000);
-      },
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // after a replica fail-stop.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -105,13 +107,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Failure, TimeBasedCrash) {
-  auto cfg = quick_config(4, 2, core::ProtocolKind::Sdr);
-  cfg.faults.push_back(
-      {.slot = 6, .at_time = timeunits::microseconds(300.0), .at_send = -1});
-  auto res = core::run(cfg, small_workload("cg"));
-  ASSERT_TRUE(run_clean(res));
-  EXPECT_EQ(res.slots[6].final_state, "Crashed");
-  EXPECT_TRUE(res.checksums_consistent());
+  // One world-1 crash, then two world-1 crashes of different ranks.
+  const std::vector<std::vector<core::FaultSpec>> cases = {
+      {{.slot = 6, .at_time = timeunits::microseconds(300.0), .at_send = -1}},
+      {{.slot = 6, .at_time = timeunits::microseconds(150.0), .at_send = -1},
+       {.slot = 4, .at_time = timeunits::microseconds(300.0), .at_send = -1}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    auto cfg = quick_config(4, 2, core::ProtocolKind::Sdr);
+    cfg.faults = cases[i];
+    auto res = core::run(cfg, small_workload("cg"));
+    ASSERT_TRUE(run_clean(res)) << "case " << i;
+    for (const core::FaultSpec& f : cases[i]) {
+      EXPECT_EQ(res.slots[static_cast<std::size_t>(f.slot)].final_state,
+                "Crashed")
+          << "case " << i << ", slot " << f.slot;
+    }
+    EXPECT_TRUE(res.checksums_consistent()) << "case " << i;
+  }
 }
 
 TEST(Failure, BothReplicasLostIsReported) {
