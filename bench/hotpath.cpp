@@ -4,14 +4,16 @@
 // figures), this one measures HOST-side metrics of the send/deliver/schedule
 // path: simulated sends per host second, engine events per host second, and
 // global operator-new invocations per simulated message, on fig7b-style
-// NetPipe traffic (native and SDR r=2). These are the numbers the
-// zero-allocation hot-path work is pinned against (BENCH_hotpath.json).
+// NetPipe traffic (native and SDR r=2), plus the host cost of one engine
+// context switch. These are the numbers the zero-allocation hot-path work
+// is pinned against (BENCH_hotpath.json).
 //
 //   --json            machine-readable output for the BENCH_* trajectory
 //   --check           exit non-zero if allocs/send regress past the pinned
 //                     bound (CI bench-smoke gate)
 //   --reps=N          NetPipe timed round trips per size (default 10)
 //   --variant=NAME    label recorded in the JSON (default "current")
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -59,6 +61,8 @@ struct HotpathPoint {
   double allocs_per_send = 0.0;
   double allocs_per_frame = 0.0;
   double bytes_copied_per_send = 0.0;
+  std::uint64_t context_switches = 0;
+  double ns_per_switch = 0.0;  ///< host ns per engine ⇄ fiber round trip
   bool symbolic = false;     ///< gate bytes_copied_per_send in --check
   bool gate_allocs = false;  ///< gate allocs_per_send in --check (the fig7b
                              ///< sweep; single-size points run too few sends
@@ -106,6 +110,46 @@ HotpathPoint bench_events_raw() {
       static_cast<double>(pt.allocs) / static_cast<double>(out.events_executed);
   pt.clean = out.clean();
   return pt;
+}
+
+// Engine context-switch cost: two fibers ping-pong control through
+// yield(), so every resume() is one engine ⇄ fiber round trip (as counted
+// by RunOutcome::context_switches), with nothing else on the path but the
+// runnable-heap push/pop. Reports the median of kReps fresh engines; no
+// --check gate reads it.
+HotpathPoint bench_ctx_switch() {
+  constexpr int kYields = 50000;
+  constexpr int kReps = 5;
+
+  std::vector<HotpathPoint> reps;
+  for (int r = 0; r < kReps; ++r) {
+    HotpathPoint pt;
+    pt.label = "ctx_switch";
+    sim::Engine engine;
+    for (int p = 0; p < 2; ++p) {
+      engine.spawn("p" + std::to_string(p), [&engine] {
+        for (int k = 0; k < kYields; ++k) {
+          engine.advance(1);
+          engine.yield();
+        }
+      });
+    }
+    const std::uint64_t a0 = util::alloc_count();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto out = engine.run();
+    pt.host_seconds = seconds_since(t0);
+    pt.allocs = util::alloc_count() - a0;
+    pt.context_switches = out.context_switches;
+    pt.ns_per_switch = pt.host_seconds * 1e9 /
+                       static_cast<double>(out.context_switches);
+    pt.clean = out.clean();
+    reps.push_back(pt);
+  }
+  std::sort(reps.begin(), reps.end(),
+            [](const HotpathPoint& a, const HotpathPoint& b) {
+              return a.ns_per_switch < b.ns_per_switch;
+            });
+  return reps[kReps / 2];
 }
 
 // NetPipe ping-pong traffic under the given protocol/replication, measured
@@ -184,6 +228,8 @@ void emit_json(std::ostream& os, const std::string& variant,
        << ", \"allocs_per_send\": " << p.allocs_per_send
        << ", \"allocs_per_frame\": " << p.allocs_per_frame
        << ", \"bytes_copied_per_send\": " << p.bytes_copied_per_send
+       << ", \"context_switches\": " << p.context_switches
+       << ", \"ns_per_switch\": " << p.ns_per_switch
        << ", \"symbolic\": " << (p.symbolic ? "true" : "false")
        << ", \"clean\": " << (p.clean ? "true" : "false") << "}"
        << (i + 1 < pts.size() ? "," : "") << "\n";
@@ -205,6 +251,7 @@ int main(int argc, char** argv) {
 
   std::vector<HotpathPoint> pts;
   pts.push_back(bench_events_raw());
+  pts.push_back(bench_ctx_switch());
   pts.push_back(
       bench_netpipe("fig7b_native", core::ProtocolKind::Native, 1, reps));
   pts.back().gate_allocs = true;
@@ -239,13 +286,14 @@ int main(int argc, char** argv) {
     emit_json(std::cout, variant, pts);
   } else {
     util::Table table({"point", "host sec", "sends/sec", "events/sec",
-                       "allocs/send", "bytes-copied/send"});
+                       "allocs/send", "bytes-copied/send", "ns/switch"});
     for (const HotpathPoint& p : pts) {
       table.add_row({p.label, util::format_double(p.host_seconds, 3),
                      util::format_double(p.sends_per_sec, 0),
                      util::format_double(p.events_per_sec, 0),
                      util::format_double(p.allocs_per_send, 2),
-                     util::format_double(p.bytes_copied_per_send, 0)});
+                     util::format_double(p.bytes_copied_per_send, 0),
+                     util::format_double(p.ns_per_switch, 1)});
     }
     table.print(std::cout);
     if (!util::alloc_counting_enabled()) {

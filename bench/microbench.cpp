@@ -4,7 +4,8 @@
 //
 // The hot-path counters (events/sec, sends/sec, allocs/msg) mirror the
 // standalone bench/hotpath binary, which is what emits the committed
-// BENCH_hotpath.json trajectory.
+// BENCH_hotpath.json trajectory; the engine context-switch cost is
+// measured there only (its ctx_switch point).
 #include <benchmark/benchmark.h>
 
 #include "sdrmpi/mpi/seq_map.hpp"
@@ -15,30 +16,6 @@
 namespace {
 
 using namespace sdrmpi;
-
-// Raw engine context-switch cost: two processes ping-pong control via
-// yield(); each loop iteration is two switches into processes plus two back
-// to the scheduler. Reported as ns per engine switch.
-void BM_EngineContextSwitch(benchmark::State& state) {
-  constexpr int kYields = 4096;
-  for (auto _ : state) {
-    sim::Engine engine;
-    for (int p = 0; p < 2; ++p) {
-      engine.spawn("p" + std::to_string(p), [&engine] {
-        for (int k = 0; k < kYields; ++k) {
-          engine.advance(1);
-          engine.yield();
-        }
-      });
-    }
-    auto out = engine.run();
-    benchmark::DoNotOptimize(out.context_switches);
-  }
-  state.counters["switches"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2 * kYields,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EngineContextSwitch)->UseRealTime();
 
 void BM_EngineSpawnRun(benchmark::State& state) {
   for (auto _ : state) {

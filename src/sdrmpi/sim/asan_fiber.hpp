@@ -1,6 +1,7 @@
-// Sanitizer fiber-switch annotations for the ucontext engine.
+// Sanitizer annotations for the fiber engine's stack switch
+// (sdrmpi_fiber_switch, process.cpp).
 //
-// ASan tracks one stack per thread; swapcontext onto a fiber stack without
+// ASan tracks one stack per thread; switching onto a fiber stack without
 // telling it corrupts its shadow bookkeeping — most visibly when an
 // exception unwinds a fiber (__asan_handle_no_return walks the wrong
 // stack, e.g. the CrashUnwind path). The fix is the documented protocol:
@@ -10,14 +11,14 @@
 // stack. Compiled to no-ops without ASan.
 //
 // ThreadSanitizer has the same blind spot with a different API: each
-// fiber needs an explicit __tsan_create_fiber handle, and every
-// swapcontext must be announced with __tsan_switch_to_fiber immediately
+// fiber needs an explicit __tsan_create_fiber handle, and every stack
+// switch must be announced with __tsan_switch_to_fiber immediately
 // before the switch — otherwise TSan attributes fiber stack accesses to
 // whatever context last ran on the thread and drowns the run in false
 // races. The tsan:: wrappers below compile to no-ops without TSan, so
 // the engine carries both protocols unconditionally (the CI TSan job —
-// CMake option SDRMPI_SANITIZE_THREAD — pins the remote sweep
-// coordinator's acceptor/reader/scheduler threads race-free).
+// CMake option SDRMPI_SANITIZE_THREAD — runs sim_test and pins the remote
+// sweep coordinator's acceptor/reader/scheduler threads race-free).
 #pragma once
 
 #include <cstddef>
@@ -92,9 +93,9 @@ inline void destroy_fiber(void* fiber) {
 /// called from the scheduler loop).
 inline void* current_fiber() { return __tsan_get_current_fiber(); }
 
-/// Announce the switch; call immediately before swapcontext. Exactly one
-/// announcement per switch, made by the leaving side — the landing side
-/// does nothing.
+/// Announce the switch; call immediately before sdrmpi_fiber_switch.
+/// Exactly one announcement per switch, made by the leaving side — the
+/// landing side does nothing.
 inline void switch_to(void* fiber) {
   if (fiber != nullptr) __tsan_switch_to_fiber(fiber, 0);
 }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "sdrmpi/sim/asan_fiber.hpp"
 #include "sdrmpi/util/log.hpp"
@@ -80,7 +81,11 @@ void Engine::schedule(Time t, InlineFn action) {
 }
 
 void Engine::schedule_ctl(Time t, std::uint64_t lane, InlineFn action) {
-  assert(lane < kCtlLanes);
+  if (lane >= kCtlLanes) {
+    throw std::out_of_range("Engine::schedule_ctl: control lane " +
+                            std::to_string(lane) + " >= kCtlLanes (" +
+                            std::to_string(kCtlLanes) + ")");
+  }
   events_.push(std::max(t, now()), lane, std::move(action));
 }
 
@@ -195,7 +200,7 @@ void Engine::resume(Process& p) {
   asan::start_switch(&asan_sched_fake_, p.stack_.sp(), p.stack_.size());
   tsan_sched_fiber_ = tsan::current_fiber();
   tsan::switch_to(p.tsan_fiber_);
-  swapcontext(&sched_ctx_, &p.ctx_);
+  sdrmpi_fiber_switch(&sched_sp_, p.sp_);
   asan::finish_switch(asan_sched_fake_, nullptr, nullptr);
   running_ = nullptr;
   if (p.terminated()) {
@@ -213,7 +218,7 @@ void Engine::return_control_to_engine() {
   asan::start_switch(self.terminated() ? nullptr : &self.asan_fake_stack_,
                      asan_sched_bottom_, asan_sched_size_);
   tsan::switch_to(tsan_sched_fiber_);
-  swapcontext(&self.ctx_, &sched_ctx_);
+  sdrmpi_fiber_switch(&self.sp_, sched_sp_);
   asan::finish_switch(self.asan_fake_stack_, nullptr, nullptr);
 }
 
@@ -291,7 +296,7 @@ void Engine::maybe_yield() {
   // the scheduler: the global action order is exactly what the scheduler
   // would produce (events win ties, and we stop as soon as a runnable
   // process precedes the next event), but the yield→event→resume round
-  // trip — two swapcontext calls per consumed frame, the dominant
+  // trip — two stack switches per consumed frame, the dominant
   // fiber-switch churn on ping-pong traffic — disappears. Virtual time is
   // untouched by construction; only the host-side context_switches counter
   // shrinks.
@@ -366,7 +371,7 @@ void Engine::block(std::string reason) {
   // this fiber. Due events execute inline (they run in engine context and
   // never switch stacks); when one of them wakes this process AND the
   // scheduler's next pick would be this process, we simply return — the
-  // block→wake→resume round trip (two swapcontext calls per consumed
+  // block→wake→resume round trip (two stack switches per consumed
   // frame, the dominant fiber-switch churn on request/response traffic)
   // never happens. The moment the scheduler would do anything else — resume
   // another process, stop on the time limit, or report a deadlock — we swap

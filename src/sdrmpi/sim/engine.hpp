@@ -11,8 +11,6 @@
 // only through timestamped events and only consume them at MPI-call points.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,7 +86,8 @@ class Engine {
   /// tie-breaks at timestamp t as if it had been the lane-th insertion
   /// overall. Two events on one lane must never share a timestamp — the
   /// (t, seq) order would be ambiguous. Control events always win ties
-  /// against normally scheduled events.
+  /// against normally scheduled events. Throws std::out_of_range for a
+  /// lane >= kCtlLanes, whose keys ordinary events already use.
   void schedule_ctl(Time t, std::uint64_t lane, InlineFn action);
 
   /// Adds dt to every non-terminated process clock (engine or event
@@ -196,11 +195,12 @@ class Engine {
   /// maybe_yield()/block() to consume events without two fiber switches
   /// per event; action order matches the run() loop by construction.
   void run_event_inline(Process& self);
-  /// Direct swapcontext into the process fiber; returns when the process
-  /// yields, blocks, or terminates (terminated fibers give their stack back
-  /// to the cache here).
+  /// Switches straight onto the process fiber's stack (sdrmpi_fiber_switch,
+  /// no syscall); returns when the process yields, blocks, or terminates
+  /// (terminated fibers give their stack back to the cache here).
   void resume(Process& p);
-  /// Direct swapcontext from the running fiber back to the scheduler.
+  /// Switches from the running fiber straight back to the scheduler's
+  /// stack, with the same user-space switch.
   void return_control_to_engine();
 
   [[nodiscard]] FiberStack acquire_stack();
@@ -239,7 +239,7 @@ class Engine {
   Time time_limit_ = 0;    // 0 = unlimited
   Process* running_ = nullptr;
 
-  ucontext_t sched_ctx_{};          // where fibers switch back to
+  void* sched_sp_ = nullptr;  // scheduler stack pointer fibers switch back to
   std::vector<FiberStack> stack_cache_;
   std::size_t stack_bytes_ = 0;  // 0 = 256 KiB default
   std::size_t stack_cache_cap_ = kDefaultStackCacheCap;

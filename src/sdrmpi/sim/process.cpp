@@ -12,9 +12,108 @@
 #include "sdrmpi/sim/engine.hpp"
 #include "sdrmpi/util/log.hpp"
 
+// The fiber switch and the fiber entry stub (x86-64 SysV ABI, ELF).
+//
+// sdrmpi_fiber_switch(save_sp, load_sp) pushes the callee-saved registers
+// and the FP control state, stores rsp in *save_sp, loads load_sp and pops
+// the same layout from the target stack. Every saved context, a fresh
+// fiber's first frame included (SwitchFrame below), has this layout:
+//
+//   [rsp +  0]  MXCSR (4 bytes), x87 control word (2), padding (2)
+//   [rsp +  8]  r15, r14, r13, r12, rbx, rbp
+//   [rsp + 56]  return address
+//
+// The CFA offset is the same on both sides of the rsp load, so the CFI
+// notes hold at every instruction. A fresh fiber "returns" into
+// sdrmpi_fiber_entry, which calls rbx(r12), i.e. Process::trampoline(this);
+// the stub marks rip undefined so unwinders and debuggers stop there. The
+// `ret` lands on another stack's return address, so a process that turns
+// on CET shadow stacks cannot run fibers.
+asm(R"(
+    .text
+    .globl sdrmpi_fiber_switch
+    .hidden sdrmpi_fiber_switch
+    .type sdrmpi_fiber_switch, @function
+    .p2align 4
+sdrmpi_fiber_switch:
+    .cfi_startproc
+    pushq %rbp
+    .cfi_adjust_cfa_offset 8
+    pushq %rbx
+    .cfi_adjust_cfa_offset 8
+    pushq %r12
+    .cfi_adjust_cfa_offset 8
+    pushq %r13
+    .cfi_adjust_cfa_offset 8
+    pushq %r14
+    .cfi_adjust_cfa_offset 8
+    pushq %r15
+    .cfi_adjust_cfa_offset 8
+    subq $8, %rsp
+    .cfi_adjust_cfa_offset 8
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    .cfi_adjust_cfa_offset -8
+    popq %r15
+    .cfi_adjust_cfa_offset -8
+    popq %r14
+    .cfi_adjust_cfa_offset -8
+    popq %r13
+    .cfi_adjust_cfa_offset -8
+    popq %r12
+    .cfi_adjust_cfa_offset -8
+    popq %rbx
+    .cfi_adjust_cfa_offset -8
+    popq %rbp
+    .cfi_adjust_cfa_offset -8
+    ret
+    .cfi_endproc
+    .size sdrmpi_fiber_switch, .-sdrmpi_fiber_switch
+
+    .globl sdrmpi_fiber_entry
+    .hidden sdrmpi_fiber_entry
+    .type sdrmpi_fiber_entry, @function
+    .p2align 4
+sdrmpi_fiber_entry:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %r12, %rdi
+    callq *%rbx
+    ud2
+    .cfi_endproc
+    .size sdrmpi_fiber_entry, .-sdrmpi_fiber_entry
+)");
+
+extern "C" void sdrmpi_fiber_entry();
+
 namespace sdrmpi::sim {
 
 namespace {
+
+// A fiber's first frame, as sdrmpi_fiber_switch pops it (low to high).
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t pad = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void* r13 = nullptr;
+  Process* r12 = nullptr;              // the stub's argument
+  void (*rbx)(Process*) = nullptr;     // the stub's callee
+  void* rbp = nullptr;                 // null ends frame-pointer chains
+  void (*ret)() = nullptr;             // "returns" into the entry stub
+};
+static_assert(sizeof(SwitchFrame) == 64);
+
+// Power-on FP control state (SysV ABI): all exceptions masked, round to
+// nearest; the x87 unit at double-extended precision.
+constexpr std::uint32_t kMxcsrDefault = 0x1f80;
+constexpr std::uint16_t kX87CwDefault = 0x037f;
 
 std::size_t page_size() noexcept {
   static const auto ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -85,22 +184,19 @@ Process::~Process() {
 void Process::make_fiber(FiberStack stack) {
   stack_ = std::move(stack);
   tsan_fiber_ = tsan::create_fiber();
-  getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.sp();
-  ctx_.uc_stack.ss_size = stack_.size();
-  ctx_.uc_link = nullptr;  // termination is an explicit switch, never a return
-  // makecontext only passes ints; split the pointer across two of them
-  // (widened through u64 so the shift is defined on 32-bit pointers too).
-  const auto self =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::trampoline), 2,
-              static_cast<unsigned int>(self >> 32),
-              static_cast<unsigned int>(self & 0xffffffffu));
+  // The frame sits at the page-aligned stack top, so the stub's call runs
+  // with rsp 16-byte aligned, as the ABI requires at every call.
+  std::byte* top = stack_.sp() + stack_.size();
+  sp_ = new (top - sizeof(SwitchFrame)) SwitchFrame{
+      .mxcsr = kMxcsrDefault,
+      .x87_cw = kX87CwDefault,
+      .r12 = this,
+      .rbx = &Process::trampoline,
+      .ret = &sdrmpi_fiber_entry,
+  };
 }
 
-void Process::trampoline(unsigned int hi, unsigned int lo) {
-  auto* self = reinterpret_cast<Process*>(static_cast<std::uintptr_t>(
-      (static_cast<std::uint64_t>(hi) << 32) | lo));
+void Process::trampoline(Process* self) {
   // First landing on this fiber: complete the switch and learn the
   // scheduler's stack bounds for the way back (ASan only; no-op otherwise).
   asan::finish_switch(nullptr, &self->engine_.asan_sched_bottom_,

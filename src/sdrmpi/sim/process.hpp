@@ -2,16 +2,18 @@
 // sim::Engine.
 //
 // Exactly one entity (the engine loop or a single process) executes at any
-// host instant; control moves via direct ucontext switches on the engine's
-// host thread — no kernel involvement, no locks. Each process carries a
-// virtual clock that only moves forward. Processes interact with each other
-// exclusively through timestamped events, which is what makes the sequential
-// scheduling sound. Because a whole simulation occupies exactly one host
-// thread, independent Engine instances can run concurrently on a thread pool
-// (see core::run_many).
+// host instant; control moves via a user-space stack switch on the engine's
+// host thread (sdrmpi_fiber_switch, process.cpp) — no syscall, no locks.
+// The switch keeps only what the SysV ABI makes callee-saved: six integer
+// registers, the MXCSR and the x87 control word. It leaves the signal mask
+// alone, so a switch makes no syscall: the mask is the host thread's, and
+// fibers never change it.
+// Each process carries a virtual clock that only moves forward. Processes
+// interact with each other exclusively through timestamped events, which
+// is what makes the sequential scheduling sound. Because a whole
+// simulation occupies exactly one host thread, independent Engine instances
+// can run concurrently on a thread pool (see core::run_many).
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -24,6 +26,12 @@
 namespace sdrmpi::sim {
 
 class Engine;
+
+/// Saves the calling context's callee-saved state on its own stack, stores
+/// that stack pointer in *save_sp, and resumes the context saved at
+/// load_sp; returns when some later switch names *save_sp again. x86-64
+/// SysV only (CMakeLists.txt rejects other targets).
+extern "C" void sdrmpi_fiber_switch(void** save_sp, void* load_sp);
 
 enum class ProcState : int {
   Created,   // spawned, fiber not yet entered
@@ -105,11 +113,11 @@ class Process {
  private:
   friend class Engine;
 
-  /// Prepares the fiber context on `stack`; the body starts running at the
-  /// engine's first resume().
+  /// Lays out a first switch frame on `stack`; the body starts running at
+  /// the engine's first resume().
   void make_fiber(FiberStack stack);
-  /// makecontext entry point; (hi, lo) reassemble the Process pointer.
-  static void trampoline(unsigned int hi, unsigned int lo);
+  /// First function on a fiber, called by the entry stub in process.cpp.
+  [[noreturn]] static void trampoline(Process* self);
   /// Runs the body with crash/exception bookkeeping; executes on the fiber.
   void run_body();
 
@@ -124,7 +132,7 @@ class Process {
   std::string block_reason_;
   std::exception_ptr error_;
 
-  ucontext_t ctx_{};
+  void* sp_ = nullptr;  // saved stack pointer while switched out
   FiberStack stack_;
   void* asan_fake_stack_ = nullptr;  // ASan fake-stack handle (asan_fiber.hpp)
   void* tsan_fiber_ = nullptr;       // TSan fiber handle (asan_fiber.hpp)

@@ -5,6 +5,8 @@
 // so pool parallelism must never leak into outcomes).
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -344,6 +346,103 @@ TEST(Engine, EventWinsTieAgainstProcess) {
   auto out = e.run();
   EXPECT_TRUE(out.clean());
   EXPECT_EQ(order, (std::vector<int>{-1, 1}));
+}
+
+TEST(Engine, ControlLaneOutOfRangeThrows) {
+  // A lane >= kCtlLanes would share (t, seq) tie-break keys with ordinary
+  // events. The check holds in every build type, not only with asserts.
+  Engine e;
+  e.schedule_ctl(10, Engine::kCtlLanes - 1, [] {});
+  const std::uint64_t lane = Engine::kCtlLanes + 5;
+  try {
+    e.schedule_ctl(10, lane, [] {});
+    ADD_FAILURE() << "control lane " << lane << " was accepted";
+  } catch (const std::out_of_range& err) {
+    EXPECT_NE(std::string(err.what()).find(std::to_string(lane)),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_TRUE(e.run().clean());
+}
+
+// True when SSE arithmetic (the MXCSR) rounds upward: the quotients of +1/3
+// and -1/3 are exact negatives under round-to-nearest, while FE_UPWARD
+// rounds both toward +inf. Volatile operands keep the divisions at run time.
+bool sse_rounds_upward() {
+  volatile double one = 1.0;
+  volatile double minus_one = -1.0;
+  volatile double three = 3.0;
+  const double up = one / three;
+  const double down = minus_one / three;
+  return up + down > 0.0;
+}
+
+// Checks the rounding mode as both FP units see it: fegetround() reads the
+// x87 control word, the division probe the MXCSR.
+void expect_rounding(int mode, const char* where) {
+  EXPECT_EQ(std::fegetround(), mode) << where;
+  EXPECT_EQ(sse_rounds_upward(), mode == FE_UPWARD) << where;
+}
+
+TEST(Engine, FiberSwitchKeepsPerFiberFpControl) {
+  // The MXCSR and the x87 control word are callee-saved: each fiber keeps
+  // its own rounding mode across switches, and a fiber that changes it
+  // leaks nothing into the scheduler or another fiber.
+  Engine e;
+  int upward_resumes = 0;
+  e.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 4; ++i) {
+      e.advance(10);
+      e.yield();
+      expect_rounding(FE_UPWARD, "upward fiber after a resume");
+      ++upward_resumes;
+    }
+  });
+  e.spawn("nearest", [&] {
+    for (int i = 0; i < 4; ++i) {
+      e.advance(10);
+      e.yield();
+      expect_rounding(FE_TONEAREST, "second fiber");
+    }
+  });
+  int scheduler_checks = 0;
+  for (Time t = 5; t < 50; t += 10) {
+    e.schedule(t, [&] {
+      expect_rounding(FE_TONEAREST, "scheduler");
+      ++scheduler_checks;
+    });
+  }
+  EXPECT_TRUE(e.run().clean());
+  EXPECT_EQ(upward_resumes, 4);
+  EXPECT_EQ(scheduler_checks, 5);
+  expect_rounding(FE_TONEAREST, "after run()");
+}
+
+// Address of a 16-byte-aligned local in a frame of its own. The compiler
+// derives it from rsp assuming the ABI's alignment at every call, so a
+// fiber entered with a misaligned stack yields an address that is 8 mod 16.
+__attribute__((noinline)) std::uintptr_t aligned_local_address() {
+  alignas(16) volatile char probe[16] = {};
+  return reinterpret_cast<std::uintptr_t>(&probe[0]);
+}
+
+TEST(Engine, FiberEntryStackIsAbiAligned) {
+  Engine e;
+  std::vector<std::uintptr_t> addrs;
+  for (int p = 0; p < 2; ++p) {
+    e.spawn("p" + std::to_string(p), [&] {
+      alignas(16) char first_frame[16] = {};
+      addrs.push_back(reinterpret_cast<std::uintptr_t>(&first_frame[0]));
+      addrs.push_back(aligned_local_address());
+      e.advance(10);
+      e.yield();
+      addrs.push_back(aligned_local_address());
+    });
+  }
+  EXPECT_TRUE(e.run().clean());
+  ASSERT_EQ(addrs.size(), 6u);
+  for (const std::uintptr_t a : addrs) EXPECT_EQ(a % 16, 0u);
 }
 
 TEST(Engine, MaybeYieldSwitchesWhenOlderProcessExists) {
