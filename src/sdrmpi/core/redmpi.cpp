@@ -89,14 +89,18 @@ void RedMpiProtocol::protocol_ctl(mpi::Endpoint& ep,
 void RedMpiProtocol::compare(const MsgKey& key, std::uint64_t own,
                              std::uint64_t sibling) {
   ++job_.pstats.hashes_compared;
-  if (own != sibling) {
-    ++job_.pstats.sdc_detected;
-    SDR_LOG(Warn, "redmpi") << "slot " << slot_
-                            << " detected silent data corruption on (ctx="
-                            << std::get<0>(key) << ", src="
-                            << std::get<1>(key) << ", seq="
-                            << std::get<2>(key) << ")";
-  }
+  if (own == sibling) return;
+  ++job_.pstats.sdc_detected;
+  // One flip cascades into every later message that carries the corrupted
+  // value, so only a slot's first mismatch is a warning.
+  const util::LogLevel lvl =
+      sdc_warned_ ? util::LogLevel::Debug : util::LogLevel::Warn;
+  sdc_warned_ = true;
+  if (util::log_level() < lvl) return;
+  util::LogStream(lvl, "redmpi")
+      << "slot " << slot_ << " detected silent data corruption on (ctx="
+      << std::get<0>(key) << ", src=" << std::get<1>(key)
+      << ", seq=" << std::get<2>(key) << ")";
 }
 
 }  // namespace sdrmpi::core

@@ -6,6 +6,10 @@
 // mismatches as silent data corruption. redMPI does not handle crashes, so
 // there is no acknowledgement machinery.
 //
+// Every mismatch counts in ProtocolStats::sdc_detected. Only a slot's first
+// one is logged at Warn; the rest, typically the same flip propagating
+// through later messages, log at Debug.
+//
 // Two wildcard modes reproduce the paper's observation that redMPI's
 // overhead grows with non-determinism, and its suggestion that "the
 // solutions we propose could also be used by redMPI":
@@ -50,6 +54,7 @@ class RedMpiProtocol : public ReplicatedProtocol {
   WildcardDecider decider_;
   std::map<MsgKey, std::uint64_t> own_hash_;       // delivered, hash known
   std::map<MsgKey, std::uint64_t> sibling_hash_;   // hash arrived first
+  bool sdc_warned_ = false;  // first mismatch already logged at Warn
 };
 
 }  // namespace sdrmpi::core

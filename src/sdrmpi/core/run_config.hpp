@@ -146,8 +146,11 @@ struct SlotResult {
 /// instrument for the scaling work: when a rank count stops fitting, the
 /// guilty subsystem is visible here instead of guessed.
 struct MemStats {
-  std::uint64_t stack_bytes_reserved = 0;  ///< fiber stacks mapped at finish
-  std::uint64_t stack_bytes_peak = 0;      ///< high-water mapped stack bytes
+  /// Fiber stacks still held at collect: those of fibers that had not
+  /// terminated (0 after a clean run; finished fibers' stacks are back in
+  /// the host thread's pool, see sim::StackStats).
+  std::uint64_t stack_bytes_reserved = 0;
+  std::uint64_t stack_bytes_peak = 0;  ///< high-water of stacks held at once
   std::uint64_t stack_depth_peak = 0;      ///< SDRMPI_STACK_WATERMARK only
   std::uint64_t endpoint_bytes = 0;   ///< seq/queue/comm state, all endpoints
   std::uint64_t fabric_bytes = 0;     ///< per-slot/per-link fabric state

@@ -149,12 +149,17 @@ constexpr std::uint64_t kFoldPrime = fnv1a_zeros(kFoldBlock, 1);
   return util::fnv1a({p + i, n - i}, h);
 }
 
-/// Live-digest table: basis digests of byte-backed headers hashed on this
-/// host thread, direct-mapped by (length, 8 sampled words). An entry only
-/// points at a *live* header — Payload::destroy clears the slot its header
-/// holds — and a hit is confirmed by a full memcmp, so only equal bytes
-/// share a digest. Fixed size, so it allocates nothing; cleared with the
-/// shape memos at run start, so hits are a pure function of the run.
+/// Live-digest table: digests of byte-backed headers hashed on this host
+/// thread, keyed by (resume state, bytes) and direct-mapped by (state,
+/// length, 8 sampled words). A rope's second and later leaves resume from
+/// a non-basis state, and the ranks and replicas that fold equal leaves
+/// from equal states (redMPI's per-send hash, collective checksums) share
+/// one fold. An entry only points at a *live* header — a header owns at
+/// most one slot, and Payload::destroy clears the one it owns — and a hit
+/// needs an equal state and size and a full memcmp, so only equal bytes
+/// from an equal state share a digest. Fixed size, so it allocates
+/// nothing; cleared with the shape memos at run start, so hits are a pure
+/// function of the run.
 constexpr std::size_t kLiveDigestSlots = 64;
 constexpr std::size_t kLiveDigestMinBytes = 256;
 static_assert(kLiveDigestSlots <= 0xff, "slots must fit Header::live_slot");
@@ -164,7 +169,8 @@ struct LiveDigest {
   const std::byte* bytes;
   std::size_t size;
   std::uint64_t key;
-  std::uint64_t digest;
+  std::uint64_t in;      // FNV state the fold resumed from
+  std::uint64_t digest;  // state after folding the bytes
 };
 
 [[nodiscard]] std::array<LiveDigest, kLiveDigestSlots>& live_digests() {
@@ -172,17 +178,18 @@ struct LiveDigest {
   return table;
 }
 
-/// Table key of `n` >= 16 bytes: the length and 8 words spread evenly over
-/// the buffer, the first at its start and the last ending at its end.
-[[nodiscard]] std::uint64_t live_key(const std::byte* p,
-                                     std::size_t n) noexcept {
+/// Table key of `n` >= 16 bytes folded from state `in`: the length, 8
+/// words spread evenly over the buffer (the first at its start, the last
+/// ending at its end), then the state.
+[[nodiscard]] std::uint64_t live_key(const std::byte* p, std::size_t n,
+                                     std::uint64_t in) noexcept {
   std::uint64_t k = util::mix64(n);
   for (std::size_t i = 0; i < 8; ++i) {
     std::uint64_t w;
     std::memcpy(&w, p + i * (n - sizeof w) / 7, sizeof w);
     k = util::hash_combine(k, w);
   }
-  return k;
+  return util::hash_combine(k, in);
 }
 
 }  // namespace
@@ -619,24 +626,33 @@ std::uint64_t Payload::compute_digest(Header* h, std::uint64_t in) {
     case ContentKind::Raw:
       break;
   }
-  if (in == util::kFnvOffset && h->size >= kLiveDigestMinBytes) {
-    if (const std::byte* bytes = bytes_if_any(h)) return digest_live(h, bytes);
+  if (h->size >= kLiveDigestMinBytes) {
+    if (const std::byte* bytes = bytes_if_any(h)) {
+      return digest_live(h, bytes, in);
+    }
   }
   return digest_range(h, 0, h->size, in);
 }
 
-std::uint64_t Payload::digest_live(Header* h, const std::byte* bytes) {
-  const std::uint64_t key = live_key(bytes, h->size);
+std::uint64_t Payload::digest_live(Header* h, const std::byte* bytes,
+                                   std::uint64_t in) {
+  const std::uint64_t key = live_key(bytes, h->size, in);
   const std::size_t slot = key % kLiveDigestSlots;
-  LiveDigest& e = live_digests()[slot];
-  if (e.header != nullptr && e.key == key && e.size == h->size &&
-      std::memcmp(e.bytes, bytes, h->size) == 0) {
+  auto& table = live_digests();
+  LiveDigest& e = table[slot];
+  if (e.header != nullptr && e.key == key && e.in == in &&
+      e.size == h->size && std::memcmp(e.bytes, bytes, h->size) == 0) {
     return e.digest;
   }
-  // A miss takes the slot; the evicted header keeps its stale live_slot,
-  // which its destroy() ignores because the slot is no longer its own.
-  const std::uint64_t d = fnv1a_host(bytes, h->size, util::kFnvOffset);
-  e = {h, bytes, h->size, key, d};
+  // A miss takes the slot. The header first gives up the slot it still
+  // owns, so it never owns two; an evicted header keeps its stale
+  // live_slot, which its destroy() ignores because the slot is no longer
+  // its own.
+  if (h->live_slot != kNoLiveSlot && table[h->live_slot].header == h) {
+    table[h->live_slot] = {};
+  }
+  const std::uint64_t d = fnv1a_host(bytes, h->size, in);
+  e = {h, bytes, h->size, key, in, d};
   h->live_slot = static_cast<std::uint8_t>(slot);
   return d;
 }

@@ -39,12 +39,14 @@
 // Host bytes skip the FNV byte loop wherever the result is already known:
 //   * each all-zero 64-byte block folds into one multiply by prime^64 (a
 //     zero byte's FNV step is a bare multiply, the fnv1a_zeros algebra);
-//   * a byte-backed header of at least 256 bytes reuses the basis digest
-//     of an equal buffer from a fixed per-thread table of 64 live
-//     digested headers, after a full memcmp confirms the bytes. The
-//     table owns nothing: destroy() clears the slot a header holds. Equal
-//     allgather blocks of every rank and the byte-identical messages of
-//     send-deterministic replicas are hashed once.
+//   * a byte-backed header of at least 256 bytes reuses the fold of an
+//     equal buffer from an equal FNV state, found in a fixed per-thread
+//     table of 64 live digested headers keyed by (resume state, bytes)
+//     and confirmed by a full memcmp. The table owns nothing: a header
+//     holds at most one slot, and destroy() clears it. Equal allgather
+//     blocks of every rank and the byte-identical messages of
+//     send-deterministic replicas are hashed once, and so are equal rope
+//     leaves folded from equal continuation states.
 // bytes_hashed counts only the bytes fed through FNV byte steps.
 // That makes GB-scale simulated messages O(1) host work end to end (send,
 // redMPI hash compare, SDC injection, ack/retransmission buffering).
@@ -241,8 +243,8 @@ class Payload {
   /// zero-copy delivery — reuse one computation. Symbolic payloads digest
   /// without materializing; repeated Pattern shapes hit a per-thread
   /// (seed, len) memo and cost O(1); a rope folds its leaves through their
-  /// continuation caches; host bytes equal to a live digested buffer cost
-  /// one memcmp. Empty handles digest to kFnvOffset like the empty span.
+  /// continuation caches; host bytes equal to a live digested buffer
+  /// folded from the same state cost one memcmp. Empty handles digest to kFnvOffset like the empty span.
   [[nodiscard]] std::uint64_t digest() const {
     return h_ != nullptr ? digest_from(h_, util::kFnvOffset)
                          : util::kFnvOffset;
@@ -292,8 +294,9 @@ class Payload {
     ContentKind kind;
     bool digest_valid;
     bool cont_valid;
-    std::uint8_t live_slot;   // live-digest table slot this header last
-                              // claimed, kNoLiveSlot if never (padding)
+    std::uint8_t live_slot;   // live-digest table slot this header owns
+                              // (at most one), kNoLiveSlot if never;
+                              // stale once evicted (padding)
     std::uint64_t seed;       // Pattern/Tile generator seed
     std::uint64_t offset;     // Pattern/Tile stream position of byte 0;
                               // Raw view: window start in the owner
@@ -384,10 +387,12 @@ class Payload {
   [[nodiscard]] static std::uint64_t digest_from(Header* h, std::uint64_t in);
   [[nodiscard]] static std::uint64_t compute_digest(Header* h,
                                                     std::uint64_t in);
-  /// Basis digest of h's host `bytes`: an equal live buffer's digest from
-  /// this thread's live-digest table, else hashed and h takes the slot.
+  /// fnv1a of h's host `bytes` resumed from `in`: the fold of an equal
+  /// live buffer from the same state, from this thread's live-digest
+  /// table, else hashed and h takes the slot (giving up any other).
   [[nodiscard]] static std::uint64_t digest_live(Header* h,
-                                                 const std::byte* bytes);
+                                                 const std::byte* bytes,
+                                                 std::uint64_t in);
   /// fnv1a over bytes [begin, end) of h's contents resumed from `in`,
   /// streamed without caching (Corrupt and its sub-ranges); counts the
   /// bytes it feeds through FNV steps.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sdrmpi/sim/asan_fiber.hpp"
 #include "sdrmpi/util/log.hpp"
@@ -24,6 +25,19 @@ constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
 // fiber ran marks a frame that reached that depth.
 constexpr std::byte kWatermarkByte{0xa5};
 
+// Default-size stacks outlive the Engine that mapped them: one pool per
+// host thread, shared by every Engine that runs there. A sweep of many
+// small Worlds then pays mmap + guard-page mprotect + first-touch faults +
+// munmap once per stack instead of once per fiber per World. Only the
+// pages a fiber touched count toward RSS. Past the cap a released stack is
+// unmapped; 64 stacks hold every fiber of a 32-slot World.
+constexpr std::size_t kStackPoolCap = 64;
+
+[[nodiscard]] std::vector<FiberStack>& stack_pool() {
+  thread_local std::vector<FiberStack> pool;
+  return pool;
+}
+
 }  // namespace
 
 Engine::Engine() {
@@ -32,8 +46,9 @@ Engine::Engine() {
 
 Engine::~Engine() {
   // Unwind any still-live fibers so their stacks unwind (RAII) before the
-  // Process objects and the stack cache are destroyed. A process whose
-  // fiber never ran (lazy stacks) has no frames to unwind.
+  // Process objects are destroyed; resume() hands each stack back to the
+  // thread's pool. A process whose fiber never ran (lazy stacks) has no
+  // frames to unwind.
   for (auto& p : procs_) {
     if (p->terminated()) continue;
     if (!p->stack_.valid()) {
@@ -43,17 +58,6 @@ Engine::~Engine() {
     p->crash_req_ = true;
     resume(*p);  // CrashUnwind runs the fiber to termination
   }
-}
-
-void Engine::set_fiber_stack_bytes(std::size_t bytes) {
-  if (bytes == stack_bytes_) return;
-  stack_bytes_ = bytes;
-  // Cached stacks were sized for the old setting; drop them.
-  for (auto& s : stack_cache_) {
-    stack_stats_.bytes_mapped -= s.mapped_bytes();
-    ++stack_stats_.stacks_dropped;
-  }
-  stack_cache_.clear();
 }
 
 std::size_t Engine::fiber_stack_bytes() const noexcept {
@@ -223,18 +227,19 @@ void Engine::return_control_to_engine() {
 }
 
 FiberStack Engine::acquire_stack() {
+  auto& pool = stack_pool();
   FiberStack s;
-  if (!stack_cache_.empty()) {
-    s = std::move(stack_cache_.back());
-    stack_cache_.pop_back();
+  if (fiber_stack_bytes() == kDefaultFiberStackBytes && !pool.empty()) {
+    s = std::move(pool.back());
+    pool.pop_back();
     ++stack_stats_.stacks_recycled;
   } else {
     s = FiberStack(fiber_stack_bytes());
     ++stack_stats_.stacks_created;
-    stack_stats_.bytes_mapped += s.mapped_bytes();
-    stack_stats_.bytes_mapped_peak =
-        std::max(stack_stats_.bytes_mapped_peak, stack_stats_.bytes_mapped);
   }
+  stack_stats_.bytes_mapped += s.mapped_bytes();
+  stack_stats_.bytes_mapped_peak =
+      std::max(stack_stats_.bytes_mapped_peak, stack_stats_.bytes_mapped);
   if (stack_watermark_) {
     // Paint the usable range so release_stack can report how deep the
     // fiber's frames reached. The fill commits every stack page, so this
@@ -255,12 +260,12 @@ void Engine::release_stack(FiberStack stack) {
         stack_stats_.stack_depth_peak,
         static_cast<std::uint64_t>(stack.size() - i));
   }
-  if (stack_cache_.size() >= stack_cache_cap_) {
-    stack_stats_.bytes_mapped -= stack.mapped_bytes();
-    ++stack_stats_.stacks_dropped;
-    return;  // FiberStack dtor unmaps
+  stack_stats_.bytes_mapped -= stack.mapped_bytes();
+  auto& pool = stack_pool();
+  if (stack.size() == kDefaultFiberStackBytes && pool.size() < kStackPoolCap) {
+    pool.push_back(std::move(stack));
   }
-  stack_cache_.push_back(std::move(stack));
+  // Otherwise the FiberStack dtor unmaps it.
 }
 
 Process& Engine::current() {

@@ -42,17 +42,22 @@ struct RunOutcome {
 
 /// Fiber-stack accounting (see Engine::stack_stats()). Stacks are allocated
 /// lazily at first dispatch, so a spawned-but-never-run process maps no
-/// stack at all; `bytes_mapped_peak` is the high-water address-space cost
-/// (RSS only counts touched pages). `stack_depth_peak` is populated only
-/// when the SDRMPI_STACK_WATERMARK fill is enabled — the fill itself
-/// touches every stack page, so it is a right-sizing tool, not a
-/// production mode.
+/// stack at all. Default-size stacks come from, and go back to, a pool per
+/// host thread that every Engine on that thread shares (engine.cpp), so a
+/// sweep of many small Worlds maps its stacks once, not once per World.
+/// `bytes_mapped` counts the stacks this Engine holds, i.e. its live
+/// fibers', so it and `bytes_mapped_peak` (the high-water address-space
+/// cost; RSS only counts touched pages) are pure functions of the run. The
+/// stack counts are host-side: how many were mapped fresh or taken from
+/// the pool depends on what earlier Engines left on the thread.
+/// `stack_depth_peak` is populated only when the SDRMPI_STACK_WATERMARK
+/// fill is enabled — the fill itself touches every stack page, so it is a
+/// right-sizing tool, not a production mode.
 struct StackStats {
-  std::uint64_t bytes_mapped = 0;       ///< currently mapped (live + cached)
+  std::uint64_t bytes_mapped = 0;       ///< held by live fibers
   std::uint64_t bytes_mapped_peak = 0;  ///< high-water of bytes_mapped
   std::uint64_t stacks_created = 0;     ///< fresh mmap'd stacks
-  std::uint64_t stacks_recycled = 0;    ///< served from the free list
-  std::uint64_t stacks_dropped = 0;     ///< unmapped at the free-list cap
+  std::uint64_t stacks_recycled = 0;    ///< taken from the thread's pool
   std::uint64_t stack_depth_peak = 0;   ///< watermark: deepest frame bytes
 };
 
@@ -105,16 +110,12 @@ class Engine {
 
   /// Usable fiber-stack bytes for stacks allocated from now on (0 restores
   /// the 256 KiB default). Takes effect at the next lazy stack allocation;
-  /// cached stacks of a different size are dropped.
-  void set_fiber_stack_bytes(std::size_t bytes);
-  [[nodiscard]] std::size_t fiber_stack_bytes() const noexcept;
-
-  /// Free-list high-water cap: terminated fibers' stacks beyond this many
-  /// are unmapped instead of cached (default kDefaultStackCacheCap).
-  void set_stack_cache_cap(std::size_t cap) noexcept {
-    stack_cache_cap_ = cap;
+  /// stacks of any other size bypass the per-thread pool (mapped fresh,
+  /// unmapped when their fiber ends).
+  void set_fiber_stack_bytes(std::size_t bytes) noexcept {
+    stack_bytes_ = bytes;
   }
-  static constexpr std::size_t kDefaultStackCacheCap = 16;
+  [[nodiscard]] std::size_t fiber_stack_bytes() const noexcept;
 
   [[nodiscard]] const StackStats& stack_stats() const noexcept {
     return stack_stats_;
@@ -197,7 +198,7 @@ class Engine {
   void run_event_inline(Process& self);
   /// Switches straight onto the process fiber's stack (sdrmpi_fiber_switch,
   /// no syscall); returns when the process yields, blocks, or terminates
-  /// (terminated fibers give their stack back to the cache here).
+  /// (terminated fibers give their stack back to the pool here).
   void resume(Process& p);
   /// Switches from the running fiber straight back to the scheduler's
   /// stack, with the same user-space switch.
@@ -240,9 +241,7 @@ class Engine {
   Process* running_ = nullptr;
 
   void* sched_sp_ = nullptr;  // scheduler stack pointer fibers switch back to
-  std::vector<FiberStack> stack_cache_;
   std::size_t stack_bytes_ = 0;  // 0 = 256 KiB default
-  std::size_t stack_cache_cap_ = kDefaultStackCacheCap;
   StackStats stack_stats_;
   bool stack_watermark_ = false;  // SDRMPI_STACK_WATERMARK fill enabled
 

@@ -52,8 +52,9 @@ struct CrashUnwind {};
 
 /// A fiber stack: an mmap'd region with a PROT_NONE guard page below the
 /// usable range, so overflow faults immediately (as OS thread stacks did)
-/// instead of silently corrupting the heap. Recycled through the engine's
-/// stack cache so respawn-heavy runs (recovery tests) do not churn mmap.
+/// instead of silently corrupting the heap. Default-size stacks are
+/// recycled through a pool per host thread (Engine::acquire_stack), so
+/// respawn-heavy runs and sweeps of many small Worlds do not churn mmap.
 class FiberStack {
  public:
   FiberStack() = default;

@@ -684,6 +684,59 @@ TEST(LiveDigestTable, EvictedHeaderDestroyLeavesTheNewOwnerIntact) {
   }
 }
 
+TEST(LiveDigestTable, EqualLeavesOnDistinctRopesHashOnce) {
+  // Two ranks each receive their own copies of the same two blocks and
+  // join them: the second leaf of each rope resumes from a non-basis
+  // state, and the second rope's leaves are served from the first's.
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> first = nonzero_bytes(0x17ULL, 1024);
+  const std::vector<std::byte> second = nonzero_bytes(0x18ULL, 768);
+  std::vector<std::byte> joined = first;
+  joined.insert(joined.end(), second.begin(), second.end());
+  const auto rope_of_copies = [&] {
+    const Payload parts[] = {Payload::copy_of(&pool, first),
+                             Payload::copy_of(&pool, second)};
+    return Payload::concat_payloads(&pool, parts);
+  };
+  const Payload a = rope_of_copies();
+  const Payload b = rope_of_copies();
+  ASSERT_EQ(a.kind(), ContentKind::Concat);
+  ASSERT_EQ(b.kind(), ContentKind::Concat);
+  const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(a.digest(), util::fnv1a(joined));
+  EXPECT_EQ(util::byte_counters().bytes_hashed - h0, joined.size());
+  const std::uint64_t h1 = util::byte_counters().bytes_hashed;
+  EXPECT_EQ(b.digest(), util::fnv1a(joined));
+  EXPECT_EQ(util::byte_counters().bytes_hashed, h1) << "equal leaves rehashed";
+}
+
+TEST(LiveDigestTable, HeaderOwnsAtMostOneSlot) {
+  // x takes a basis slot, then a continuation slot as a rope's second
+  // leaf. Once x is gone, its slab comes back with a twin of its bytes
+  // that differs off the sampled words, so the twin's key equals x's basis
+  // key: an entry x left behind would serve x's digest for the twin.
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  const std::vector<std::byte> bytes = nonzero_bytes(0x19ULL, 512);
+  const Payload head = Payload::copy_of(&pool, nonzero_bytes(0x1aULL, 300));
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    const std::byte* slab = nullptr;
+    {
+      const Payload x = Payload::copy_of(&pool, bytes);
+      slab = x.data();
+      ASSERT_EQ(x.digest(), util::fnv1a(bytes));
+      const Payload parts[] = {head, x};
+      (void)Payload::concat_payloads(&pool, parts).digest();
+    }
+    std::vector<std::byte> twin = bytes;
+    twin[k] ^= std::byte{0x80};
+    const Payload z = Payload::copy_of(&pool, twin);
+    ASSERT_EQ(z.data(), slab) << "the pool did not reuse x's slab";
+    ASSERT_EQ(z.digest(), util::fnv1a(twin)) << "stale hit, k=" << k;
+  }
+}
+
 TEST(LiveDigestTable, DigestingAllocatesNothing) {
   util::BufferPool pool;
   net::clear_digest_memos();

@@ -4,6 +4,11 @@
 // detection.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+
+#include "sdrmpi/util/log.hpp"
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -144,6 +149,36 @@ TEST(RedMpi, DetectsInjectedCorruption) {
     EXPECT_GE(res.protocol.sdc_detected, 1u) << core::to_string(kind);
     EXPECT_GT(res.protocol.hashes_compared, 0u);
   }
+}
+
+TEST(RedMpi, WarnsOncePerCorruptedSlot) {
+  // One flip cascades: every later message carrying the corrupted value
+  // mismatches again. All of them count, but each slot warns only once.
+  auto cfg = quick_config(8, 2, core::ProtocolKind::RedMpiSd);
+  cfg.sdc.push_back({.slot = 3, .at_send = 1});
+  util::Options cg;
+  cg.set("nrows", "512");
+  cg.set("iters", "6");
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::Warn);
+  testing::internal::CaptureStderr();
+  auto res = core::run(cfg, wl::make_workload("cg", cg));
+  const std::string err = testing::internal::GetCapturedStderr();
+  util::set_log_level(saved);
+  ASSERT_TRUE(run_clean(res));
+  EXPECT_EQ(res.protocol.sdc_detected, 752u);
+
+  std::map<std::string, int> warnings;  // "slot N" -> lines
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);) {
+    const auto at = line.find(" detected silent data corruption");
+    if (at == std::string::npos) continue;
+    const auto slot = line.rfind("slot ", at);
+    ASSERT_NE(slot, std::string::npos) << line;
+    ++warnings[line.substr(slot, at - slot)];
+  }
+  EXPECT_FALSE(warnings.empty());
+  for (const auto& [slot, n] : warnings) EXPECT_EQ(n, 1) << slot;
 }
 
 TEST(RedMpi, NoFalsePositives) {

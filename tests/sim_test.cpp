@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sdrmpi/core/batch.hpp"
@@ -487,6 +488,15 @@ TEST(Engine, FiberStacksRecycledAcrossManyProcesses) {
   EXPECT_EQ(e.process_count(), 401u);
 }
 
+// Runs `body` on a new host thread, whose fiber-stack pool starts empty:
+// for assertions on the host-side stack counts, which depend on what
+// earlier Engines left in the calling thread's pool.
+template <class F>
+void on_fresh_thread(F body) {
+  std::thread t(body);
+  t.join();
+}
+
 TEST(Engine, StacksAllocatedLazilyAtFirstDispatch) {
   // Spawning maps nothing: a process pays for a stack only when it is
   // first dispatched. This is what lets a 4k-rank spawn phase cost
@@ -496,57 +506,96 @@ TEST(Engine, StacksAllocatedLazilyAtFirstDispatch) {
     e.spawn("p", [&] { e.advance(1); });
   }
   EXPECT_EQ(e.stack_stats().stacks_created, 0u);
+  EXPECT_EQ(e.stack_stats().stacks_recycled, 0u);
   EXPECT_EQ(e.stack_stats().bytes_mapped, 0u);
   auto out = e.run();
   EXPECT_TRUE(out.clean());
-  EXPECT_GT(e.stack_stats().stacks_created, 0u);
+  EXPECT_GT(e.stack_stats().bytes_mapped_peak, 0u);
+  EXPECT_EQ(e.stack_stats().bytes_mapped, 0u);  // all back in the pool
 }
 
 TEST(Engine, SequentialFibersShareOneStack) {
   // Run-to-completion processes hand their stack back before the next one
   // dispatches, so any number of sequential fibers costs one mapping.
-  Engine e;
-  for (int i = 0; i < 5; ++i) {
-    e.spawn("p", [] {});
-  }
-  auto out = e.run();
-  EXPECT_TRUE(out.clean());
-  EXPECT_EQ(e.stack_stats().stacks_created, 1u);
-  EXPECT_EQ(e.stack_stats().stacks_recycled, 4u);
-  EXPECT_EQ(e.stack_stats().stacks_dropped, 0u);
+  on_fresh_thread([] {
+    Engine e;
+    for (int i = 0; i < 5; ++i) {
+      e.spawn("p", [] {});
+    }
+    auto out = e.run();
+    EXPECT_TRUE(out.clean());
+    EXPECT_EQ(e.stack_stats().stacks_created, 1u);
+    EXPECT_EQ(e.stack_stats().stacks_recycled, 4u);
+  });
 }
 
 TEST(Engine, InterleavedFibersEachGetTheirOwnStack) {
   // Yielding keeps a fiber live, so interleaved processes genuinely hold
   // concurrent stacks — the mapped high-water tracks peak concurrency,
   // not total process count.
-  Engine e;
-  for (int i = 0; i < 4; ++i) {
-    e.spawn("p", [&] {
-      for (int j = 0; j < 3; ++j) {
-        e.advance(1);
-        e.yield();
-      }
-    });
-  }
-  auto out = e.run();
-  EXPECT_TRUE(out.clean());
-  EXPECT_EQ(e.stack_stats().stacks_created, 4u);
-  EXPECT_GT(e.stack_stats().bytes_mapped_peak, 0u);
+  on_fresh_thread([] {
+    Engine e;
+    for (int i = 0; i < 4; ++i) {
+      e.spawn("p", [&] {
+        for (int j = 0; j < 3; ++j) {
+          e.advance(1);
+          e.yield();
+        }
+      });
+    }
+    auto out = e.run();
+    EXPECT_TRUE(out.clean());
+    EXPECT_EQ(e.stack_stats().stacks_created, 4u);
+    EXPECT_GT(e.stack_stats().bytes_mapped_peak, 0u);
+  });
 }
 
-TEST(Engine, StackCacheCapZeroDropsEveryStack) {
-  Engine e;
-  e.set_stack_cache_cap(0);
-  for (int i = 0; i < 5; ++i) {
-    e.spawn("p", [] {});
+TEST(Engine, SecondEngineOnThreadMapsNoStack) {
+  // Default-size stacks outlive their Engine in the host thread's pool: a
+  // second Engine on the thread maps nothing fresh, and its accounting is
+  // the same as the first's. The first Engine stops at its time limit with
+  // every fiber live and rounding upward, so its destructor's crash unwind
+  // hands back stacks full of stale frames; fibers started on them still
+  // enter ABI-aligned with the default FP control state.
+  constexpr int kFibers = 16;
+  std::uint64_t first_peak = 0;
+  {
+    Engine e;
+    e.set_time_limit(100);
+    for (int i = 0; i < kFibers; ++i) {
+      e.spawn("parked", [&] {
+        std::fesetround(FE_UPWARD);
+        for (;;) {
+          e.advance(10);
+          e.yield();
+        }
+      });
+    }
+    EXPECT_TRUE(e.run().time_limit_hit);
+    first_peak = e.stack_stats().bytes_mapped_peak;
+    EXPECT_EQ(e.stack_stats().bytes_mapped, first_peak);
   }
-  auto out = e.run();
-  EXPECT_TRUE(out.clean());
-  EXPECT_EQ(e.stack_stats().stacks_created, 5u);
-  EXPECT_EQ(e.stack_stats().stacks_recycled, 0u);
-  EXPECT_EQ(e.stack_stats().stacks_dropped, 5u);
-  EXPECT_EQ(e.stack_stats().bytes_mapped, 0u);
+  Engine e;
+  std::vector<std::uintptr_t> addrs;
+  int nearest = 0;
+  for (int i = 0; i < kFibers; ++i) {
+    e.spawn("p", [&] {
+      addrs.push_back(aligned_local_address());
+      if (std::fegetround() == FE_TONEAREST && !sse_rounds_upward()) {
+        ++nearest;
+      }
+      e.advance(1);
+      e.yield();  // all kFibers fibers live at once
+    });
+  }
+  EXPECT_TRUE(e.run().clean());
+  EXPECT_EQ(e.stack_stats().stacks_created, 0u);
+  EXPECT_EQ(e.stack_stats().stacks_recycled,
+            static_cast<std::uint64_t>(kFibers));
+  EXPECT_EQ(e.stack_stats().bytes_mapped_peak, first_peak);
+  EXPECT_EQ(nearest, kFibers);
+  ASSERT_EQ(addrs.size(), static_cast<std::size_t>(kFibers));
+  for (const std::uintptr_t a : addrs) EXPECT_EQ(a % 16, 0u);
 }
 
 TEST(Engine, FiberStackSizeIsConfigurable) {
