@@ -78,13 +78,6 @@ inline void warn_if_not_release() {
   }
 }
 
-/// Host thread-pool size for the sweep: --pool=N (0 = hardware concurrency).
-inline core::BatchOptions pool_options(const util::Options& opts) {
-  core::BatchOptions b;
-  b.threads = static_cast<int>(opts.get_int("pool", 0));
-  return b;
-}
-
 /// Sweep-service configuration from the harness flags.
 inline sweep::ServiceOptions service_options(const util::Options& opts) {
   sweep::ServiceOptions s;

@@ -11,32 +11,23 @@
 
 namespace sdrmpi::core {
 
-std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
-                                const AppFactory& factory,
-                                const BatchOptions& opts) {
-  const std::size_t n = configs.size();
-  std::vector<RunResult> results(n);
-  if (n == 0) return results;
-
-  // Build apps up front on the submitting thread: factories stay simple
-  // (no thread-safety contract) and app identity is independent of the
-  // pool's execution order.
-  std::vector<AppFn> apps(n);
-  for (std::size_t i = 0; i < n; ++i) apps[i] = factory(configs[i], i);
-
-  int threads = opts.threads > 0
-                    ? opts.threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
+std::vector<std::exception_ptr> pool_for_each(
+    std::size_t n, int threads,
+    const std::function<void(std::size_t)>& task) {
+  std::vector<std::exception_ptr> errors(n);
+  if (n == 0) return errors;
+  if (threads <= 0) {
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
   threads = std::clamp(threads, 1, static_cast<int>(n));
 
   std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(n);
-  auto worker = [&configs, &apps, &results, &errors, &next, n] {
+  auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
-        results[i] = run(configs[i], apps[i]);
+        task(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -51,6 +42,25 @@ std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
+  return errors;
+}
+
+std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
+                                const AppFactory& factory,
+                                const BatchOptions& opts) {
+  const std::size_t n = configs.size();
+  std::vector<RunResult> results(n);
+  if (n == 0) return results;
+
+  // Build apps up front on the submitting thread: factories stay simple
+  // (no thread-safety contract) and app identity is independent of the
+  // pool's execution order.
+  std::vector<AppFn> apps(n);
+  for (std::size_t i = 0; i < n; ++i) apps[i] = factory(configs[i], i);
+
+  const auto errors = pool_for_each(n, opts.threads, [&](std::size_t i) {
+    results[i] = run(configs[i], apps[i]);
+  });
 
   // Deterministic error surfacing: the lowest-index failure wins.
   for (std::size_t i = 0; i < n; ++i) {
@@ -92,19 +102,12 @@ std::vector<RunConfig> Sweep::expand() const {
   const std::vector<mpi::CollTuning> tunings =
       coll_tunings.empty() ? std::vector<mpi::CollTuning>{base.coll}
                            : coll_tunings;
-  const std::vector<Time> base_interval{base.ckpt.interval};
-  const std::vector<Time>& ckpt_ivs =
-      ckpt_intervals.empty() ? base_interval : ckpt_intervals;
 
   std::vector<RunConfig> out;
   out.reserve(protos.size() * reps.size() * faults.size() * topos.size() *
               tunings.size());
   for (ProtocolKind p : protos) {
     bool emitted_r1 = false;
-    // The interval axis only moves Ckpt runs; for every other protocol it
-    // would emit identical points.
-    const std::vector<Time>& intervals =
-        p == ProtocolKind::Ckpt ? ckpt_ivs : base_interval;
     for (int r : reps) {
       if (r < 1) continue;
       if (p == ProtocolKind::Native || p == ProtocolKind::Ckpt) {
@@ -117,19 +120,16 @@ std::vector<RunConfig> Sweep::expand() const {
       for (const auto& f : faults) {
         for (const auto& t : topos) {
           for (const auto& ct : tunings) {
-            for (Time iv : intervals) {
-              RunConfig cfg = base;
-              cfg.protocol = p;
-              cfg.replication = r;
-              cfg.faults = f;
-              cfg.net.topology = t;
-              cfg.coll = ct;
-              cfg.ckpt.interval = iv;
-              if (unique_seeds) {
-                cfg.seed = util::hash_combine(base.seed, out.size());
-              }
-              out.push_back(std::move(cfg));
+            RunConfig cfg = base;
+            cfg.protocol = p;
+            cfg.replication = r;
+            cfg.faults = f;
+            cfg.net.topology = t;
+            cfg.coll = ct;
+            if (unique_seeds) {
+              cfg.seed = util::hash_combine(base.seed, out.size());
             }
+            out.push_back(std::move(cfg));
           }
         }
       }

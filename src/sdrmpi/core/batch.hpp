@@ -32,6 +32,14 @@ struct BatchOptions {
 /// mutable state with other runs' apps.
 using AppFactory = std::function<AppFn(const RunConfig& cfg, std::size_t index)>;
 
+/// The batch pool: calls task(i) for every i in [0, n) on `threads` host
+/// threads (0 means std::thread::hardware_concurrency(); clamped to
+/// [1, n]), handing out one index per atomic fetch, and inline when one
+/// thread is used. Returns one slot per index: what task(i) threw, or
+/// null. run_many and the sweep service's local dispatch both run on it.
+[[nodiscard]] std::vector<std::exception_ptr> pool_for_each(
+    std::size_t n, int threads, const std::function<void(std::size_t)>& task);
+
 /// Runs every config through core::run() on a thread pool and returns the
 /// results in input order. The first run-construction error (invalid
 /// config) is rethrown after the pool drains; per-process application
@@ -56,13 +64,11 @@ using AppFactory = std::function<AppFn(const RunConfig& cfg, std::size_t index)>
 
 /// A sweep over a base config. Empty axis = keep the base's value. expand()
 /// emits the full cross product in axis-major order (protocol, replication,
-/// fault set, topology, collective tuning, checkpoint interval). Native and
-/// Ckpt collapse to replication 1 and are emitted for at most one
-/// replication value (both are unreplicated baselines); the
-/// checkpoint-interval axis applies only to Ckpt points (other protocols
-/// keep the base's interval and emit one point). With unique_seeds each
-/// point's seed is derived deterministically from (base seed, point index)
-/// so workload RNG streams never collide.
+/// fault set, topology, collective tuning). Native and Ckpt collapse to
+/// replication 1 and are emitted for at most one replication value (both
+/// are unreplicated baselines). With unique_seeds each point's seed is
+/// derived deterministically from (base seed, point index) so workload RNG
+/// streams never collide.
 struct Sweep {
   RunConfig base;
   std::vector<ProtocolKind> protocols;
@@ -70,7 +76,6 @@ struct Sweep {
   std::vector<std::vector<FaultSpec>> fault_sets;
   std::vector<net::TopologySpec> topologies;    ///< fabric backend axis
   std::vector<mpi::CollTuning> coll_tunings;    ///< collective algorithm axis
-  std::vector<Time> ckpt_intervals;             ///< ckpt-interval axis (Ckpt)
   bool unique_seeds = false;
 
   [[nodiscard]] std::vector<RunConfig> expand() const;

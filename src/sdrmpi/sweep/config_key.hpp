@@ -12,10 +12,10 @@
 // field that can move a run's outcome — protocol, replication, the full
 // network cost model and topology, collective tuning incl. Auto
 // thresholds, fault/SDC schedules, ablation knobs, time limit, seed — is
-// serialized explicitly in a fixed order with fixed-width little-endian
-// encoding (doubles by IEEE bit pattern, vectors length-prefixed).
-// Adding a RunConfig field means extending serialize_config AND bumping
-// kConfigKeyVersion, which invalidates existing stores instead of
+// serialized by the codec.hpp rule, in the order of one field list per
+// struct (config_key.cpp), which both serialize and deserialize run.
+// Adding a RunConfig field means adding it to its struct's list AND
+// bumping kConfigKeyVersion, which invalidates existing stores instead of
 // silently aliasing old entries.
 #pragma once
 
@@ -43,7 +43,7 @@ inline constexpr std::uint8_t kConfigKeyVersion = 4;
 /// remote worker protocol ships configs as canonical bytes — a dispatched
 /// point simulates from a config bit-identical to the coordinator's, which
 /// is what makes remote execution invisible in results. Throws CodecError
-/// (result_codec.hpp) on truncation, trailing bytes, or a version byte
+/// (codec.hpp) on truncation, trailing bytes, or a version byte
 /// other than kConfigKeyVersion.
 [[nodiscard]] core::RunConfig deserialize_config(
     std::span<const std::byte> bytes);

@@ -1,7 +1,7 @@
 // Length-prefixed result frames over raw fds — the wire format of the TCP
 // remote-worker transport (transport.hpp / remote.hpp).
 //
-// Frame layout (little-endian, host-order independent):
+// Frame layout (little-endian by codec.hpp's primitives):
 //   [u8 kind][u64 point id][u32 payload length][payload bytes]
 // kind 0 carries a serialized RunResult (result_codec.hpp), kinds 1/2
 // carry an error message (invalid config / runtime error); the remote
@@ -24,6 +24,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "sdrmpi/sweep/codec.hpp"
+
 namespace sdrmpi::sweep::frame {
 
 inline constexpr std::uint8_t kFrameResult = 0;
@@ -38,6 +40,19 @@ inline constexpr std::uint8_t kFrameRuntimeError = 2;
 /// lower by the remote protocol (remote.cpp's kMaxControlPayload) so a
 /// hostile header cannot make a reader thread allocate 4 GiB.
 inline constexpr std::size_t kMaxFramePayload = 0xffffffffu;
+
+/// The frame header, coded in the order of its field list.
+struct FrameHeader {
+  std::uint8_t kind = 0;
+  std::uint64_t id = 0;
+  std::uint32_t len = 0;
+};
+inline constexpr std::size_t kFrameHeaderBytes = 13;
+
+template <class Io>
+void fields(Io& io, FrameHeader& h) {
+  io(h.kind, h.id, h.len);
+}
 
 /// Why a frame read/write stopped short. `eof` means the peer closed the
 /// stream; `clean_close` narrows that to "closed exactly on a frame
@@ -114,45 +129,27 @@ inline bool write_frame(int fd, std::uint8_t kind, std::uint64_t id,
     return write_frame(fd, kFrameRuntimeError, id, msg, std::strlen(msg),
                        io_err);
   }
-  unsigned char header[13];
-  header[0] = kind;
-  for (int i = 0; i < 8; ++i) {
-    header[1 + i] = static_cast<unsigned char>(id >> (8 * i));
+  ByteWriter header;
+  header(FrameHeader{kind, id, static_cast<std::uint32_t>(len)});
+  if (!write_all(fd, header.bytes().data(), header.bytes().size(), io_err)) {
+    return false;
   }
-  for (int i = 0; i < 4; ++i) {
-    header[9 + i] = static_cast<unsigned char>(
-        static_cast<std::uint32_t>(len) >> (8 * i));
-  }
-  if (!write_all(fd, header, sizeof header, io_err)) return false;
   return len == 0 || write_all(fd, payload, len, io_err);
 }
-
-struct FrameHeader {
-  std::uint8_t kind = 0;
-  std::uint64_t id = 0;
-  std::uint32_t len = 0;
-};
 
 /// Reads one frame header; false on EOF or error. io_err distinguishes a
 /// clean close (EOF before any header byte — `clean_close`) from a torn
 /// frame (EOF after 1..12 header bytes) and from errno failures.
 inline bool read_frame_header(int fd, FrameHeader& out,
                               IoError* io_err = nullptr) {
-  unsigned char header[13];
+  std::byte header[kFrameHeaderBytes];
   if (!read_all(fd, header, 1, io_err)) {
     if (io_err != nullptr && io_err->eof) io_err->clean_close = true;
     return false;
   }
   if (!read_all(fd, header + 1, sizeof header - 1, io_err)) return false;
-  out.kind = header[0];
-  out.id = 0;
-  for (int i = 0; i < 8; ++i) {
-    out.id |= std::uint64_t{header[1 + i]} << (8 * i);
-  }
-  out.len = 0;
-  for (int i = 0; i < 4; ++i) {
-    out.len |= std::uint32_t{header[9 + i]} << (8 * i);
-  }
+  ByteReader r(header);
+  r(out);
   return true;
 }
 

@@ -16,6 +16,7 @@
 
 #include "sdrmpi/core/launcher.hpp"
 #include "sdrmpi/sweep/auth.hpp"
+#include "sdrmpi/sweep/codec.hpp"
 #include "sdrmpi/sweep/config_key.hpp"
 #include "sdrmpi/sweep/frame_io.hpp"
 #include "sdrmpi/sweep/result_codec.hpp"
@@ -42,6 +43,33 @@ constexpr std::uint64_t make_reply_id(std::uint32_t gen, std::uint32_t point) {
 /// thread. Result frames are exempt — encoded RunResults are bounded by
 /// the frame_io 4 GiB limit and produced by our own workers.
 constexpr std::uint32_t kMaxControlPayload = 4096;
+
+/// Hello payload (worker -> coordinator): the worker's wire contract
+/// versions and its name. The auth MAC binds to these exact bytes.
+struct Hello {
+  std::uint32_t protocol_version = 0;
+  std::uint8_t config_key_version = 0;
+  std::uint32_t result_codec_version = 0;
+  std::string name;
+};
+
+template <class Io>
+void fields(Io& io, Hello& h) {
+  io(h.protocol_version, h.config_key_version, h.result_codec_version,
+     h.name);
+}
+
+/// Dispatch payload (coordinator -> worker): one point's canonical config
+/// bytes and its app spec.
+struct Dispatch {
+  std::vector<std::byte> config;
+  std::string spec;
+};
+
+template <class Io>
+void fields(Io& io, Dispatch& d) {
+  io(d.config, d.spec);
+}
 
 /// Bounds a blocking socket send (SO_SNDTIMEO) or receive (SO_RCVTIMEO)
 /// to `ms`; 0 clears the bound. Timed-out calls fail like a lost peer.
@@ -194,31 +222,29 @@ struct RemoteCoordinator::Impl {
       ::close(fd);
       return;
     }
-    std::uint32_t proto = 0, codec = 0;
-    std::uint8_t key_version = 0;
-    std::string name;
+    Hello hello;
     try {
       ByteReader r(payload);
-      proto = r.u32();
-      key_version = r.u8();
-      codec = r.u32();
-      name = r.str();
+      r(hello);
     } catch (const CodecError&) {
       reject("malformed hello frame");
       return;
     }
-    if (proto != kRemoteProtocolVersion) {
-      reject("protocol version " + std::to_string(proto) +
+    if (hello.protocol_version != kRemoteProtocolVersion) {
+      reject("protocol version " +
+             std::to_string(hello.protocol_version) +
              " != coordinator's " + std::to_string(kRemoteProtocolVersion));
       return;
     }
-    if (key_version != kConfigKeyVersion) {
-      reject("config-key version " + std::to_string(key_version) +
+    if (hello.config_key_version != kConfigKeyVersion) {
+      reject("config-key version " +
+             std::to_string(hello.config_key_version) +
              " != coordinator's " + std::to_string(kConfigKeyVersion));
       return;
     }
-    if (codec != kResultCodecVersion) {
-      reject("result-codec version " + std::to_string(codec) +
+    if (hello.result_codec_version != kResultCodecVersion) {
+      reject("result-codec version " +
+             std::to_string(hello.result_codec_version) +
              " != coordinator's " + std::to_string(kResultCodecVersion));
       return;
     }
@@ -226,7 +252,7 @@ struct RemoteCoordinator::Impl {
       return;  // rejected (reasoned frame already sent) or vanished
     }
     ByteWriter ack;
-    ack.u32(static_cast<std::uint32_t>(tuning.heartbeat_interval_ms));
+    ack(static_cast<std::uint32_t>(tuning.heartbeat_interval_ms));
     if (!frame::write_frame(fd, kFrameHelloAck, 0, ack.bytes().data(),
                             ack.bytes().size())) {
       ::close(fd);
@@ -242,7 +268,7 @@ struct RemoteCoordinator::Impl {
     auto conn = std::make_unique<WorkerConn>();
     WorkerConn* w = conn.get();
     w->fd = fd;
-    w->name = std::move(name);
+    w->name = std::move(hello.name);
     w->last_seen = Clock::now();
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -538,10 +564,7 @@ struct RemoteCoordinator::Impl {
       rs.queue.erase(due);
 
       ByteWriter msg;
-      const auto cfg_bytes = serialize_config(*rs.pts[p].cfg);
-      msg.u32(static_cast<std::uint32_t>(cfg_bytes.size()));
-      for (std::byte b : cfg_bytes) msg.u8(std::to_integer<std::uint8_t>(b));
-      msg.str(rs.pts[p].spec);
+      msg(Dispatch{serialize_config(*rs.pts[p].cfg), rs.pts[p].spec});
       const std::uint64_t reply_id = make_reply_id(generation, p);
       rs.state[p].holder = w->id;
       rs.state[p].lease_deadline =
@@ -705,10 +728,8 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
   std::vector<std::byte> hello_bytes;
   {
     ByteWriter hello;
-    hello.u32(opts.protocol_version);
-    hello.u8(kConfigKeyVersion);
-    hello.u32(kResultCodecVersion);
-    hello.str(opts.name);
+    hello(Hello{opts.protocol_version, kConfigKeyVersion, kResultCodecVersion,
+                opts.name});
     hello_bytes = hello.take();
     if (!frame::write_frame(fd, kFrameHello, 0, hello_bytes.data(),
                             hello_bytes.size())) {
@@ -789,7 +810,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     }
     try {
       ByteReader r(payload);
-      heartbeat_interval_ms = r.u32();
+      r(heartbeat_interval_ms);
     } catch (const CodecError&) {
       // Tolerate an empty ack; keep the default interval.
     }
@@ -852,13 +873,10 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     if (h.kind != kFrameDispatch) continue;  // forward compatibility
     if (opts.stats != nullptr) ++opts.stats->dispatches;
 
-    std::vector<std::byte> cfg_bytes;
-    std::string spec;
+    Dispatch dispatch;
     try {
       ByteReader r(payload);
-      cfg_bytes.resize(r.u32());
-      for (std::byte& b : cfg_bytes) b = static_cast<std::byte>(r.u8());
-      spec = r.str();
+      r(dispatch);
     } catch (const CodecError&) {
       break;  // malformed dispatch: treat the stream as torn
     }
@@ -875,8 +893,8 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
       std::memcpy(reply.data(), msg.data(), msg.size());
     };
     try {
-      const core::RunConfig cfg = deserialize_config(cfg_bytes);
-      const core::AppFn app = resolver(cfg, spec);
+      const core::RunConfig cfg = deserialize_config(dispatch.config);
+      const core::AppFn app = resolver(cfg, dispatch.spec);
       reply = encode_result(core::run(cfg, app));
     } catch (const std::invalid_argument& e) {
       fail(frame::kFrameInvalidConfig, e.what());

@@ -1,186 +1,68 @@
 #include "sdrmpi/sweep/result_codec.hpp"
 
-#include <bit>
-
 namespace sdrmpi::sweep {
 
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+// Field lists in wire order (codec.hpp), pinned by
+// ResultCodec.EncodedBytesArePinned.
 
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-namespace {
-
-void put_protocol(ByteWriter& w, const core::ProtocolStats& p) {
-  w.u64(p.acks_sent);
-  w.u64(p.acks_received);
-  w.u64(p.stale_acks);
-  w.u64(p.resends);
-  w.u64(p.decisions_sent);
-  w.u64(p.decisions_used);
-  w.u64(p.hashes_sent);
-  w.u64(p.hashes_compared);
-  w.u64(p.sdc_detected);
-  w.u64(p.failures_observed);
-  w.u64(p.recoveries);
-  w.u64(p.extra_copies);
-  // v2: checkpoint/restart counters.
-  w.u64(p.checkpoints_taken);
-  w.u64(p.restarts);
-  w.u64(p.rework_ns);
+template <class Io>
+void fields(Io& io, core::ProtocolStats& p) {
+  io(p.acks_sent, p.acks_received, p.stale_acks, p.resends, p.decisions_sent,
+     p.decisions_used, p.hashes_sent, p.hashes_compared, p.sdc_detected,
+     p.failures_observed, p.recoveries, p.extra_copies,
+     // v2: checkpoint/restart counters.
+     p.checkpoints_taken, p.restarts, p.rework_ns);
 }
 
-core::ProtocolStats get_protocol(ByteReader& r) {
-  core::ProtocolStats p;
-  p.acks_sent = r.u64();
-  p.acks_received = r.u64();
-  p.stale_acks = r.u64();
-  p.resends = r.u64();
-  p.decisions_sent = r.u64();
-  p.decisions_used = r.u64();
-  p.hashes_sent = r.u64();
-  p.hashes_compared = r.u64();
-  p.sdc_detected = r.u64();
-  p.failures_observed = r.u64();
-  p.recoveries = r.u64();
-  p.extra_copies = r.u64();
-  p.checkpoints_taken = r.u64();
-  p.restarts = r.u64();
-  p.rework_ns = r.u64();
-  return p;
+template <class Io>
+void fields(Io& io, net::FabricStats& f) {
+  io(f.frames_sent, f.payload_bytes, f.frames_dropped_dead_dst,
+     f.intra_node_frames, f.intra_switch_frames, f.inter_switch_frames,
+     f.link_stalls, f.link_stall_ns, f.link_busy_ns);
 }
 
-void put_fabric(ByteWriter& w, const net::FabricStats& f) {
-  w.u64(f.frames_sent);
-  w.u64(f.payload_bytes);
-  w.u64(f.frames_dropped_dead_dst);
-  w.u64(f.intra_node_frames);
-  w.u64(f.intra_switch_frames);
-  w.u64(f.inter_switch_frames);
-  w.u64(f.link_stalls);
-  w.u64(f.link_stall_ns);
-  w.u64(f.link_busy_ns);
+template <class Io>
+void fields(Io& io, core::MemStats& m) {
+  io(m.stack_bytes_reserved, m.stack_bytes_peak, m.stack_depth_peak,
+     m.endpoint_bytes, m.fabric_bytes, m.payload_slab_bytes);
 }
 
-net::FabricStats get_fabric(ByteReader& r) {
-  net::FabricStats f;
-  f.frames_sent = r.u64();
-  f.payload_bytes = r.u64();
-  f.frames_dropped_dead_dst = r.u64();
-  f.intra_node_frames = r.u64();
-  f.intra_switch_frames = r.u64();
-  f.inter_switch_frames = r.u64();
-  f.link_stalls = r.u64();
-  f.link_stall_ns = r.u64();
-  f.link_busy_ns = r.u64();
-  return f;
+template <class Io>
+void fields(Io& io, core::SlotResult& s) {
+  io(s.slot, s.rank, s.world, s.final_state, s.finish_time, s.checksum,
+     s.reported_checksum, s.values);
 }
 
-void put_slot(ByteWriter& w, const core::SlotResult& s) {
-  w.i32(s.slot);
-  w.i32(s.rank);
-  w.i32(s.world);
-  w.str(s.final_state);
-  w.i64(s.finish_time);
-  w.u64(s.checksum);
-  w.boolean(s.reported_checksum);
-  w.u32(static_cast<std::uint32_t>(s.values.size()));
-  for (const auto& [key, value] : s.values) {
-    w.str(key);
-    w.f64(value);
-  }
+template <class Io>
+void fields(Io& io, core::RunResult& r) {
+  io(r.deadlock, r.time_limit_hit, r.rank_lost, r.errors, r.makespan,
+     r.slots, r.app_sends, r.data_frames, r.ctl_frames, r.unexpected,
+     r.duplicates_dropped, r.events_executed, r.context_switches,
+     r.bytes_copied, r.bytes_hashed, r.protocol, r.fabric,
+     // v3: per-subsystem host-memory accounting. Describes the host that
+     // ran the simulation (a remote worker's numbers ride back to the
+     // coordinator), not the simulated outcome — RunResult::operator==
+     // deliberately ignores it.
+     r.mem);
 }
-
-core::SlotResult get_slot(ByteReader& r) {
-  core::SlotResult s;
-  s.slot = r.i32();
-  s.rank = r.i32();
-  s.world = r.i32();
-  s.final_state = r.str();
-  s.finish_time = r.i64();
-  s.checksum = r.u64();
-  s.reported_checksum = r.boolean();
-  const std::uint32_t nvalues = r.u32();
-  for (std::uint32_t i = 0; i < nvalues; ++i) {
-    std::string key = r.str();
-    const double value = r.f64();
-    s.values.emplace(std::move(key), value);
-  }
-  return s;
-}
-
-}  // namespace
 
 std::vector<std::byte> encode_result(const core::RunResult& r) {
   ByteWriter w;
-  w.u32(kResultCodecVersion);
-  w.boolean(r.deadlock);
-  w.boolean(r.time_limit_hit);
-  w.boolean(r.rank_lost);
-  w.u32(static_cast<std::uint32_t>(r.errors.size()));
-  for (const auto& e : r.errors) w.str(e);
-  w.i64(r.makespan);
-  w.u32(static_cast<std::uint32_t>(r.slots.size()));
-  for (const auto& s : r.slots) put_slot(w, s);
-  w.u64(r.app_sends);
-  w.u64(r.data_frames);
-  w.u64(r.ctl_frames);
-  w.u64(r.unexpected);
-  w.u64(r.duplicates_dropped);
-  w.u64(r.events_executed);
-  w.u64(r.context_switches);
-  w.u64(r.bytes_copied);
-  w.u64(r.bytes_hashed);
-  put_protocol(w, r.protocol);
-  put_fabric(w, r.fabric);
-  // v3: per-subsystem host-memory accounting. Describes the host that ran
-  // the simulation (a remote worker's numbers ride back to the
-  // coordinator), not the simulated outcome — RunResult::operator==
-  // deliberately ignores these.
-  w.u64(r.mem.stack_bytes_reserved);
-  w.u64(r.mem.stack_bytes_peak);
-  w.u64(r.mem.stack_depth_peak);
-  w.u64(r.mem.endpoint_bytes);
-  w.u64(r.mem.fabric_bytes);
-  w.u64(r.mem.payload_slab_bytes);
+  w(kResultCodecVersion, r);
   return w.take();
 }
 
 core::RunResult decode_result(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
-  const std::uint32_t version = r.u32();
+  std::uint32_t version = 0;
+  r(version);
   if (version != kResultCodecVersion) {
     throw CodecError("result codec: version " + std::to_string(version) +
                      " != expected " + std::to_string(kResultCodecVersion));
   }
   core::RunResult out;
-  out.deadlock = r.boolean();
-  out.time_limit_hit = r.boolean();
-  out.rank_lost = r.boolean();
-  const std::uint32_t nerrors = r.u32();
-  for (std::uint32_t i = 0; i < nerrors; ++i) out.errors.push_back(r.str());
-  out.makespan = r.i64();
-  const std::uint32_t nslots = r.u32();
-  for (std::uint32_t i = 0; i < nslots; ++i) out.slots.push_back(get_slot(r));
-  out.app_sends = r.u64();
-  out.data_frames = r.u64();
-  out.ctl_frames = r.u64();
-  out.unexpected = r.u64();
-  out.duplicates_dropped = r.u64();
-  out.events_executed = r.u64();
-  out.context_switches = r.u64();
-  out.bytes_copied = r.u64();
-  out.bytes_hashed = r.u64();
-  out.protocol = get_protocol(r);
-  out.fabric = get_fabric(r);
-  out.mem.stack_bytes_reserved = r.u64();
-  out.mem.stack_bytes_peak = r.u64();
-  out.mem.stack_depth_peak = r.u64();
-  out.mem.endpoint_bytes = r.u64();
-  out.mem.fabric_bytes = r.u64();
-  out.mem.payload_slab_bytes = r.u64();
-  if (!r.exhausted()) {
-    throw CodecError("result codec: trailing bytes after decode");
-  }
+  r(out);
+  r.finish("result codec");
   return out;
 }
 

@@ -1,19 +1,15 @@
-// Byte-level serialization for sweep-service persistence.
+// Full round-trip serialization of core::RunResult for sweep-service
+// persistence: every SlotResult (with its values map), ProtocolStats,
+// FabricStats, MemStats and the error list, coded by the codec.hpp rule
+// through one field list per struct (result_codec.cpp).
+// decode(encode(r)) round-trips every field exactly (MemStats is carried
+// too, even though RunResult::operator== ignores it); sweep_service_test
+// pins this for fuzzed results and pins the encoded bytes, and the
+// persistent ResultStore stores nothing else.
 //
-// Two layers live here:
-//  1. ByteWriter / ByteReader — a minimal little-endian codec (fixed-width
-//     integers, IEEE doubles via bit_cast, length-prefixed strings) shared
-//     by the RunResult codec below and the canonical RunConfig
-//     serialization in config_key.{hpp,cpp}. The format is explicitly
-//     host-order-independent so a result store written on one machine
-//     reads back on another.
-//  2. encode_result / decode_result — full round-trip serialization of
-//     core::RunResult including every SlotResult (with its values map),
-//     ProtocolStats, FabricStats, MemStats and the error list.
-//     decode(encode(r)) round-trips every field exactly (MemStats is
-//     carried too, even though RunResult::operator== ignores it);
-//     sweep_service_test pins this for fuzzed results, and the
-//     persistent ResultStore stores nothing else.
+// Adding a field means adding it to its struct's list AND bumping
+// kResultCodecVersion, so stores written before the change are rejected
+// on open instead of misread.
 //
 // Serialization happens only at run boundaries (cache lookup before a
 // simulation, store append after one) — the zero-allocation hot path
@@ -23,11 +19,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sdrmpi/core/run_config.hpp"
+#include "sdrmpi/sweep/codec.hpp"
 
 namespace sdrmpi::sweep {
 
@@ -35,87 +30,6 @@ namespace sdrmpi::sweep {
 /// version are rejected on open (a stale cache is discarded, never
 /// misread).
 inline constexpr std::uint32_t kResultCodecVersion = 3;  // v3: MemStats
-
-/// Append-only little-endian encoder.
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<std::byte>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    for (char c : s) u8(static_cast<std::uint8_t>(c));
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-
-  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
-    return bytes_;
-  }
-  [[nodiscard]] std::vector<std::byte> take() noexcept {
-    return std::move(bytes_);
-  }
-
- private:
-  std::vector<std::byte> bytes_;
-};
-
-/// Thrown by ByteReader / decode_result on truncated or malformed input.
-/// The ResultStore treats it as a torn tail record (stop loading, truncate)
-/// rather than a fatal error — interrupted sweeps must reopen their store.
-struct CodecError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Bounds-checked little-endian decoder over a borrowed byte span.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::byte> data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    if (pos_ >= data_.size()) throw CodecError("codec: truncated input");
-    return std::to_integer<std::uint8_t>(data_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{u8()} << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str() {
-    const std::uint32_t n = u32();
-    if (data_.size() - pos_ < n) throw CodecError("codec: truncated string");
-    std::string s;
-    s.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s.push_back(static_cast<char>(u8()));
-    }
-    return s;
-  }
-  [[nodiscard]] bool boolean() { return u8() != 0; }
-
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
 
 /// Serializes a full RunResult (version-tagged).
 [[nodiscard]] std::vector<std::byte> encode_result(const core::RunResult& r);

@@ -5,9 +5,11 @@
 
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "sdrmpi/sweep/codec.hpp"
 #include "sdrmpi/sweep/result_codec.hpp"
 #include "sdrmpi/util/hash.hpp"
 
@@ -17,44 +19,38 @@ namespace {
 constexpr std::uint32_t kStoreMagic = 0x53445253;  // "SDRS"
 constexpr std::uint32_t kStoreVersion = 1;
 
-// Record: digest, payload length, payload fnv1a, payload bytes. The
-// checksum turns a torn tail append (process killed mid-write) into a
-// detectable bad record instead of a silently wrong result.
+// File: magic, version, then records of digest, payload length, payload
+// fnv1a, payload bytes, all coded by codec.hpp. The checksum turns a torn
+// tail append (process killed mid-write) into a detectable bad record
+// instead of a silently wrong result.
+constexpr std::size_t kStoreHeaderBytes = 8;
+
 struct RecordHeader {
-  std::uint64_t digest;
-  std::uint32_t length;
-  std::uint64_t payload_hash;
+  std::uint64_t digest = 0;
+  std::uint32_t length = 0;
+  std::uint64_t payload_hash = 0;
 };
+constexpr std::size_t kRecordHeaderBytes = 20;
 
-void write_u32(std::FILE* f, std::uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  if (std::fwrite(b, 1, 4, f) != 4) {
+template <class Io>
+void fields(Io& io, RecordHeader& h) {
+  io(h.digest, h.length, h.payload_hash);
+}
+
+void write_bytes(std::FILE* f, std::span<const std::byte> bytes) {
+  if (!bytes.empty() &&
+      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
     throw std::runtime_error("result store: short write");
   }
 }
 
-void write_u64(std::FILE* f, std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  if (std::fwrite(b, 1, 8, f) != 8) {
-    throw std::runtime_error("result store: short write");
-  }
-}
-
-bool read_u32(std::FILE* f, std::uint32_t& out) {
-  unsigned char b[4];
-  if (std::fread(b, 1, 4, f) != 4) return false;
-  out = 0;
-  for (int i = 0; i < 4; ++i) out |= std::uint32_t{b[i]} << (8 * i);
-  return true;
-}
-
-bool read_u64(std::FILE* f, std::uint64_t& out) {
-  unsigned char b[8];
-  if (std::fread(b, 1, 8, f) != 8) return false;
-  out = 0;
-  for (int i = 0; i < 8; ++i) out |= std::uint64_t{b[i]} << (8 * i);
+/// Reads `N` bytes and decodes them into `vs`; false on a short read.
+template <std::size_t N, class... Ts>
+bool read_fields(std::FILE* f, Ts&... vs) {
+  std::byte buf[N];
+  if (std::fread(buf, 1, N, f) != N) return false;
+  ByteReader r(buf);
+  r(vs...);
   return true;
 }
 
@@ -110,19 +106,21 @@ void ResultStore::load_and_repair() {
   std::fseek(file_, 0, SEEK_SET);
 
   if (file_size == 0) {
-    write_u32(file_, kStoreMagic);
-    write_u32(file_, kStoreVersion);
+    ByteWriter w;
+    w(kStoreMagic, kStoreVersion);
+    write_bytes(file_, w.bytes());
     std::fflush(file_);
     return;
   }
 
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  if (!read_u32(file_, magic) || magic != kStoreMagic) {
+  if (!read_fields<kStoreHeaderBytes>(file_, magic, version) ||
+      magic != kStoreMagic) {
     throw std::runtime_error("result store: '" + path_ +
                              "' is not a sweep result store");
   }
-  if (!read_u32(file_, version) || version != kStoreVersion) {
+  if (version != kStoreVersion) {
     throw std::runtime_error(
         "result store: '" + path_ + "' has format version " +
         std::to_string(version) + ", expected " +
@@ -131,10 +129,12 @@ void ResultStore::load_and_repair() {
 
   long good_end = std::ftell(file_);
   for (;;) {
-    RecordHeader h{};
-    if (!read_u64(file_, h.digest) || !read_u32(file_, h.length) ||
-        !read_u64(file_, h.payload_hash)) {
+    RecordHeader h;
+    if (!read_fields<kRecordHeaderBytes>(file_, h)) {
       break;  // clean EOF or torn header
+    }
+    if (h.length > file_size - std::ftell(file_)) {
+      break;  // torn payload; do not allocate what the length claims
     }
     std::vector<std::byte> payload(h.length);
     if (h.length > 0 &&
@@ -183,14 +183,11 @@ void ResultStore::put(std::uint64_t digest, const core::RunResult& result) {
   if (index_.count(digest) > 0) return;
   if (file_ != nullptr) {
     const auto payload = encode_result(result);
-    write_u64(file_, digest);
-    write_u32(file_, static_cast<std::uint32_t>(payload.size()));
-    write_u64(file_, util::fnv1a(payload));
-    if (!payload.empty() &&
-        std::fwrite(payload.data(), 1, payload.size(), file_) !=
-            payload.size()) {
-      throw std::runtime_error("result store: short write");
-    }
+    ByteWriter w;
+    w(RecordHeader{digest, static_cast<std::uint32_t>(payload.size()),
+                   util::fnv1a(payload)});
+    write_bytes(file_, w.bytes());
+    write_bytes(file_, payload);
     std::fflush(file_);
   }
   index_.emplace(digest, result);

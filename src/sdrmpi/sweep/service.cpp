@@ -1,11 +1,9 @@
 #include "sdrmpi/sweep/service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "sdrmpi/core/launcher.hpp"
@@ -134,13 +132,6 @@ std::vector<core::RunResult> SweepService::run(
   }
 
   // ---- dispatch ------------------------------------------------------------
-  int workers = opts_.workers > 0
-                    ? opts_.workers
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  workers = std::clamp(workers, 1,
-                       std::max(1, static_cast<int>(misses.size())));
-  stats_.workers = workers;
-
   std::mutex collect_mutex;  // guards results/stats/store/stream
   std::unordered_map<std::uint64_t, std::size_t> dispatch_counts;
   // One slot per miss, written once by whichever thread finishes it.
@@ -180,28 +171,10 @@ std::vector<core::RunResult> SweepService::run(
     coordinator_->run(points, collect_result, collect_error);
     stats_.remote = since(before, coordinator_->stats());
   } else if (!misses.empty()) {
-    // One point per fetch, as core::run_many does: scheduling only, never
-    // results.
-    std::atomic<std::size_t> next{0};
-    auto pool_worker = [&] {
-      for (;;) {
-        const std::size_t m = next.fetch_add(1, std::memory_order_relaxed);
-        if (m >= misses.size()) return;
-        try {
+    errors = core::pool_for_each(
+        misses.size(), opts_.workers, [&](std::size_t m) {
           collect_result(m, core::run(configs[misses[m]], apps[m]));
-        } catch (...) {
-          errors[m] = std::current_exception();
-        }
-      }
-    };
-    if (workers == 1) {
-      pool_worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int t = 0; t < workers; ++t) pool.emplace_back(pool_worker);
-      for (auto& th : pool) th.join();
-    }
+        });
   }
 
   // Deterministic error surfacing: misses ascend in input order, so the

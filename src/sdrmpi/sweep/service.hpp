@@ -81,7 +81,6 @@ struct ServiceStats {
   std::size_t duplicates = 0;     ///< points collapsed onto an earlier digest
   std::size_t cache_hits = 0;     ///< unique digests served from the store
   std::size_t dispatched = 0;     ///< unique digests actually simulated
-  int workers = 0;                ///< resolved pool thread count
   /// Highest dispatch count observed for any single digest. The dedupe
   /// contract says this is 1 (or 0 on a fully warm sweep); fig_sweepsvc
   /// --check gates on it.

@@ -3,6 +3,8 @@
 //  - config_key: canonical serialization collides iff configs are == —
 //    every RunConfig field moves the digest, equal configs byte-match.
 //  - result_codec: decode(encode(r)) == r for every RunResult field.
+//  - Pinned bytes: the canonical config, an encoded result and a store
+//    file match fixed sizes and digests, so a reordered field list fails.
 //  - ResultStore: persistence across reopen, torn-tail repair.
 //  - SweepService: pool-size invariance (1 / 3 / 4 in-process pool
 //    threads reproduce the run_many baseline bit-for-bit on a 50-point
@@ -24,7 +26,8 @@
 //    frames against a live coordinator (which must keep serving), a
 //    stalled Hello prefix (which must not block later registrations),
 //    and a hostile coordinator against run_worker (which must throw
-//    cleanly).
+//    cleanly, or end a session whose Dispatch claims more bytes than its
+//    frame holds without allocating the claim).
 //  - Supervisor: the restart policy unit-level, plus a SIGKILLed
 //    supervised worker whose replacement finishes the sweep and a spent
 //    restart budget degrading to local fallback.
@@ -52,6 +55,8 @@
 #include "sdrmpi/sweep/result_codec.hpp"
 #include "sdrmpi/sweep/supervise.hpp"
 #include "sdrmpi/sweep/transport.hpp"
+#include "sdrmpi/util/alloc_counter.hpp"
+#include "sdrmpi/util/hash.hpp"
 #include "sdrmpi/util/rng.hpp"
 #include "test_support.hpp"
 
@@ -209,6 +214,26 @@ TEST(ConfigKey, VersionByteLeadsTheSerialization) {
   EXPECT_EQ(std::to_integer<std::uint8_t>(bytes[0]), sweep::kConfigKeyVersion);
 }
 
+/// A RunConfig with every field away from its default: each mutation of
+/// all_field_mutations() applied in turn (so 4 faults and 3 SDC specs).
+core::RunConfig fully_populated_config() {
+  core::RunConfig c;
+  for (const Mutation& m : all_field_mutations()) m.apply(c);
+  return c;
+}
+
+TEST(ConfigKey, CanonicalBytesArePinned) {
+  // Round trips cannot see a reordered field list: both directions move
+  // together. These pins can. Change them only with a kConfigKeyVersion
+  // bump, since every stored digest moves with them.
+  const auto def = sweep::serialize_config(core::RunConfig{});
+  EXPECT_EQ(def.size(), 231u);
+  EXPECT_EQ(util::fnv1a(def), 0xd5ab6c4ee3dadf2eULL);
+  const auto full = sweep::serialize_config(fully_populated_config());
+  EXPECT_EQ(full.size(), 347u);
+  EXPECT_EQ(util::fnv1a(full), 0x4fcc6d904a081955ULL);
+}
+
 // ------------------------------------------------------------ result_codec
 
 /// A RunResult with every field (and nested struct) away from its default.
@@ -315,6 +340,15 @@ TEST(ResultCodec, RejectsTruncationAndVersionMismatch) {
   EXPECT_THROW({ auto r = sweep::decode_result(bytes); }, sweep::CodecError);
 }
 
+TEST(ResultCodec, EncodedBytesArePinned) {
+  // As ConfigKey.CanonicalBytesArePinned: a reordered field list still
+  // round-trips, but moves these. Change them only with a
+  // kResultCodecVersion bump.
+  const auto full = sweep::encode_result(fully_populated_result());
+  EXPECT_EQ(full.size(), 599u);
+  EXPECT_EQ(util::fnv1a(full), 0xcf9ddde1e40d09e5ULL);
+}
+
 // ------------------------------------------------------------- ResultStore
 
 class StoreFile {
@@ -386,6 +420,52 @@ TEST(ResultStore, RepairsTornTailRecord) {
   sweep::ResultStore store(f.path());
   EXPECT_EQ(store.loaded(), 4u);
   EXPECT_EQ(*store.lookup(4), core::RunResult{});
+}
+
+TEST(ResultStore, OversizedRecordLengthIsATornTail) {
+  // A tail record header whose length claims ~4 GiB: the store must cut it
+  // as torn without allocating the claim.
+  StoreFile f("oversized");
+  {
+    sweep::ResultStore store(f.path());
+    store.put(1, fully_populated_result());
+  }
+  const auto intact_size = std::filesystem::file_size(f.path());
+  {
+    std::FILE* file = std::fopen(f.path().c_str(), "ab");
+    ASSERT_NE(file, nullptr);
+    unsigned char header[20] = {};
+    for (int i = 8; i < 12; ++i) header[i] = 0xff;  // u32 length
+    std::fwrite(header, 1, sizeof header, file);
+    std::fclose(file);
+  }
+  const std::uint64_t before = util::alloc_bytes();
+  {
+    sweep::ResultStore store(f.path());
+    EXPECT_EQ(store.loaded(), 1u);
+  }
+  if (util::alloc_counting_enabled()) {
+    EXPECT_LT(util::alloc_bytes() - before, std::uint64_t{16} << 20);
+  }
+  EXPECT_EQ(std::filesystem::file_size(f.path()), intact_size);
+}
+
+TEST(ResultStore, FileBytesArePinned) {
+  // The whole file: magic and version header, then one record (digest,
+  // length, payload checksum, encoded result). Stores written by earlier
+  // builds must keep opening, so these move only with kStoreVersion.
+  StoreFile f("pinned");
+  {
+    sweep::ResultStore store(f.path());
+    store.put(0x0123456789abcdefULL, fully_populated_result());
+  }
+  std::vector<std::byte> file(std::filesystem::file_size(f.path()));
+  std::FILE* in = std::fopen(f.path().c_str(), "rb");
+  ASSERT_NE(in, nullptr);
+  ASSERT_EQ(std::fread(file.data(), 1, file.size(), in), file.size());
+  std::fclose(in);
+  EXPECT_EQ(file.size(), 627u);
+  EXPECT_EQ(util::fnv1a(file), 0x1aeee3288575f92aULL);
 }
 
 TEST(ResultStore, SecondOpenOfBusyStoreFails) {
@@ -1510,10 +1590,8 @@ std::vector<unsigned char> raw_header(std::uint8_t kind, std::uint64_t id,
 /// A byte-exact valid Hello frame (header + payload), the fuzz baseline.
 std::vector<unsigned char> hello_image(const std::string& name = "fuzz") {
   sweep::ByteWriter w;
-  w.u32(sweep::kRemoteProtocolVersion);
-  w.u8(sweep::kConfigKeyVersion);
-  w.u32(sweep::kResultCodecVersion);
-  w.str(name);
+  w(sweep::kRemoteProtocolVersion, sweep::kConfigKeyVersion,
+    sweep::kResultCodecVersion, name);
   const auto payload = w.take();
   auto image = raw_header(sweep::kFrameHello, 0,
                           static_cast<std::uint32_t>(payload.size()));
@@ -1706,6 +1784,48 @@ TEST(HandshakeFuzz, WorkerThrowsOnAGarbageRegistrationReply) {
         << e.what();
   }
   coordinator.join();
+}
+
+TEST(HandshakeFuzz, WorkerBoundsADispatchLengthClaimByItsFrame) {
+  // A coordinator registers the worker, then sends a Dispatch whose
+  // 4-byte payload claims 64 MiB of config bytes. The worker must end the
+  // session as a torn stream, without allocating what the claim names.
+  if (!util::alloc_counting_enabled()) {
+    GTEST_SKIP() << "allocation counting is compiled out in this build";
+  }
+  sweep::ignore_sigpipe();
+  sweep::TcpListener evil("127.0.0.1", 0);
+  std::thread coordinator([&evil] {
+    const int fd = evil.accept_fd(5000);
+    if (fd < 0) return;
+    sweep::frame::FrameHeader h;
+    if (sweep::frame::read_frame_header(fd, h) && h.len <= 4096) {
+      std::vector<std::byte> hello(h.len);
+      if (h.len > 0) sweep::frame::read_all(fd, hello.data(), h.len);
+    }
+    const unsigned char interval_ms[4] = {0xe8, 0x03, 0x00, 0x00};  // 1000
+    auto hdr = raw_header(sweep::kFrameHelloAck, 0, sizeof interval_ms);
+    sweep::frame::write_all(fd, hdr.data(), hdr.size());
+    sweep::frame::write_all(fd, interval_ms, sizeof interval_ms);
+    const unsigned char claim[4] = {0x00, 0x00, 0x00, 0x04};  // u32 64 MiB
+    hdr = raw_header(sweep::kFrameDispatch, 1, sizeof claim);
+    sweep::frame::write_all(fd, hdr.data(), hdr.size());
+    sweep::frame::write_all(fd, claim, sizeof claim);
+    unsigned char sink[256];
+    while (::read(fd, sink, sizeof sink) > 0) {
+    }  // drain the work requests until the worker hangs up
+    ::close(fd);
+  });
+  sweep::WorkerOptions victim;
+  victim.name = "victim";
+  victim.connect_timeout_ms = 5000;
+  const std::uint64_t before = util::alloc_bytes();
+  EXPECT_NO_THROW(
+      sweep::run_worker(evil.address(), sweep::registry_resolver(), victim));
+  const std::uint64_t grown = util::alloc_bytes() - before;
+  coordinator.join();
+  EXPECT_LT(grown, std::uint64_t{16} << 20)
+      << "the worker allocated the Dispatch's claimed length";
 }
 
 // ------------------------------------------------------------ supervisor
