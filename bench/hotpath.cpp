@@ -5,8 +5,8 @@
 // path: simulated sends per host second, engine events per host second, and
 // global operator-new invocations per simulated message, on fig7b-style
 // NetPipe traffic (native and SDR r=2), plus the host cost of one engine
-// context switch. These are the numbers the zero-allocation hot-path work
-// is pinned against (BENCH_hotpath.json).
+// dispatch (a fiber → fiber switch). These are the numbers the
+// zero-allocation hot-path work is pinned against (BENCH_hotpath.json).
 //
 //   --json            machine-readable output for the BENCH_* trajectory
 //   --check           exit non-zero if allocs/send regress past the pinned
@@ -62,7 +62,7 @@ struct HotpathPoint {
   double allocs_per_frame = 0.0;
   double bytes_copied_per_send = 0.0;
   std::uint64_t context_switches = 0;
-  double ns_per_switch = 0.0;  ///< host ns per engine ⇄ fiber round trip
+  double ns_per_switch = 0.0;  ///< host ns per dispatch (fiber → fiber)
   bool symbolic = false;     ///< gate bytes_copied_per_send in --check
   bool gate_allocs = false;  ///< gate allocs_per_send in --check (the fig7b
                              ///< sweep; single-size points run too few sends
@@ -112,11 +112,12 @@ HotpathPoint bench_events_raw() {
   return pt;
 }
 
-// Engine context-switch cost: two fibers ping-pong control through
-// yield(), so every resume() is one engine ⇄ fiber round trip (as counted
-// by RunOutcome::context_switches), with nothing else on the path but the
-// runnable-heap push/pop. Reports the median of kReps fresh engines; no
-// --check gate reads it.
+// Engine dispatch cost: two fibers ping-pong control through yield(), so
+// every dispatch (as counted by RunOutcome::context_switches) is one
+// fiber → fiber hand-off, with nothing else on the path but the scheduling
+// decision and the runnable-heap push/pop. Only the first dispatch, the
+// two exits and the dispatch between them pass through run(). Reports the
+// median of kReps fresh engines; no --check gate reads it.
 HotpathPoint bench_ctx_switch() {
   constexpr int kYields = 50000;
   constexpr int kReps = 5;

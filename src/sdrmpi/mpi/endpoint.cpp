@@ -484,11 +484,14 @@ void Endpoint::on_delivery(net::Delivery&& d) {
 }
 
 void Endpoint::progress() {
-  while (!inbox_.empty()) {
-    net::Delivery d = std::move(inbox_.front());
-    inbox_.pop_front();
+  // Index, don't hold a reference: handling a frame can run events that
+  // append to (and reallocate) the inbox.
+  while (inbox_head_ < inbox_.size()) {
+    net::Delivery d = std::move(inbox_[inbox_head_++]);
     handle_frame(std::move(d));
   }
+  inbox_.clear();
+  inbox_head_ = 0;
   protocol_->on_progress(*this);
 }
 
@@ -763,7 +766,9 @@ std::string Endpoint::debug_state() const {
          << ")";
     }
   }
-  if (!inbox_.empty()) os << " inbox=" << inbox_.size();
+  if (inbox_head_ < inbox_.size()) {
+    os << " inbox=" << inbox_.size() - inbox_head_;
+  }
   return os.str();
 }
 
@@ -783,7 +788,7 @@ std::size_t Endpoint::footprint_bytes() const noexcept {
   for (const CommInfo& ci : comms_) {
     n += sizeof(CommInfo) + ci.rank_to_slot.heap_bytes();
   }
-  n += inbox_.size() * sizeof(net::Delivery);
+  n += (inbox_.size() - inbox_head_) * sizeof(net::Delivery);
   n += rdv_sends_.capacity() * sizeof(RdvSend);
   n += rdv_recvs_.capacity() * sizeof(RdvRecv);
   n += req_cache_.capacity() * sizeof(Request);

@@ -309,7 +309,12 @@ class Endpoint {
   int pid_ = -1;
 
   std::unique_ptr<Vprotocol> protocol_;
-  std::deque<net::Delivery> inbox_;
+  // Delivered frames not yet handled: inbox_[inbox_head_..]. A FIFO over
+  // a vector that progress() empties once drained, keeping its capacity,
+  // so the warm path allocates nothing (a std::deque frees and allocates
+  // a node every few frames).
+  std::vector<net::Delivery> inbox_;
+  std::size_t inbox_head_ = 0;
 
   std::vector<CommInfo> comms_;
   CommCtx next_ctx_;

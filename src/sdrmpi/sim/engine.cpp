@@ -102,33 +102,42 @@ void Engine::charge_all(Time dt) {
   rebuild_runnable_heap();
 }
 
+// Inline: executed once per event, from run() and from fibers alike.
+inline void Engine::run_event() {
+  const Time et = events_.top_time();
+  InlineFn fn = events_.pop();
+  event_now_ = et;
+  ++events_executed_;
+  // Event context. The guard restores the caller's context (none in run(),
+  // the host process when drained inline from a fiber) even if the event
+  // throws: the exception then unwinds that fiber with the engine's
+  // bookkeeping intact (and is attributed to it), instead of leaving
+  // running_ null for return_control_to_engine.
+  struct ContextGuard {
+    Engine* eng;
+    Process* proc;
+    ~ContextGuard() { eng->running_ = proc; }
+  } guard{this, running_};
+  running_ = nullptr;
+  fn();
+}
+
 RunOutcome Engine::run() {
   RunOutcome out;
   for (;;) {
-    Process* p = peek_runnable();
-    const bool have_event = !events_.empty();
-    const Time pt = p != nullptr ? p->clock() : 0;
-    const Time et = have_event ? events_.top_time() : 0;
-
-    if (p == nullptr && !have_event) break;  // all quiet
-
-    const bool run_event = have_event && (p == nullptr || et <= pt);
-    const Time next_t = run_event ? et : pt;
-    if (time_limit_ > 0 && next_t > time_limit_) {
-      out.time_limit_hit = true;
-      break;
-    }
-
-    if (run_event) {
-      // Move the event out of the queue before executing: the action may
-      // schedule new events or spawn processes.
-      InlineFn fn = events_.pop();
-      event_now_ = et;
-      ++events_executed_;
-      fn();
-    } else {
+    Process* p = nullptr;
+    const Next next = next_item(p);
+    if (next == Next::Event) {
+      run_event();
+    } else if (next == Next::Process) {
       pop_runnable();  // p's own entry — peek_runnable() left it on top
+      // Returns once a fiber switches back: at a process exit, or when the
+      // fibers' own scheduling (block()/yield()) reaches a deadlock or the
+      // time limit. Every other dispatch is a fiber-to-fiber hand-off.
       resume(*p);
+    } else {
+      out.time_limit_hit = next == Next::TimeLimit;
+      break;
     }
   }
 
@@ -156,6 +165,17 @@ RunOutcome Engine::run() {
     }
   }
   return out;
+}
+
+Engine::Next Engine::next_item(Process*& p) noexcept {
+  p = peek_runnable();
+  const bool have_event = !events_.empty();
+  if (p == nullptr && !have_event) return Next::Quiet;
+  const bool event =
+      have_event && (p == nullptr || events_.top_time() <= p->clock());
+  const Time t = event ? events_.top_time() : p->clock();
+  if (time_limit_ > 0 && t > time_limit_) return Next::TimeLimit;
+  return event ? Next::Event : Next::Process;
 }
 
 Process* Engine::peek_runnable() noexcept {
@@ -194,35 +214,55 @@ void Engine::rebuild_runnable_heap() {
                  RunnableAfter{});
 }
 
-void Engine::resume(Process& p) {
+void Engine::dispatch(Process& p) {
   // Lazy first dispatch: the fiber context and its stack come into
   // existence here, on the cold path, never on the warm send/deliver path.
   if (!p.stack_.valid()) p.make_fiber(acquire_stack());
   running_ = &p;
   p.state_ = ProcState::Running;
   ++context_switches_;
+}
+
+void Engine::resume(Process& p) {
+  dispatch(p);
+  entered_from_sched_ = true;
   asan::start_switch(&asan_sched_fake_, p.stack_.sp(), p.stack_.size());
   tsan_sched_fiber_ = tsan::current_fiber();
   tsan::switch_to(p.tsan_fiber_);
   sdrmpi_fiber_switch(&sched_sp_, p.sp_);
   asan::finish_switch(asan_sched_fake_, nullptr, nullptr);
+  // Hand-offs may have carried the host stack through any number of fibers
+  // since p; the one that switched back is the running one.
+  Process& back = *running_;
   running_ = nullptr;
-  if (p.terminated()) {
+  if (back.terminated()) {
     // Safe from the scheduler context only — never destroy a running
     // fiber's TSan handle.
-    tsan::destroy_fiber(p.tsan_fiber_);
-    p.tsan_fiber_ = nullptr;
-    if (p.stack_.valid()) release_stack(std::move(p.stack_));
+    tsan::destroy_fiber(back.tsan_fiber_);
+    back.tsan_fiber_ = nullptr;
+    if (back.stack_.valid()) release_stack(std::move(back.stack_));
   }
 }
 
+void Engine::hand_off(Process& self, Process& next) {
+  dispatch(next);
+  entered_from_sched_ = false;
+  leave_fiber(self, next.sp_, next.stack_.sp(), next.stack_.size(),
+              next.tsan_fiber_);
+}
+
 void Engine::return_control_to_engine() {
-  Process& self = *running_;
+  leave_fiber(*running_, sched_sp_, asan_sched_bottom_, asan_sched_size_,
+              tsan_sched_fiber_);
+}
+
+void Engine::leave_fiber(Process& self, void* load_sp, const void* bottom,
+                         std::size_t size, void* tsan_fiber) {
   // A terminating fiber hands its fake stack back to ASan (nullptr save).
   asan::start_switch(self.terminated() ? nullptr : &self.asan_fake_stack_,
-                     asan_sched_bottom_, asan_sched_size_);
-  tsan::switch_to(tsan_sched_fiber_);
-  sdrmpi_fiber_switch(&self.sp_, sched_sp_);
+                     bottom, size);
+  tsan::switch_to(tsan_fiber);
+  sdrmpi_fiber_switch(&self.sp_, load_sp);
   asan::finish_switch(self.asan_fake_stack_, nullptr, nullptr);
 }
 
@@ -297,28 +337,18 @@ void Engine::maybe_yield() {
   // Single-writer safety: while this process runs, no other thread mutates
   // the event queue or process states, so peeking is race-free.
   //
-  // Due events are executed INLINE from this fiber instead of yielding to
-  // the scheduler: the global action order is exactly what the scheduler
-  // would produce (events win ties, and we stop as soon as a runnable
-  // process precedes the next event), but the yield→event→resume round
-  // trip — two stack switches per consumed frame, the dominant
-  // fiber-switch churn on ping-pong traffic — disappears. Virtual time is
-  // untouched by construction; only the host-side context_switches counter
-  // shrinks.
+  // Due events are executed INLINE from this fiber instead of yielding:
+  // the global action order is exactly what the scheduler would produce
+  // (next_item() is its rule; self is Running, never in the runnable heap,
+  // so it weighs the events against the oldest *other* process, and we
+  // stop as soon as that process precedes the next event), but no stack
+  // switch happens per consumed frame. Virtual time is untouched by
+  // construction; only the host-side context_switches counter shrinks.
   bool drained = false;
-  while (!events_.empty()) {
-    const Time et = events_.top_time();
-    if (et > self.clock_) break;
-    // run() stops the whole simulation when the next item crosses the
-    // virtual-time cap; a real yield reproduces that.
-    if (time_limit_ > 0 && et > time_limit_) break;
-    // self is Running, never in the runnable heap, so the peek is exactly
-    // "the oldest *other* runnable process" the old full scan found.
-    Process* q = peek_runnable();
-    if (q != nullptr && q->clock() < et) {
-      break;  // the scheduler would resume that process first
-    }
-    run_event_inline(self);
+  Process* q = nullptr;
+  while (!events_.empty() && events_.top_time() <= self.clock_ &&
+         next_item(q) == Next::Event) {
+    run_event();
     drained = true;
     if (self.crash_req_) throw CrashUnwind{};
   }
@@ -331,7 +361,7 @@ void Engine::maybe_yield() {
     // deterministic order must not depend on which path was taken. The
     // heap top is the (clock, pid) minimum, so checking it alone is
     // equivalent to scanning every process.
-    Process* q = peek_runnable();
+    q = peek_runnable();
     older_item =
         q != nullptr &&
         (q->clock() < self.clock_ ||
@@ -345,71 +375,57 @@ void Engine::yield() {
   if (self.crash_req_) throw CrashUnwind{};
   self.state_ = ProcState::Runnable;
   push_runnable(self);
-  return_control_to_engine();
+  // A yield gives up the processor, so being picked straight back is a
+  // dispatch like any other; a block() whose wake is the next item never
+  // gave it up and counts none.
+  if (!schedule_from(self)) ++context_switches_;
   if (self.crash_req_) throw CrashUnwind{};
 }
 
-void Engine::run_event_inline(Process& self) {
-  const Time et = events_.top_time();
-  InlineFn fn = events_.pop();
-  event_now_ = et;
-  ++events_executed_;
-  // Event context, exactly as in the run() loop. The guard restores
-  // process context even if the event throws: the exception then unwinds
-  // this fiber with the engine's bookkeeping intact (and is attributed to
-  // it), instead of leaving running_ null for return_control_to_engine.
-  struct ContextGuard {
-    Engine* eng;
-    Process* proc;
-    ~ContextGuard() { eng->running_ = proc; }
-  } guard{this, &self};
-  running_ = nullptr;
-  fn();
-}
-
-void Engine::block(std::string reason) {
+void Engine::block(const char* reason) {
   Process& self = *running_;
   if (self.crash_req_) throw CrashUnwind{};
   self.state_ = ProcState::Blocked;
-  self.block_reason_ = std::move(reason);
-  // In-fiber wait: replay the scheduler's own decision loop without leaving
-  // this fiber. Due events execute inline (they run in engine context and
-  // never switch stacks); when one of them wakes this process AND the
-  // scheduler's next pick would be this process, we simply return — the
-  // block→wake→resume round trip (two stack switches per consumed
-  // frame, the dominant fiber-switch churn on request/response traffic)
-  // never happens. The moment the scheduler would do anything else — resume
-  // another process, stop on the time limit, or report a deadlock — we swap
-  // back to it for real. Action order, and therefore virtual time, is
-  // identical to the swapping implementation by construction.
-  for (;;) {
-    Process* p = peek_runnable();  // includes self once an event woke it
-    const bool have_event = !events_.empty();
-    if (p == nullptr && !have_event) break;  // deadlock: let run() see it
-
-    const Time et = have_event ? events_.top_time() : 0;
-    const bool run_event = have_event && (p == nullptr || et <= p->clock());
-    const Time next_t = run_event ? et : p->clock();
-    if (time_limit_ > 0 && next_t > time_limit_) break;  // run() stops
-
-    if (run_event) {
-      run_event_inline(self);
-      continue;
-    }
-    if (p == &self) {
-      // The scheduler would resume us next: keep running, no switch. This
-      // IS the dispatch, so consume the wake()'s heap entry like run()
-      // would — leaving it behind would grow the heap by one stale entry
-      // per request/response round trip.
-      pop_runnable();
-      self.state_ = ProcState::Running;
-      if (self.crash_req_) throw CrashUnwind{};
-      return;
-    }
-    break;  // another process is due first: really yield the host stack
-  }
-  return_control_to_engine();
+  self.block_reason_ = reason;
+  schedule_from(self);
   if (self.crash_req_) throw CrashUnwind{};
+}
+
+bool Engine::schedule_from(Process& self) {
+  // The scheduler, run on the fiber that gave up the processor. Due events
+  // execute inline (in engine context, no stack switch); when the next
+  // pick is self (an event woke it, or it yielded with nothing older
+  // pending) it keeps running without any switch; when it is another
+  // process, the host stack goes straight to that fiber. Only a stop —
+  // the time limit, or no event and no runnable process left — goes back
+  // to run(), which sees the same state and ends the run. Every decision
+  // is next_item()'s, so the action order is run()'s by construction.
+  for (;;) {
+    Process* p = nullptr;
+    switch (next_item(p)) {
+      case Next::Event:
+        try {
+          run_event();
+        } catch (...) {
+          // The event's exception unwinds self: it is running again.
+          self.state_ = ProcState::Running;
+          throw;
+        }
+        continue;
+      case Next::Process:
+        pop_runnable();  // this dispatch consumes p's entry, as in run()
+        if (p == &self) {
+          self.state_ = ProcState::Running;
+          return false;
+        }
+        hand_off(self, *p);
+        return true;
+      case Next::TimeLimit:
+      case Next::Quiet:
+        return_control_to_engine();
+        return true;
+    }
+  }
 }
 
 void Engine::wake(int pid, Time t) {

@@ -9,6 +9,16 @@
 // or other runnable process has a timestamp <= its own clock (checked via
 // maybe_yield()); this is safe because simulated processes exchange state
 // only through timestamped events and only consume them at MPI-call points.
+//
+// The rule is applied wherever the processor is free, not only in run():
+// a process that blocks or yields runs the scheduler on its own fiber. Due
+// events execute there inline, and the next process gets the host stack in
+// one fiber → fiber switch (a hand-off). run() starts a run and takes
+// control back only at a process exit (which must release the exiting
+// fiber's stack from another stack), a deadlock or the time limit. The
+// decisions, and with them the action order and virtual time, are the same
+// wherever they are made; RunOutcome::context_switches counts dispatches,
+// whichever stack they start from.
 #pragma once
 
 #include <cstdint>
@@ -148,12 +158,15 @@ class Engine {
   /// Cooperative scheduling point; cheap no-op unless an older item exists.
   void maybe_yield();
 
-  /// Unconditional yield (process stays runnable).
+  /// Unconditional yield (process stays runnable). Events due before the
+  /// next dispatch run inline on this fiber, so one that throws unwinds
+  /// this process, as it does from block() and maybe_yield().
   void yield();
 
-  /// Parks the current process until wake(). `reason` shows up in deadlock
+  /// Parks the current process until wake(). `reason`, a string that
+  /// outlives the wait (callers pass literals), shows up in deadlock
   /// reports. Checks for injected crash before and after parking.
-  void block(std::string reason);
+  void block(const char* reason);
 
   // ---- cross-context API ----
 
@@ -178,6 +191,19 @@ class Engine {
  private:
   friend class Process;
 
+  /// What the scheduler does next.
+  enum class Next {
+    Event,      ///< execute the earliest pending event
+    Process,    ///< dispatch the process next_item() returned
+    TimeLimit,  ///< the next item lies past the time limit: stop
+    Quiet,      ///< no event, no runnable process: stop (done or deadlock)
+  };
+  /// The scheduling rule at the top of this file, the one copy that run(),
+  /// block(), yield() and maybe_yield() all decide with. Sets `p` to the
+  /// oldest runnable process (nullptr if none) and leaves its heap entry on
+  /// top for pop_runnable().
+  [[nodiscard]] Next next_item(Process*& p) noexcept;
+
   /// Smallest-clock runnable process, pid tie-break; nullptr if none.
   /// Served from runnable_heap_ (lazy deletion), so the per-dispatch cost
   /// is O(log runnable) instead of a scan over every process — the scan
@@ -191,18 +217,36 @@ class Engine {
   /// Re-inserts every runnable process after a bulk clock rewrite
   /// (charge_all) invalidates the stored keys.
   void rebuild_runnable_heap();
-  /// Pops and executes the due event from within a process fiber, in exact
-  /// engine-context semantics (event_now_, running_ == nullptr). Used by
-  /// maybe_yield()/block() to consume events without two fiber switches
-  /// per event; action order matches the run() loop by construction.
-  void run_event_inline(Process& self);
-  /// Switches straight onto the process fiber's stack (sdrmpi_fiber_switch,
-  /// no syscall); returns when the process yields, blocks, or terminates
-  /// (terminated fibers give their stack back to the pool here).
+  /// Pops and executes the earliest event in engine context (event_now_,
+  /// running_ == nullptr), then restores the caller's context: none in
+  /// run(), the host process when drained inline from its fiber.
+  void run_event();
+  /// The scheduler loop, run on the fiber of `self`, which just blocked or
+  /// yielded: executes due events inline, then keeps running self (returns
+  /// false), hands the host stack straight to the next process, or on a
+  /// stop switches back to run() (both return true, once self has been
+  /// dispatched again).
+  bool schedule_from(Process& self);
+  /// Makes `p` the running process and counts the dispatch; a process's
+  /// fiber and stack are created at its first dispatch.
+  void dispatch(Process& p);
+  /// Switches from the scheduler's stack onto `p`'s fiber
+  /// (sdrmpi_fiber_switch, no syscall); returns when some fiber switches
+  /// back — at a process exit, a deadlock or the time limit — and gives a
+  /// terminated fiber's stack back to the pool. That fiber may not be `p`.
   void resume(Process& p);
+  /// Fiber → fiber dispatch: switches from `self`'s stack straight onto
+  /// `next`'s, with no pass through run(); returns when self is dispatched
+  /// again.
+  void hand_off(Process& self, Process& next);
   /// Switches from the running fiber straight back to the scheduler's
   /// stack, with the same user-space switch.
   void return_control_to_engine();
+  /// The fiber side of every switch: the sanitizer announcements around
+  /// sdrmpi_fiber_switch (asan_fiber.hpp) from `self` to the context saved
+  /// at `load_sp`, whose stack is [bottom, bottom + size).
+  void leave_fiber(Process& self, void* load_sp, const void* bottom,
+                   std::size_t size, void* tsan_fiber);
 
   [[nodiscard]] FiberStack acquire_stack();
   void release_stack(FiberStack stack);
@@ -247,10 +291,13 @@ class Engine {
 
   // ASan fiber bookkeeping (no-ops without ASan, see asan_fiber.hpp): the
   // scheduler context's fake-stack handle and its stack bounds as reported
-  // by the first fiber entry.
+  // by a fiber's first entry from resume(). A first entry by hand-off
+  // reports the handing fiber's stack instead, so it must not record them;
+  // entered_from_sched_ tells the two apart.
   void* asan_sched_fake_ = nullptr;
   const void* asan_sched_bottom_ = nullptr;
   std::size_t asan_sched_size_ = 0;
+  bool entered_from_sched_ = false;  // last switch onto a fiber was resume()'s
 
   // TSan fiber bookkeeping (no-op without TSan): the scheduler thread's
   // implicit fiber handle, captured on each resume so the returning fiber

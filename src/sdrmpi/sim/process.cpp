@@ -197,14 +197,23 @@ void Process::make_fiber(FiberStack stack) {
 }
 
 void Process::trampoline(Process* self) {
-  // First landing on this fiber: complete the switch and learn the
-  // scheduler's stack bounds for the way back (ASan only; no-op otherwise).
-  asan::finish_switch(nullptr, &self->engine_.asan_sched_bottom_,
-                      &self->engine_.asan_sched_size_);
+  // First landing on this fiber: complete the switch and, when the
+  // scheduler made it, learn the scheduler's stack bounds for the way back
+  // (ASan only; no-op otherwise). A hand-off would report the handing
+  // fiber's stack, which must not overwrite them. No address-taken local
+  // here: this frame never returns, so ASan would never unpoison its
+  // redzones, and they would stay poisoned on the pooled stack.
+  Engine& eng = self->engine_;
+  if (eng.entered_from_sched_) {
+    asan::finish_switch(nullptr, &eng.asan_sched_bottom_,
+                        &eng.asan_sched_size_);
+  } else {
+    asan::finish_switch(nullptr, nullptr, nullptr);
+  }
   self->run_body();
   // Final switch back to the scheduler; this context must never be resumed
   // again (the engine releases the stack once the process terminated).
-  self->engine_.return_control_to_engine();
+  eng.return_control_to_engine();
   std::abort();  // resumed a terminated fiber: engine bug
 }
 

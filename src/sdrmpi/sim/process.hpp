@@ -4,6 +4,9 @@
 // Exactly one entity (the engine loop or a single process) executes at any
 // host instant; control moves via a user-space stack switch on the engine's
 // host thread (sdrmpi_fiber_switch, process.cpp) — no syscall, no locks.
+// A process that blocks or yields hands the host stack straight to the next
+// process's fiber; the engine loop gets it back only at a process exit, a
+// deadlock or the time limit (engine.hpp).
 // The switch keeps only what the SysV ABI makes callee-saved: six integer
 // registers, the MXCSR and the x87 control word. It leaves the signal mask
 // alone, so a switch makes no syscall: the mask is the host thread's, and
@@ -20,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "sdrmpi/sim/time.hpp"
 
@@ -106,8 +110,8 @@ class Process {
   [[nodiscard]] bool crash_requested() const noexcept { return crash_req_; }
   [[nodiscard]] std::exception_ptr error() const noexcept { return error_; }
 
-  /// Reason string recorded when the process blocks (for deadlock reports).
-  [[nodiscard]] const std::string& block_reason() const noexcept {
+  /// Reason recorded when the process blocks (for deadlock reports).
+  [[nodiscard]] std::string_view block_reason() const noexcept {
     return block_reason_;
   }
 
@@ -115,7 +119,7 @@ class Process {
   friend class Engine;
 
   /// Lays out a first switch frame on `stack`; the body starts running at
-  /// the engine's first resume().
+  /// the process's first dispatch (Engine::resume() or a hand-off).
   void make_fiber(FiberStack stack);
   /// First function on a fiber, called by the entry stub in process.cpp.
   [[noreturn]] static void trampoline(Process* self);
@@ -130,7 +134,7 @@ class Process {
   Time clock_ = 0;
   ProcState state_ = ProcState::Created;
   bool crash_req_ = false;
-  std::string block_reason_;
+  const char* block_reason_ = "";
   std::exception_ptr error_;
 
   void* sp_ = nullptr;  // saved stack pointer while switched out

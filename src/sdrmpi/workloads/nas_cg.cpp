@@ -7,6 +7,8 @@
 #include "sdrmpi/workloads/nas.hpp"
 
 #include <cmath>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "sdrmpi/util/hash.hpp"
@@ -17,44 +19,65 @@ namespace sdrmpi::wl {
 namespace {
 
 /// Symmetric banded matrix: 1D Laplacian plus fixed off-diagonal bands with
-/// pair-symmetric weights. Diagonally dominant, hence SPD.
-struct BandedMatrix {
+/// pair-symmetric weights. Diagonally dominant, hence SPD. The band weights
+/// are constants of the run, so a rank draws the weights of its own rows
+/// [row0, row0 + count) once, not on every matvec.
+class BandedMatrix {
+ public:
   static constexpr int kBands[3] = {16, 64, 256};
 
-  int nrows;
-  std::uint64_t seed;
+  BandedMatrix(int nrows, std::uint64_t seed, int row0, int count)
+      : nrows_(nrows), row0_(row0), count_(count) {
+    // Per row and band, the weight below the diagonal, then the one above;
+    // a slot whose neighbour lies outside the matrix is never read.
+    weights_.resize(static_cast<std::size_t>(count) * 2 * std::size(kBands));
+    double* w = weights_.data();
+    for (int i = row0; i < row0 + count; ++i) {
+      for (int band : kBands) {
+        *w++ = i - band >= 0 ? band_weight(seed, i - band, band) : 0.0;
+        *w++ = i + band < nrows ? band_weight(seed, i, band) : 0.0;
+      }
+    }
+  }
 
-  [[nodiscard]] double band_weight(int lo, int band) const {
+  /// y[li] = sum_j A(row0 + li, j) x[j] over this rank's rows.
+  void matvec(std::span<const double> x, std::span<double> y) const {
+    const double* w = weights_.data();
+    for (int li = 0; li < count_; ++li) {
+      const int i = row0_ + li;
+      double diag = 2.0 + 1.0;  // Laplacian diagonal + dominance margin
+      double acc = 0.0;
+      if (i > 0) acc -= x[static_cast<std::size_t>(i - 1)];
+      if (i + 1 < nrows_) acc -= x[static_cast<std::size_t>(i + 1)];
+      for (int band : kBands) {
+        const double below = *w++;
+        const double above = *w++;
+        if (i - band >= 0) {
+          acc -= below * x[static_cast<std::size_t>(i - band)];
+          diag += below;
+        }
+        if (i + band < nrows_) {
+          acc -= above * x[static_cast<std::size_t>(i + band)];
+          diag += above;
+        }
+      }
+      y[static_cast<std::size_t>(li)] = diag * x[static_cast<std::size_t>(i)] + acc;
+    }
+  }
+
+ private:
+  [[nodiscard]] static double band_weight(std::uint64_t seed, int lo,
+                                          int band) {
     std::uint64_t s = seed ^ (static_cast<std::uint64_t>(lo) << 20) ^
                       static_cast<std::uint64_t>(band);
     return 0.1 + 0.4 * (static_cast<double>(util::splitmix64(s) >> 11) *
                         0x1.0p-53);
   }
 
-  /// y[i] = sum_j A(i,j) x[j] for rows [row0, row0+count).
-  void matvec(int row0, int count, std::span<const double> x,
-              std::span<double> y) const {
-    for (int li = 0; li < count; ++li) {
-      const int i = row0 + li;
-      double diag = 2.0 + 1.0;  // Laplacian diagonal + dominance margin
-      double acc = 0.0;
-      if (i > 0) acc -= x[static_cast<std::size_t>(i - 1)];
-      if (i + 1 < nrows) acc -= x[static_cast<std::size_t>(i + 1)];
-      for (int band : kBands) {
-        if (i - band >= 0) {
-          const double w = band_weight(i - band, band);
-          acc -= w * x[static_cast<std::size_t>(i - band)];
-          diag += w;
-        }
-        if (i + band < nrows) {
-          const double w = band_weight(i, band);
-          acc -= w * x[static_cast<std::size_t>(i + band)];
-          diag += w;
-        }
-      }
-      y[static_cast<std::size_t>(li)] = diag * x[static_cast<std::size_t>(i)] + acc;
-    }
-  }
+  int nrows_;
+  int row0_;
+  int count_;
+  std::vector<double> weights_;
 };
 
 }  // namespace
@@ -67,7 +90,7 @@ core::AppFn make_nas_cg(CgParams p) {
     const int rank = env.rank();
     const int local = p.nrows / np;
     const int row0 = rank * local;
-    const BandedMatrix A{p.nrows, p.seed};
+    const BandedMatrix A(p.nrows, p.seed, row0, local);
 
     // b: deterministic pseudo-random right-hand side.
     std::vector<double> x(static_cast<std::size_t>(p.nrows), 0.0);
@@ -95,7 +118,7 @@ core::AppFn make_nas_cg(CgParams p) {
       // Gather the full search direction for the matvec.
       world.allgather(std::span<const double>(p_local),
                       std::span<double>(p_full));
-      A.matvec(row0, local, p_full, q);
+      A.matvec(p_full, q);
       charge_flops(env, 18.0 * static_cast<double>(local), p.compute_scale);
 
       const double pq =

@@ -1,7 +1,8 @@
 // Tests for the zero-allocation hot-path layer: BufferPool size classes and
 // reuse, Payload refcounting/aliasing and cross-pool isolation, InlineFn
-// inline-vs-heap paths, EventQueue ordering + slab recycling, and the
-// pinned allocations-per-message regression bound.
+// inline-vs-heap paths, EventQueue ordering + slab recycling, the pinned
+// allocations-per-message regression bound, and a warm ping-pong that
+// allocates nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -318,6 +319,51 @@ TEST(AllocRegression, PingPongMessagesStayUnderPinnedBound) {
       static_cast<double>(delta) / static_cast<double>(res.app_sends);
   EXPECT_LT(per_msg, 2.0) << "allocs/message regressed (delta=" << delta
                           << " over " << res.app_sends << " sends)";
+}
+
+TEST(AllocRegression, WarmPingPongAllocatesNothing) {
+  if (!util::alloc_counting_enabled()) {
+    GTEST_SKIP() << "allocation counting disabled (sanitizer build)";
+  }
+  // Once the pools, queues and inboxes are warm, a message round trip
+  // touches no heap at all, natively and under replication. The window is
+  // rank 0 of world 0, iterations 100 to 399; every other fiber of the run
+  // allocates into the same counter meanwhile.
+  constexpr int kIters = 400;
+  constexpr int kWarm = 100;
+  struct Case {
+    core::ProtocolKind protocol;
+    int replication;
+  };
+  for (const Case c : {Case{core::ProtocolKind::Native, 1},
+                       Case{core::ProtocolKind::Sdr, 2}}) {
+    core::RunConfig cfg;
+    cfg.nranks = 2;
+    cfg.protocol = c.protocol;
+    cfg.replication = c.replication;
+    std::uint64_t at_warm = 0;
+    std::uint64_t at_end = 0;
+    auto res = core::run(cfg, [&](mpi::Env& env) {
+      auto& world = env.world();
+      const bool measured = env.rank() == 0 && env.replica_world() == 0;
+      std::vector<std::byte> buf(256, std::byte{1});
+      const int peer = env.rank() ^ 1;
+      for (int i = 0; i < kIters; ++i) {
+        if (measured && i == kWarm) at_warm = util::alloc_count();
+        if (env.rank() == 0) {
+          world.send(std::span<const std::byte>(buf), peer, 1);
+          world.recv(std::span<std::byte>(buf), peer, 1);
+        } else {
+          world.recv(std::span<std::byte>(buf), peer, 1);
+          world.send(std::span<const std::byte>(buf), peer, 1);
+        }
+      }
+      if (measured) at_end = util::alloc_count();
+    });
+    ASSERT_TRUE(test::run_clean(res));
+    EXPECT_EQ(at_end - at_warm, 0u)
+        << "warm ping-pong allocated, replication=" << c.replication;
+  }
 }
 
 TEST(AllocRegression, WarmCollectiveLoopStaysUnderPinnedBound) {

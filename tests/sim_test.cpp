@@ -598,6 +598,135 @@ TEST(Engine, SecondEngineOnThreadMapsNoStack) {
   for (const std::uintptr_t a : addrs) EXPECT_EQ(a % 16, 0u);
 }
 
+// ---- Hand-offs: block()/yield() give the host stack straight to the next
+// process's fiber; run() only sees exits, deadlocks and the time limit.
+
+TEST(Engine, ProcessFirstEnteredByHandOffGivesItsStackBack) {
+  // "late" is first dispatched by "early"'s yield(), a fiber → fiber
+  // switch, and exits before the scheduler ever resumes it. Its exit goes
+  // back to run(), which gives its stack back; the scheduler's stack
+  // bounds that exit switches to (ASan) are those "early" recorded.
+  on_fresh_thread([] {
+    Engine e;
+    std::vector<char> order;
+    e.spawn("early", [&] {
+      e.advance(10);
+      e.yield();  // "late" (clock 5) is older: hand-off
+      order.push_back('a');
+    });
+    e.spawn("late", [&] { order.push_back('b'); }, 5);
+    const auto out = e.run();
+    EXPECT_TRUE(out.clean());
+    EXPECT_EQ(order, (std::vector<char>{'b', 'a'}));
+    EXPECT_EQ(out.context_switches, 3u);  // early, late, early again
+    EXPECT_EQ(e.stack_stats().stacks_created, 2u);
+    EXPECT_EQ(e.stack_stats().bytes_mapped, 0u);
+  });
+}
+
+struct Sentinel {
+  int* count;
+  ~Sentinel() { ++*count; }
+};
+
+TEST(Engine, CrashUnwindsAProcessParkedByAHandOff) {
+  Engine e;
+  int unwound = 0;
+  bool after_block = false;
+  const int victim = e.spawn("victim", [&] {
+    Sentinel s{&unwound};
+    e.block("parked");  // "killer" is runnable: hand-off
+    after_block = true;
+  });
+  const int killer = e.spawn("killer", [&, victim] {
+    e.advance(5);
+    e.request_crash(victim);
+    e.advance(5);
+    e.yield();  // victim (clock 5) is older: hand-off into its unwind
+  });
+  const auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_TRUE(e.crashed(victim));
+  EXPECT_FALSE(after_block);
+  EXPECT_EQ(unwound, 1);
+  EXPECT_EQ(e.process(killer).state(), ProcState::Finished);
+  EXPECT_EQ(e.stack_stats().bytes_mapped, 0u);
+}
+
+TEST(Engine, DestructorUnwindsProcessesParkedByHandOffs) {
+  int unwound = 0;
+  {
+    Engine e;
+    for (int i = 0; i < 3; ++i) {
+      e.spawn("p", [&] {
+        Sentinel s{&unwound};
+        e.block("forever");  // the first two hand off, the last stops run()
+      });
+    }
+    const auto out = e.run();
+    EXPECT_TRUE(out.deadlock);
+    EXPECT_EQ(out.blocked_pids, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(unwound, 0);
+  }
+  EXPECT_EQ(unwound, 3);
+}
+
+TEST(Engine, TimeLimitStopsAChainOfHandOffs) {
+  // Four processes yield to one another at co-prime strides, so nearly
+  // every dispatch is a hand-off; the run stops when the next item passes
+  // the cap, with the end time and dispatch count of the scheduling rule.
+  Engine e;
+  e.set_time_limit(1000);
+  for (int i = 0; i < 4; ++i) {
+    e.spawn("p", [&e, i] {
+      for (;;) {
+        e.advance(7 + 2 * i);
+        e.yield();
+      }
+    });
+  }
+  const auto out = e.run();
+  EXPECT_TRUE(out.time_limit_hit);
+  EXPECT_FALSE(out.deadlock);
+  EXPECT_EQ(out.end_time, 1008);
+  EXPECT_EQ(out.context_switches, 423u);
+}
+
+TEST(Engine, RingContextSwitchesCountDispatches) {
+  // A token ring over four processes: even ranks pass the token with a
+  // direct wake, odd ranks through a scheduled event, and everyone polls
+  // with maybe_yield() between passes. context_switches counts
+  // dispatches, not stack switches, so the pinned counts hold wherever the
+  // scheduling decisions run (in run() or on the fibers).
+  constexpr int kProcs = 4;
+  constexpr int kRounds = 25;
+  Engine e;
+  int holder = 0;
+  for (int i = 0; i < kProcs; ++i) {
+    e.spawn("ring", [&e, &holder, i] {
+      const int next = (i + 1) % kProcs;
+      for (int r = 0; r < kRounds; ++r) {
+        while (holder != i) e.block("token");
+        e.advance(3 + i);
+        e.maybe_yield();
+        holder = next;
+        if (i % 2 == 0) {
+          e.wake(next, e.now());
+        } else {
+          e.schedule(e.now() + 2, [&e, next] { e.wake(next, e.now()); });
+        }
+        e.advance(1);
+        e.maybe_yield();
+      }
+    });
+  }
+  const auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_EQ(out.end_time, 550);
+  EXPECT_EQ(out.events_executed, 50u);
+  EXPECT_EQ(out.context_switches, 204u);
+}
+
 TEST(Engine, FiberStackSizeIsConfigurable) {
   constexpr std::size_t kBytes = std::size_t{1} << 20;
   Engine e;

@@ -1108,7 +1108,19 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
         return inner(cfg, spec);
       },
       {.name = "doomed"});
-  rig.start_worker(table_resolver(s), {.name = "survivor"});
+  // The survivor holds its first point until the doomed worker reached its
+  // third (2 s at most): otherwise a busy host can let the survivor drain
+  // the sweep first, and no kill happens at all.
+  rig.start_worker(
+      [inner, calls](const core::RunConfig& cfg, const std::string& spec) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (calls->load() < 3 && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return inner(cfg, spec);
+      },
+      {.name = "survivor"});
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
