@@ -15,22 +15,21 @@ namespace sdrmpi::sim {
 
 namespace {
 
-// Default fiber stack size. Workload state lives on the heap (vectors), so
-// the stack only holds call frames; 256 KiB leaves generous headroom for
-// deep protocol/collective recursion. Overridable per engine via
-// set_fiber_stack_bytes().
-constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
+// Fiber stack size. Workload state lives on the heap (vectors), so the
+// stack only holds call frames; 256 KiB leaves generous headroom for deep
+// protocol/collective recursion.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
 // Byte the watermark fill paints the stack with; anything else after a
 // fiber ran marks a frame that reached that depth.
 constexpr std::byte kWatermarkByte{0xa5};
 
-// Default-size stacks outlive the Engine that mapped them: one pool per
-// host thread, shared by every Engine that runs there. A sweep of many
-// small Worlds then pays mmap + guard-page mprotect + first-touch faults +
-// munmap once per stack instead of once per fiber per World. Only the
-// pages a fiber touched count toward RSS. Past the cap a released stack is
-// unmapped; 64 stacks hold every fiber of a 32-slot World.
+// Stacks outlive the Engine that mapped them: one pool per host thread,
+// shared by every Engine that runs there. A sweep of many small Worlds
+// then pays mmap + guard-page mprotect + first-touch faults + munmap once
+// per stack instead of once per fiber per World. Only the pages a fiber
+// touched count toward RSS. Past the cap a released stack is unmapped; 64
+// stacks hold every fiber of a 32-slot World.
 constexpr std::size_t kStackPoolCap = 64;
 
 [[nodiscard]] std::vector<FiberStack>& stack_pool() {
@@ -58,10 +57,6 @@ Engine::~Engine() {
     p->crash_req_ = true;
     resume(*p);  // CrashUnwind runs the fiber to termination
   }
-}
-
-std::size_t Engine::fiber_stack_bytes() const noexcept {
-  return stack_bytes_ != 0 ? stack_bytes_ : kDefaultFiberStackBytes;
 }
 
 int Engine::spawn(std::string name, std::function<void()> body, Time start_at) {
@@ -269,12 +264,12 @@ void Engine::leave_fiber(Process& self, void* load_sp, const void* bottom,
 FiberStack Engine::acquire_stack() {
   auto& pool = stack_pool();
   FiberStack s;
-  if (fiber_stack_bytes() == kDefaultFiberStackBytes && !pool.empty()) {
+  if (!pool.empty()) {
     s = std::move(pool.back());
     pool.pop_back();
     ++stack_stats_.stacks_recycled;
   } else {
-    s = FiberStack(fiber_stack_bytes());
+    s = FiberStack(kFiberStackBytes);
     ++stack_stats_.stacks_created;
   }
   stack_stats_.bytes_mapped += s.mapped_bytes();
@@ -302,9 +297,7 @@ void Engine::release_stack(FiberStack stack) {
   }
   stack_stats_.bytes_mapped -= stack.mapped_bytes();
   auto& pool = stack_pool();
-  if (stack.size() == kDefaultFiberStackBytes && pool.size() < kStackPoolCap) {
-    pool.push_back(std::move(stack));
-  }
+  if (pool.size() < kStackPoolCap) pool.push_back(std::move(stack));
   // Otherwise the FiberStack dtor unmaps it.
 }
 

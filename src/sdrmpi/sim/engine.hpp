@@ -118,15 +118,6 @@ class Engine {
   /// Caps virtual time; run() stops with time_limit_hit when exceeded.
   void set_time_limit(Time t) noexcept { time_limit_ = t; }
 
-  /// Usable fiber-stack bytes for stacks allocated from now on (0 restores
-  /// the 256 KiB default). Takes effect at the next lazy stack allocation;
-  /// stacks of any other size bypass the per-thread pool (mapped fresh,
-  /// unmapped when their fiber ends).
-  void set_fiber_stack_bytes(std::size_t bytes) noexcept {
-    stack_bytes_ = bytes;
-  }
-  [[nodiscard]] std::size_t fiber_stack_bytes() const noexcept;
-
   [[nodiscard]] const StackStats& stack_stats() const noexcept {
     return stack_stats_;
   }
@@ -285,7 +276,6 @@ class Engine {
   Process* running_ = nullptr;
 
   void* sched_sp_ = nullptr;  // scheduler stack pointer fibers switch back to
-  std::size_t stack_bytes_ = 0;  // 0 = 256 KiB default
   StackStats stack_stats_;
   bool stack_watermark_ = false;  // SDRMPI_STACK_WATERMARK fill enabled
 

@@ -10,10 +10,10 @@
 // All loops are EINTR-safe and tolerate arbitrarily short transfers —
 // on TCP sockets partial reads/writes are the norm, not the exception, so
 // every primitive loops until the full count moved or the stream died.
-// Failures report *why* through an optional IoError out-param: callers on
-// socket transports map EPIPE/ECONNRESET-class errnos to a worker-lost
-// condition instead of treating them like local I/O bugs (and instead of
-// dying to SIGPIPE — see transport.hpp's ignore_sigpipe()).
+// Every failure (EOF, torn frame, EPIPE/ECONNRESET) returns false, and
+// callers treat each one alike: the peer is gone. A write to a vanished
+// peer fails with EPIPE instead of killing the process, because
+// transport.hpp's ignore_sigpipe() disarms SIGPIPE.
 #pragma once
 
 #include <unistd.h>
@@ -54,35 +54,12 @@ void fields(Io& io, FrameHeader& h) {
   io(h.kind, h.id, h.len);
 }
 
-/// Why a frame read/write stopped short. `eof` means the peer closed the
-/// stream; `clean_close` narrows that to "closed exactly on a frame
-/// boundary" (orderly shutdown, not a torn frame). Otherwise `err` holds
-/// the errno of the failing syscall.
-struct IoError {
-  bool eof = false;
-  bool clean_close = false;
-  int err = 0;
-};
-
-/// Errnos that mean "the peer is gone", not "this process misused the
-/// fd". On a worker transport these map to a worker-lost event that the
-/// scheduler absorbs by re-dispatching the worker's leases — never to
-/// process death (EPIPE's default SIGPIPE disposition is disarmed by
-/// transport.hpp's ignore_sigpipe()).
-inline constexpr bool is_connection_lost(const IoError& e) noexcept {
-  return e.eof || e.err == EPIPE || e.err == ECONNRESET ||
-         e.err == ECONNABORTED || e.err == ENOTCONN || e.err == ETIMEDOUT ||
-         e.err == EHOSTUNREACH || e.err == ENETDOWN || e.err == ENETRESET;
-}
-
-inline bool write_all(int fd, const void* data, std::size_t n,
-                      IoError* io_err = nullptr) {
+inline bool write_all(int fd, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   while (n > 0) {
     const ssize_t w = ::write(fd, p, n);
     if (w < 0) {
       if (errno == EINTR) continue;
-      if (io_err != nullptr) *io_err = IoError{.err = errno};
       return false;
     }
     // A zero or short write is legal on sockets; just keep going with
@@ -93,20 +70,15 @@ inline bool write_all(int fd, const void* data, std::size_t n,
   return true;
 }
 
-inline bool read_all(int fd, void* data, std::size_t n,
-                     IoError* io_err = nullptr) {
+inline bool read_all(int fd, void* data, std::size_t n) {
   auto* p = static_cast<unsigned char*>(data);
   while (n > 0) {
     const ssize_t r = ::read(fd, p, n);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (io_err != nullptr) *io_err = IoError{.err = errno};
       return false;
     }
-    if (r == 0) {  // EOF mid-transfer: a torn frame, not an errno
-      if (io_err != nullptr) *io_err = IoError{.eof = true};
-      return false;
-    }
+    if (r == 0) return false;  // EOF
     p += r;
     n -= static_cast<std::size_t>(r);
   }
@@ -118,36 +90,27 @@ inline bool read_all(int fd, void* data, std::size_t n,
 /// same point id naming the oversize, so the stream stays intact and the
 /// point surfaces as an explicit error instead of a torn store.
 inline bool write_frame(int fd, std::uint8_t kind, std::uint64_t id,
-                        const void* payload, std::size_t len,
-                        IoError* io_err = nullptr) {
+                        const void* payload, std::size_t len) {
   if (len > kMaxFramePayload) {
     char msg[96];
     std::snprintf(msg, sizeof msg,
                   "sweep worker: encoded result of %llu bytes exceeds the "
                   "4 GiB frame limit",
                   static_cast<unsigned long long>(len));
-    return write_frame(fd, kFrameRuntimeError, id, msg, std::strlen(msg),
-                       io_err);
+    return write_frame(fd, kFrameRuntimeError, id, msg, std::strlen(msg));
   }
   ByteWriter header;
   header(FrameHeader{kind, id, static_cast<std::uint32_t>(len)});
-  if (!write_all(fd, header.bytes().data(), header.bytes().size(), io_err)) {
+  if (!write_all(fd, header.bytes().data(), header.bytes().size())) {
     return false;
   }
-  return len == 0 || write_all(fd, payload, len, io_err);
+  return len == 0 || write_all(fd, payload, len);
 }
 
-/// Reads one frame header; false on EOF or error. io_err distinguishes a
-/// clean close (EOF before any header byte — `clean_close`) from a torn
-/// frame (EOF after 1..12 header bytes) and from errno failures.
-inline bool read_frame_header(int fd, FrameHeader& out,
-                              IoError* io_err = nullptr) {
+/// Reads one frame header; false on EOF (clean or mid-header) or error.
+inline bool read_frame_header(int fd, FrameHeader& out) {
   std::byte header[kFrameHeaderBytes];
-  if (!read_all(fd, header, 1, io_err)) {
-    if (io_err != nullptr && io_err->eof) io_err->clean_close = true;
-    return false;
-  }
-  if (!read_all(fd, header + 1, sizeof header - 1, io_err)) return false;
+  if (!read_all(fd, header, sizeof header)) return false;
   ByteReader r(header);
   r(out);
   return true;

@@ -96,13 +96,13 @@ struct RemoteCoordinator::Impl {
   std::size_t live_workers = 0;
   std::uint32_t generation = 0;
   // When live_workers last became 0 (or run() started with none): the
-  // registration_wait_ms window before local fallback counts from here.
+  // registration_wait_ms window before run() hands points back counts
+  // from here.
   Clock::time_point fleet_empty_since{};
 
   struct WorkerConn {
     int id = -1;
     int fd = -1;
-    std::string name;
     std::thread reader;
     Clock::time_point last_seen;
     bool alive = true;
@@ -120,7 +120,6 @@ struct RemoteCoordinator::Impl {
     int holder = -1;
     Clock::time_point lease_deadline;
     int attempt = 1;  // dispatch attempts incl. the next one
-    Clock::time_point not_before;
     int prev_worker = -1;  // last holder; re-dispatch prefers someone else
   };
   struct RunState {
@@ -128,6 +127,7 @@ struct RemoteCoordinator::Impl {
     std::vector<PointState> state;
     std::deque<std::uint32_t> queue;  // points awaiting dispatch
     std::size_t undone = 0;
+    std::vector<std::size_t> leftover;  // handed back to the caller
     std::string fatal;
     /// Last time the scheduler moved: a point served, a result delivered,
     /// or a lease recycled. Drives the stuck-fleet aging below — a pull
@@ -166,17 +166,6 @@ struct RemoteCoordinator::Impl {
     for (auto& w : workers) {
       if (w->reader.joinable()) w->reader.join();
     }
-  }
-
-  [[nodiscard]] Clock::duration backoff(int attempt) const {
-    // attempt 1 is the first dispatch (no delay); re-dispatch n waits
-    // min(base << (n-1), cap).
-    if (attempt <= 1) return Clock::duration::zero();
-    const int shift = std::min(attempt - 2, 20);
-    const long long ms = std::min<long long>(
-        static_cast<long long>(tuning.backoff_base_ms) << shift,
-        tuning.backoff_cap_ms);
-    return std::chrono::milliseconds(ms);
   }
 
   // ---- accept + handshake (acceptor thread) ------------------------------
@@ -251,8 +240,10 @@ struct RemoteCoordinator::Impl {
     if (!tuning.secret.empty() && !authenticate(fd, payload, reject)) {
       return;  // rejected (reasoned frame already sent) or vanished
     }
+    // Heartbeat interval: five beats per deadline.
     ByteWriter ack;
-    ack(static_cast<std::uint32_t>(tuning.heartbeat_interval_ms));
+    ack(static_cast<std::uint32_t>(
+        std::max(tuning.heartbeat_deadline_ms / 5, 1)));
     if (!frame::write_frame(fd, kFrameHelloAck, 0, ack.bytes().data(),
                             ack.bytes().size())) {
       ::close(fd);
@@ -268,7 +259,6 @@ struct RemoteCoordinator::Impl {
     auto conn = std::make_unique<WorkerConn>();
     WorkerConn* w = conn.get();
     w->fd = fd;
-    w->name = std::move(hello.name);
     w->last_seen = Clock::now();
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -338,15 +328,13 @@ struct RemoteCoordinator::Impl {
   void reader_loop_body(WorkerConn* w) {
     for (;;) {
       frame::FrameHeader h;
-      frame::IoError err;
-      if (!frame::read_frame_header(w->fd, h, &err)) return;
+      if (!frame::read_frame_header(w->fd, h)) return;
       const bool delivery = h.kind == frame::kFrameResult ||
                             h.kind == frame::kFrameInvalidConfig ||
                             h.kind == frame::kFrameRuntimeError;
       if (!delivery && h.len > kMaxControlPayload) return;  // confused peer
       std::vector<std::byte> payload(h.len);
-      if (h.len > 0 &&
-          !frame::read_all(w->fd, payload.data(), h.len, &err)) {
+      if (h.len > 0 && !frame::read_all(w->fd, payload.data(), h.len)) {
         return;
       }
       std::lock_guard<std::mutex> lk(mu);
@@ -411,13 +399,13 @@ struct RemoteCoordinator::Impl {
   }
 
   /// mu held. Takes leased point `p` back from its holder and queues it
-  /// for re-dispatch (next attempt, backoff, avoid the previous holder).
+  /// for re-dispatch: due at once, as the next attempt, for anyone but
+  /// the previous holder.
   void requeue(std::uint32_t p, const Clock::time_point now) {
     PointState& ps = run->state[p];
     ps.prev_worker = ps.holder;
     ps.holder = -1;
     ++ps.attempt;
-    ps.not_before = now + backoff(ps.attempt);
     run->queue.push_back(p);
     ++stats->chunks_redispatched;
     run->last_progress = now;  // the scheduler moved; aging restarts
@@ -488,7 +476,6 @@ struct RemoteCoordinator::Impl {
           PointState& ps = rs.state[p];
           if (ps.done) continue;
           ++ps.attempt;
-          ps.not_before = now + backoff(ps.attempt);
           any = true;
         }
         if (any) ++stats->chunks_redispatched;
@@ -506,13 +493,17 @@ struct RemoteCoordinator::Impl {
       if (rs.undone == 0 || !rs.fatal.empty()) break;
       if (served) continue;  // re-examine state after the writes
 
-      // 6. Degrade to local execution once the fleet has been empty for
-      //    the whole registration window.
+      // 6. Hand the undone points back once the fleet has been empty
+      //    for the whole registration window. Every holder is dead, so
+      //    the undone points are exactly the work left.
       if (live_workers == 0 &&
           Clock::now() - fleet_empty_since >=
               std::chrono::milliseconds(tuning.registration_wait_ms)) {
-        local_fallback(lk, rs);
-        continue;
+        for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
+          if (!rs.state[p].done) rs.leftover.push_back(p);
+        }
+        stats->local_fallback_points += rs.leftover.size();
+        break;
       }
 
       // 7. Sleep until the next deadline could fire (or a frame arrives).
@@ -551,13 +542,12 @@ struct RemoteCoordinator::Impl {
       if (!w->alive || !w->hungry) continue;
       const Clock::time_point now = Clock::now();
 
-      // Due, undone, and not bounced straight back to the holder it just
+      // Undone, and not bounced straight back to the holder it just
       // expired from (when anyone else is alive to try).
       const auto due = std::find_if(
           rs.queue.begin(), rs.queue.end(), [&](const std::uint32_t p) {
             const PointState& ps = rs.state[p];
-            return !ps.done && now >= ps.not_before &&
-                   (ps.prev_worker != w->id || live_workers <= 1);
+            return !ps.done && (ps.prev_worker != w->id || live_workers <= 1);
           });
       if (due == rs.queue.end()) continue;
       const std::uint32_t p = *due;
@@ -590,55 +580,10 @@ struct RemoteCoordinator::Impl {
     return any;
   }
 
-  /// mu held on entry/exit, released while simulating. Runs every point
-  /// still undone on the calling thread — the sweep completes even with
-  /// zero surviving workers.
-  void local_fallback(std::unique_lock<std::mutex>& lk, RunState& rs) {
-    // Every holder is dead, so the undone points are exactly the work.
-    std::vector<std::uint32_t> todo;
-    for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
-      if (rs.state[p].done) continue;
-      rs.state[p].holder = -1;
-      todo.push_back(p);
-    }
-    rs.queue.clear();
-    lk.unlock();
-    for (std::uint32_t p : todo) {
-      const RemotePoint& pt = rs.pts[p];
-      core::RunResult result;
-      bool ok = false;
-      PointError err;
-      err.id = p;
-      try {
-        result = core::run(*pt.cfg, *pt.app);
-        ok = true;
-      } catch (const std::invalid_argument& e) {
-        err.invalid_config = true;
-        err.message = e.what();
-      } catch (const std::exception& e) {
-        err.message = e.what();
-      }
-      lk.lock();
-      if (!rs.state[p].done) {  // a straggler frame may have beaten us
-        rs.state[p].done = true;
-        --rs.undone;
-        ++stats->local_fallback_points;
-        if (ok) {
-          rs.state[p].have_result_hash = false;
-          (*rs.on_result)(p, std::move(result));
-        } else {
-          (*rs.on_error)(std::move(err));
-        }
-      }
-      lk.unlock();
-    }
-    lk.lock();
-  }
-
   [[nodiscard]] Clock::duration next_wakeup(const RunState& rs) const {
-    // Wake for the earliest of: heartbeat deadline, lease expiry, backoff
-    // release, stuck-fleet aging, empty-fleet window lapse. Clamped so a
-    // missed notify can never hang the scheduler.
+    // Wake for the earliest of: heartbeat deadline, lease expiry,
+    // stuck-fleet aging, empty-fleet window lapse. Clamped so a missed
+    // notify can never hang the scheduler.
     auto best = std::chrono::milliseconds(250);
     auto consider = [&best](Clock::duration d) {
       const auto ms =
@@ -658,13 +603,10 @@ struct RemoteCoordinator::Impl {
       if (ps.holder >= 0) consider(ps.lease_deadline - now);
     }
     if (live_workers > 0) {
-      // Backoff releases only matter while someone could take the work.
+      // Aging only matters while someone could take the work.
       if (!rs.queue.empty()) {
         consider(rs.last_progress +
                  std::chrono::milliseconds(tuning.lease_ms) - now);
-      }
-      for (const std::uint32_t p : rs.queue) {
-        consider(rs.state[p].not_before - now);
       }
     } else {
       consider(fleet_empty_since +
@@ -697,7 +639,7 @@ RemoteStats RemoteCoordinator::stats() const {
   return stats_;
 }
 
-void RemoteCoordinator::run(
+std::vector<std::size_t> RemoteCoordinator::run(
     const std::vector<RemotePoint>& points,
     const std::function<void(std::size_t, core::RunResult&&)>& on_result,
     const std::function<void(PointError&&)>& on_error) {
@@ -709,8 +651,8 @@ void RemoteCoordinator::run(
   rs.state.resize(rs.pts.size());
   for (std::uint32_t p = 0; p < rs.pts.size(); ++p) rs.queue.push_back(p);
   rs.undone = rs.pts.size();
-  if (rs.undone == 0) return;
-  impl_->drive(rs);
+  if (rs.undone > 0) impl_->drive(rs);
+  return std::move(rs.leftover);
 }
 
 // -------------------------------------------------------------- worker
@@ -765,7 +707,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     }
     if (h.kind == kFrameHelloReject) {
       ::close(fd);
-      throw std::runtime_error(
+      throw RegistrationRejected(
           "sweep worker: registration rejected: " +
           std::string(reinterpret_cast<const char*>(payload.data()),
                       payload.size()));
@@ -773,7 +715,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     if (h.kind == kFrameAuthChallenge) {
       if (opts.secret.empty()) {
         ::close(fd);
-        throw std::runtime_error(
+        throw RegistrationRejected(
             "sweep worker: coordinator requires authentication "
             "(--secret-file)");
       }
@@ -804,7 +746,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
       // unauthenticated coordinator: that would defeat the operator's
       // intent on exactly the machine that holds real workloads.
       ::close(fd);
-      throw std::runtime_error(
+      throw RegistrationRejected(
           "sweep worker: coordinator did not request authentication; "
           "refusing to serve it with --secret-file set");
     }
@@ -839,8 +781,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
       if (budget == 0) continue;  // test hook: fall silent, stay connected
       if (budget > 0) --budget;
       std::lock_guard<std::mutex> wl(write_mu);
-      frame::IoError err;
-      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, nullptr, 0, &err)) {
+      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, nullptr, 0)) {
         return;  // coordinator gone; the main loop will notice on read
       }
     }
@@ -865,10 +806,9 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
 
   for (;;) {
     frame::FrameHeader h;
-    frame::IoError err;
-    if (!frame::read_frame_header(fd, h, &err)) break;  // coordinator gone
+    if (!frame::read_frame_header(fd, h)) break;  // coordinator gone
     std::vector<std::byte> payload(h.len);
-    if (h.len > 0 && !frame::read_all(fd, payload.data(), h.len, &err)) break;
+    if (h.len > 0 && !frame::read_all(fd, payload.data(), h.len)) break;
     if (h.kind == kFrameShutdown) break;
     if (h.kind != kFrameDispatch) continue;  // forward compatibility
     if (opts.stats != nullptr) ++opts.stats->dispatches;
@@ -907,9 +847,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     }
     if (opts.stats != nullptr) ++opts.stats->points_executed;
     std::lock_guard<std::mutex> wl(write_mu);
-    frame::IoError werr;
-    if (!frame::write_frame(fd, kind, h.id, reply.data(), reply.size(),
-                            &werr)) {
+    if (!frame::write_frame(fd, kind, h.id, reply.data(), reply.size())) {
       break;  // EPIPE/RST: coordinator is gone
     }
   }

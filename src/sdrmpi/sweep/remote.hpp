@@ -28,13 +28,13 @@
 //    worker simply asks less often. Pull only decides who runs a point,
 //    never what its result looks like.
 //  - Heartbeats: workers beat at the interval the coordinator advertises
-//    in its HelloAck; a worker silent past heartbeat_deadline_ms is
-//    declared dead even if the kernel still holds its socket open (hung
-//    host, network partition).
+//    in its HelloAck (heartbeat_deadline_ms / 5); a worker silent past
+//    heartbeat_deadline_ms is declared dead even if the kernel still
+//    holds its socket open (hung host, network partition).
 //  - Point leases: every dispatch leases one point to one worker. A dead
 //    worker's points — or a live-but-stalled worker's after lease_ms —
-//    are re-dispatched to survivors with capped exponential backoff, up
-//    to a re-dispatch budget per point; past the budget the point
+//    are due again at once, for any worker but their previous holder,
+//    up to a re-dispatch budget per point; past the budget the point
 //    surfaces as a hard error rather than spinning forever.
 //  - Duplicate suppression: results are deterministic, so the first
 //    result for a point wins and a late answer from a lease-expired
@@ -43,8 +43,11 @@
 //    never double-delivered, never double-stored.
 //  - Graceful degradation: once the coordinator has had no live worker
 //    for registration_wait_ms — nobody registered, or the whole fleet
-//    died and no replacement came back — it finishes the remaining points
-//    locally in-process. A sweep never fails because the fleet did.
+//    died and no replacement came back — run() hands the remaining points
+//    back, and the sweep service runs them on its local pool. A sweep
+//    never fails because the fleet did.
+//
+// The coordinator only dispatches: it never runs a simulation itself.
 #pragma once
 
 #include <cstddef>
@@ -85,16 +88,16 @@ inline constexpr std::uint8_t kFrameAuthResponse = 18;   ///< worker -> coord
 /// Failure-detection and re-dispatch tuning. Defaults suit real sweeps;
 /// tests shrink everything to tens of milliseconds.
 struct RemoteTuning {
-  /// How long the coordinator waits with no live worker before finishing
-  /// the remaining points locally. The window opens when run() starts
-  /// with an empty fleet (workers started moments after the coordinator
-  /// must not be missed) or when the last worker dies (a supervised
-  /// workerd's replacement needs time to re-exec and re-register).
+  /// How long the coordinator waits with no live worker before handing
+  /// the remaining points back to the caller. The window opens when run()
+  /// starts with an empty fleet (workers started moments after the
+  /// coordinator must not be missed) or when the last worker dies (a
+  /// supervised workerd's replacement needs time to re-exec and
+  /// re-register).
   int registration_wait_ms = 10000;
-  /// Heartbeat period advertised to workers in the HelloAck.
-  int heartbeat_interval_ms = 1000;
   /// A worker silent (no frame of any kind) past this is declared dead;
-  /// a peer stalled mid-handshake is dropped after it.
+  /// a peer stalled mid-handshake is dropped after it. Workers are told
+  /// to heartbeat five times per deadline.
   int heartbeat_deadline_ms = 5000;
   /// Lease on a dispatched point (> 0): past this it is re-dispatched to
   /// another worker even if the holder still heartbeats (stalled != dead;
@@ -103,28 +106,23 @@ struct RemoteTuning {
   /// Re-dispatches allowed per point before it is reported as a hard
   /// error.
   int redispatch_budget = 3;
-  /// Capped exponential backoff between re-dispatches of the same point:
-  /// min(backoff_base_ms << (attempt-1), backoff_cap_ms).
-  int backoff_base_ms = 50;
-  int backoff_cap_ms = 2000;
   /// Shared secret for registration authentication (auth.hpp). Empty =
   /// unauthenticated (the default).
   std::string secret;
 };
 
-/// One point of remote work: the coordinator-side config/app (the app is
-/// the local-degradation fallback; the spec is what a remote workerd
-/// resolves through the workload registry). Results and errors name a
-/// point by its position in the vector passed to RemoteCoordinator::run.
+/// One point of remote work: its config and the app spec a remote
+/// workerd resolves through the workload registry. Results and errors
+/// name a point by its position in the vector passed to
+/// RemoteCoordinator::run.
 struct RemotePoint {
   const core::RunConfig* cfg = nullptr;
-  const core::AppFn* app = nullptr;
   std::string spec;
 };
 
-/// Per-point failure relayed from a worker (or from the local fallback):
-/// the point's position, the exception message and whether it was a
-/// construction/invalid-config error.
+/// Per-point failure relayed from a worker: the point's position, the
+/// exception message and whether it was a construction/invalid-config
+/// error.
 struct PointError {
   std::size_t id = 0;
   bool invalid_config = false;
@@ -146,7 +144,7 @@ struct RemoteStats {
   std::size_t heartbeats_missed = 0;   ///< deadline-expiry deaths only
   std::size_t chunks_redispatched = 0; ///< points re-dispatched (death+lease)
   std::size_t duplicate_results = 0;   ///< late answers suppressed
-  std::size_t local_fallback_points = 0;  ///< points finished in-process
+  std::size_t local_fallback_points = 0;  ///< points handed back by run()
 };
 
 /// Coordinator: owns the listener and the registered-worker set for the
@@ -168,15 +166,20 @@ class RemoteCoordinator {
   /// Currently registered (live) workers.
   [[nodiscard]] std::size_t connected_workers() const;
 
-  /// Executes every point; blocks until each has exactly one result or
-  /// error. Points queue in input order and each WorkRequest draws the
-  /// first one due. on_result/on_error are
-  /// invoked from the calling thread and from reader threads — callers
-  /// serialize with their own lock. Throws WorkerError on a determinism
-  /// violation. Stats accumulate across calls.
-  void run(const std::vector<RemotePoint>& points,
-           const std::function<void(std::size_t, core::RunResult&&)>& on_result,
-           const std::function<void(PointError&&)>& on_error);
+  /// Dispatches every point; blocks until each has exactly one result or
+  /// error, or until the fleet has been empty for registration_wait_ms.
+  /// Returns the positions of the points still undone then, ascending
+  /// (empty when the fleet finished the sweep); the caller runs them
+  /// itself, and a late frame for one of them is dropped as stale. Points
+  /// queue in input order and each WorkRequest draws the first one due.
+  /// on_result/on_error are invoked from the calling thread and from
+  /// reader threads — callers serialize with their own lock. Throws
+  /// WorkerError on a determinism violation. Stats accumulate across
+  /// calls.
+  [[nodiscard]] std::vector<std::size_t> run(
+      const std::vector<RemotePoint>& points,
+      const std::function<void(std::size_t, core::RunResult&&)>& on_result,
+      const std::function<void(PointError&&)>& on_error);
 
   /// Snapshot of the lifetime robustness counters, taken under the
   /// coordinator lock — reader threads update them concurrently, and a
@@ -200,6 +203,13 @@ using AppResolver =
 /// run_worker hard-closes the socket mid-point (the coordinator sees the
 /// same EOF/ECONNRESET a SIGKILLed workerd produces) and returns.
 struct WorkerAbort {};
+
+/// Thrown by run_worker when the coordinator refuses the registration
+/// (HelloReject: wrong secret, version mismatch) or the two sides'
+/// authentication postures disagree. Retrying cannot change the verdict.
+struct RegistrationRejected : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Per-session execution counters a worker can report (--stats).
 struct WorkerStats {
@@ -232,10 +242,11 @@ struct WorkerOptions {
 
 /// Worker main loop: connect to `coordinator` ("host:port"), register,
 /// heartbeat, and execute dispatch frames until the coordinator shuts the
-/// connection down (clean return). Throws std::runtime_error if the
-/// connection or registration fails — but once registered, a vanished
-/// coordinator is a clean return too (the workerd exits 0; there is
-/// nobody left to serve).
+/// connection down (clean return). Throws RegistrationRejected when the
+/// coordinator refuses the worker and std::runtime_error if the
+/// connection or registration otherwise fails — but once registered, a
+/// vanished coordinator is a clean return too (the workerd exits 0;
+/// there is nobody left to serve).
 void run_worker(const std::string& coordinator, const AppResolver& resolver,
                 const WorkerOptions& opts = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -151,11 +152,14 @@ std::vector<core::RunResult> SweepService::run(
     }
   };
 
+  // Positions in `misses` that run on the local pool: all of them, or
+  // whatever the remote fleet handed back undone.
+  std::vector<std::size_t> local(misses.size());
+  std::iota(local.begin(), local.end(), std::size_t{0});
   if (!misses.empty() && coordinator_ != nullptr) {
     std::vector<RemotePoint> points(misses.size());
     for (std::size_t m = 0; m < misses.size(); ++m) {
       points[m].cfg = &configs[misses[m]];
-      points[m].app = &apps[m];
       if (opts_.spec) {
         points[m].spec = opts_.spec(configs[misses[m]], misses[m]);
       }
@@ -168,13 +172,16 @@ std::vector<core::RunResult> SweepService::run(
     };
     stats_.remote_workers = coordinator_->connected_workers();
     const RemoteStats before = coordinator_->stats();
-    coordinator_->run(points, collect_result, collect_error);
+    local = coordinator_->run(points, collect_result, collect_error);
     stats_.remote = since(before, coordinator_->stats());
-  } else if (!misses.empty()) {
-    errors = core::pool_for_each(
-        misses.size(), opts_.workers, [&](std::size_t m) {
-          collect_result(m, core::run(configs[misses[m]], apps[m]));
-        });
+  }
+  const auto local_errors =
+      core::pool_for_each(local.size(), opts_.workers, [&](std::size_t k) {
+        const std::size_t m = local[k];
+        collect_result(m, core::run(configs[misses[m]], apps[m]));
+      });
+  for (std::size_t k = 0; k < local.size(); ++k) {
+    if (local_errors[k] != nullptr) errors[local[k]] = local_errors[k];
   }
 
   // Deterministic error surfacing: misses ascend in input order, so the

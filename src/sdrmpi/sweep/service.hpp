@@ -42,13 +42,16 @@ namespace sdrmpi::sweep {
 
 struct ServiceOptions {
   /// In-process pool threads; 0 = std::thread::hardware_concurrency().
+  /// They also run the points a remote fleet hands back.
   int workers = 0;
   /// Path of the persistent result store; empty = in-memory dedupe only.
   std::string cache_path;
   /// Listen endpoint ("host:port"; port 0 = ephemeral) for remote
   /// sweep-workerd processes. Non-empty selects the remote backend:
   /// misses are dispatched to registered workers with lease-based
-  /// re-dispatch, and finished locally if the fleet dies (remote.hpp).
+  /// re-dispatch; once the fleet has been empty for
+  /// RemoteTuning::registration_wait_ms, the rest run on the local pool
+  /// (remote.hpp).
   std::string listen;
   /// Failure-detection / re-dispatch tuning and the registration secret
   /// (RemoteTuning::secret) for the remote backend.

@@ -42,7 +42,8 @@ void backoff_sleep(const SuperviseOptions& opts, int restart_n) {
 
 bool exit_is_restartable(int exit_code) noexcept {
   // 0: clean shutdown (the coordinator said goodbye) — done, not dead.
-  // 2: usage error — a re-exec re-reads the same bad command line forever.
+  // 2: usage error or rejected registration — a re-exec re-reads the same
+  //    bad command line (or presents the same refused credentials).
   // Everything else, signal deaths (128+N) above all, is what the
   // supervisor exists for.
   return exit_code != 0 && exit_code != 2;

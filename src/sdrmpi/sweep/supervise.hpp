@@ -52,9 +52,9 @@ struct SuperviseOutcome {
 };
 
 /// Restart policy shared by both entry points (exposed for unit tests):
-/// clean exit 0 ends supervision; exit 2 is a usage error (restarting
-/// cannot fix a bad command line); any other exit — including every
-/// signal death — is restartable while the budget lasts.
+/// clean exit 0 ends supervision; exit 2 is a usage error or a rejected
+/// registration (restarting cannot fix either); any other exit —
+/// including every signal death — is restartable while the budget lasts.
 [[nodiscard]] bool exit_is_restartable(int exit_code) noexcept;
 
 /// Forks and runs `body` in the child (`_exit(body())`); supervises per

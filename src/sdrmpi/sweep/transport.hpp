@@ -10,9 +10,8 @@
 //
 // Robustness posture (the reason this file exists at all):
 //  - SIGPIPE is disarmed process-wide (ignore_sigpipe()); a peer closing
-//    mid-write surfaces as EPIPE from write(), which frame_io maps to a
-//    connection-lost IoError the scheduler absorbs by re-dispatching the
-//    peer's leases. A dying worker must never take the coordinator down,
+//    mid-write surfaces as EPIPE from write(), a failed frame write the
+//    scheduler absorbs by re-dispatching the peer's leases. A dying worker must never take the coordinator down,
 //    and a dying coordinator must never take a worker down.
 //  - Sockets are CLOEXEC (a re-exec'd supervised workerd must not inherit
 //    its predecessor's connections) and TCP_NODELAY (frames are small; Nagle would add

@@ -727,19 +727,6 @@ TEST(Engine, RingContextSwitchesCountDispatches) {
   EXPECT_EQ(out.context_switches, 204u);
 }
 
-TEST(Engine, FiberStackSizeIsConfigurable) {
-  constexpr std::size_t kBytes = std::size_t{1} << 20;
-  Engine e;
-  e.set_fiber_stack_bytes(kBytes);
-  e.spawn("p", [] {});
-  auto out = e.run();
-  EXPECT_TRUE(out.clean());
-  // mapped_bytes = usable bytes + guard page + page rounding; bound the
-  // overhead loosely so page-size differences don't break the test.
-  EXPECT_GE(e.stack_stats().bytes_mapped_peak, kBytes);
-  EXPECT_LE(e.stack_stats().bytes_mapped_peak, kBytes + (std::size_t{64} << 10));
-}
-
 TEST(Engine, WatermarkReportsStackDepth) {
   // The watermark fill is read from the environment at engine
   // construction; painted stacks report the deepest frame reached.
@@ -750,7 +737,8 @@ TEST(Engine, WatermarkReportsStackDepth) {
     auto out = e.run();
     EXPECT_TRUE(out.clean());
     EXPECT_GT(e.stack_stats().stack_depth_peak, 0u);
-    EXPECT_LT(e.stack_stats().stack_depth_peak, e.fiber_stack_bytes());
+    EXPECT_LT(e.stack_stats().stack_depth_peak,
+              e.stack_stats().bytes_mapped_peak);
   }
   ::unsetenv("SDRMPI_STACK_WATERMARK");
 }

@@ -865,8 +865,8 @@ std::vector<unsigned char> frame_image(std::uint8_t kind, std::uint64_t id,
 
 TEST(FrameIo, ReassemblesDribbledSocketTransfers) {
   // On TCP, partial reads are the norm: a frame written byte-at-a-time
-  // must reassemble losslessly, and the close after the last byte lands
-  // exactly on a frame boundary (clean close, not a torn frame).
+  // must reassemble losslessly, and the close after the last byte ends
+  // the stream (the next header read fails).
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::string payload = "short transfers are the norm, not the edge";
@@ -879,35 +879,28 @@ TEST(FrameIo, ReassemblesDribbledSocketTransfers) {
     ::close(fd);
   });
   sweep::frame::FrameHeader h;
-  sweep::frame::IoError io;
-  ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h, &io));
+  ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h));
   EXPECT_EQ(h.kind, sweep::frame::kFrameResult);
   EXPECT_EQ(h.id, 77u);
   ASSERT_EQ(h.len, payload.size());
   std::string got(h.len, '\0');
-  ASSERT_TRUE(sweep::frame::read_all(sv[0], got.data(), got.size(), &io));
+  ASSERT_TRUE(sweep::frame::read_all(sv[0], got.data(), got.size()));
   EXPECT_EQ(got, payload);
-  EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h, &io));
-  EXPECT_TRUE(io.eof);
-  EXPECT_TRUE(io.clean_close);
+  EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h));
   dribbler.join();
   ::close(sv[0]);
 }
 
-TEST(FrameIo, TornFrameIsEofButNotCleanClose) {
+TEST(FrameIo, TornFrameReadsFalse) {
   const auto image = frame_image(sweep::frame::kFrameResult, 9, "payload!");
-  // EOF after 5 of 13 header bytes: torn, not clean.
+  // EOF after 5 of 13 header bytes: the header read fails.
   {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     ASSERT_TRUE(sweep::frame::write_all(sv[1], image.data(), 5));
     ::close(sv[1]);
     sweep::frame::FrameHeader h;
-    sweep::frame::IoError io;
-    EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h, &io));
-    EXPECT_TRUE(io.eof);
-    EXPECT_FALSE(io.clean_close);
-    EXPECT_TRUE(sweep::frame::is_connection_lost(io));
+    EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h));
     ::close(sv[0]);
   }
   // EOF mid-payload: the header parses, the payload read reports the tear.
@@ -917,50 +910,40 @@ TEST(FrameIo, TornFrameIsEofButNotCleanClose) {
     ASSERT_TRUE(sweep::frame::write_all(sv[1], image.data(), 13 + 3));
     ::close(sv[1]);
     sweep::frame::FrameHeader h;
-    sweep::frame::IoError io;
-    ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h, &io));
+    ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h));
     std::string got(h.len, '\0');
-    EXPECT_FALSE(sweep::frame::read_all(sv[0], got.data(), got.size(), &io));
-    EXPECT_TRUE(io.eof);
-    EXPECT_FALSE(io.clean_close);
+    EXPECT_FALSE(sweep::frame::read_all(sv[0], got.data(), got.size()));
     ::close(sv[0]);
   }
 }
 
-TEST(FrameIo, LostPeerSurfacesAsConnectionLostErrno) {
-  // Writing to a peer that vanished must come back as an EPIPE-class
-  // errno the scheduler maps to worker-lost — never as SIGPIPE death.
+TEST(FrameIo, WriteToLostPeerFailsWithoutSigpipe) {
+  // Writing to a peer that vanished must come back as a failed write the
+  // scheduler maps to worker-lost — never as SIGPIPE death.
   sweep::ignore_sigpipe();
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   ::close(sv[0]);
   const std::string payload(1 << 16, 'x');
-  sweep::frame::IoError io;
   bool wrote = true;
   for (int i = 0; i < 4 && wrote; ++i) {
     wrote = sweep::frame::write_frame(sv[1], sweep::frame::kFrameResult, 1,
-                                      payload.data(), payload.size(), &io);
+                                      payload.data(), payload.size());
   }
   ASSERT_FALSE(wrote);
-  EXPECT_FALSE(io.eof);
-  EXPECT_TRUE(io.err == EPIPE || io.err == ECONNRESET) << "errno " << io.err;
-  EXPECT_TRUE(sweep::frame::is_connection_lost(io));
   ::close(sv[1]);
 }
 
 // ---------------------------------------------------------- remote backend
 
-/// Tuning shrunk to test scale: fast heartbeats, the default (minutes
-/// long) lease unless a scenario opts in, generous deadlines so a loaded
-/// CI machine cannot declare a healthy worker dead.
+/// Tuning shrunk to test scale: the default (minutes long) lease unless a
+/// scenario opts in, generous deadlines so a loaded CI machine cannot
+/// declare a healthy worker dead.
 sweep::RemoteTuning fast_tuning() {
   sweep::RemoteTuning t;
   t.registration_wait_ms = 8000;
-  t.heartbeat_interval_ms = 25;
   t.heartbeat_deadline_ms = 4000;
   t.redispatch_budget = 5;
-  t.backoff_base_ms = 5;
-  t.backoff_cap_ms = 40;
   return t;
 }
 
@@ -1199,8 +1182,7 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
   const auto baseline = pool1_baseline(s);
 
   auto tuning = fast_tuning();
-  tuning.heartbeat_interval_ms = 25;
-  tuning.heartbeat_deadline_ms = 250;
+  tuning.heartbeat_deadline_ms = 250;  // the healthy worker beats every 50 ms
   RemoteRig rig(remote_options(tuning));
   // The silent worker never heartbeats (test hook) and hangs on its first
   // point: no frame of any kind after registration. Only the deadline
@@ -1277,6 +1259,47 @@ TEST(RemoteBackend, EmptyFleetFallsBackToLocalAfterTheWindow) {
   rig.shutdown();
 }
 
+TEST(RemoteBackend, FallbackPointsRunOnTheServicePool) {
+  FuzzSweep s = draw_sweep(12);
+  const auto baseline = pool1_baseline(s);
+  // Handed-back points run on the service's pool threads, never on the
+  // thread that called run().
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> rank_runs{0};
+  std::atomic<int> on_caller{0};
+  auto factory = [&](const core::RunConfig&, std::size_t i) -> core::AppFn {
+    return [&, app = s.apps[i]](mpi::Env& env) {
+      ++rank_runs;
+      if (std::this_thread::get_id() == caller) ++on_caller;
+      app(env);
+    };
+  };
+
+  auto opts = remote_options(fast_tuning());
+  opts.remote.registration_wait_ms = 100;  // nobody is coming
+  opts.workers = 4;
+  sweep::SweepService service(std::move(opts));
+  const auto runs = service.run(s.configs, factory);
+  const auto& st = service.stats();
+  EXPECT_EQ(st.remote_workers, 0u);
+  EXPECT_EQ(st.remote.local_fallback_points, st.unique_points);
+  EXPECT_GT(rank_runs.load(), 0);
+  EXPECT_EQ(on_caller.load(), 0);
+  expect_matches_baseline(runs, baseline, "fallback on the service pool");
+
+  // Errors surface exactly as on the local path: the lowest failing input
+  // index, "config[i]: " prefixed, type kept.
+  s.configs[7].nranks = 0;
+  s.configs[3].nranks = 0;
+  try {
+    auto failed = service.run(s.configs, factory);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("config[3]: ", 0), 0u)
+        << "message was: " << e.what();
+  }
+}
+
 TEST(RemoteBackend, NonPositiveLeaseIsRejected) {
   // A lease of 0 would expire every point the moment it is dispatched.
   for (const int lease_ms : {0, -1}) {
@@ -1332,7 +1355,7 @@ TEST(RemoteBackend, VersionMismatchIsRejectedAtRegistration) {
       sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
                         {.name = "stale-binary", .protocol_version = version});
       FAIL() << "expected registration of v" << version << " to be rejected";
-    } catch (const std::runtime_error& e) {
+    } catch (const sweep::RegistrationRejected& e) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("registration rejected"), std::string::npos) << msg;
       EXPECT_NE(msg.find("protocol version " + std::to_string(version)),
@@ -1508,7 +1531,7 @@ TEST(Auth, WrongSecretIsRejectedWithAReason) {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
                       {.name = "impostor", .secret = "incorrect horse"});
     FAIL() << "expected the registration to be rejected";
-  } catch (const std::runtime_error& e) {
+  } catch (const sweep::RegistrationRejected& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("registration rejected"), std::string::npos) << msg;
     EXPECT_NE(msg.find("authentication failed"), std::string::npos) << msg;

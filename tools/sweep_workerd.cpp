@@ -31,8 +31,11 @@
 // Exit status: 0 after a clean coordinator shutdown (or a coordinator
 // that simply went away after registration — there is nobody left to
 // serve), 1 when the coordinator stays unreachable past the retry
-// budget or rejects registration (or the restart budget is spent), 2
-// for usage errors.
+// budget (or the restart budget is spent), 2 for usage errors and for a
+// rejected registration (wrong secret, version mismatch, or an
+// authentication posture the two sides disagree on). A rejection is
+// final: it is never retried, and the supervisor never restarts a child
+// that exited 2.
 //
 // Start order is free: a workerd launched before its coordinator retries
 // the connection (--retries x --retry-ms covers the gap).
@@ -86,6 +89,9 @@ int run_worker_main(const std::string& connect,
       sweep::run_worker(connect, resolver, wopts);
       emit_stats();
       return 0;  // coordinator shut us down cleanly
+    } catch (const sweep::RegistrationRejected& e) {
+      std::fprintf(stderr, "sweep-workerd: %s\n", e.what());
+      return 2;  // retrying cannot change the verdict
     } catch (const std::exception& e) {
       if (attempt >= retries) {
         std::fprintf(stderr, "sweep-workerd: %s\n", e.what());
