@@ -5,8 +5,9 @@
 // path: simulated sends per host second, engine events per host second, and
 // global operator-new invocations per simulated message, on fig7b-style
 // NetPipe traffic (native and SDR r=2), plus the host cost of one engine
-// dispatch (a fiber → fiber switch). These are the numbers the
-// zero-allocation hot-path work is pinned against (BENCH_hotpath.json).
+// dispatch (a fiber → fiber switch) and of one generated Pattern payload
+// byte. These are the numbers the zero-allocation hot-path work is pinned
+// against (BENCH_hotpath.json).
 //
 //   --json            machine-readable output for the BENCH_* trajectory
 //   --check           exit non-zero if allocs/send regress past the pinned
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "sdrmpi/net/content.hpp"
 #include "sdrmpi/util/alloc_counter.hpp"
 #include "sdrmpi/util/byte_counter.hpp"
 #include "sdrmpi/workloads/netpipe.hpp"
@@ -63,6 +65,7 @@ struct HotpathPoint {
   double bytes_copied_per_send = 0.0;
   std::uint64_t context_switches = 0;
   double ns_per_switch = 0.0;  ///< host ns per dispatch (fiber → fiber)
+  double ns_per_byte = 0.0;    ///< host ns per generated Pattern byte
   bool symbolic = false;     ///< gate bytes_copied_per_send in --check
   bool gate_allocs = false;  ///< gate allocs_per_send in --check (the fig7b
                              ///< sweep; single-size points run too few sends
@@ -149,6 +152,36 @@ HotpathPoint bench_ctx_switch() {
   std::sort(reps.begin(), reps.end(),
             [](const HotpathPoint& a, const HotpathPoint& b) {
               return a.ns_per_switch < b.ns_per_switch;
+            });
+  return reps[kReps / 2];
+}
+
+// Pattern generator cost: net::fill_pattern writes a 1 MiB block (the size
+// of coll_mat_native's bcast root buffer) kFills times per rep, starting
+// mid-word so the scalar head and tail run too. Reports the median of
+// kReps; no --check gate reads it.
+HotpathPoint bench_pattern_fill() {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  constexpr int kFills = 32;
+  constexpr int kReps = 5;
+
+  std::vector<std::byte> buf(kBytes);
+  std::vector<HotpathPoint> reps;
+  for (int r = 0; r < kReps; ++r) {
+    HotpathPoint pt;
+    pt.label = "pattern_fill";
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int f = 0; f < kFills; ++f) {
+      net::fill_pattern(static_cast<std::uint64_t>(f), 3, kBytes, buf.data());
+    }
+    pt.host_seconds = seconds_since(t0);
+    pt.ns_per_byte = pt.host_seconds * 1e9 / (double{kFills} * kBytes);
+    pt.clean = buf[kBytes - 1] == net::pattern_byte(kFills - 1, kBytes + 2);
+    reps.push_back(pt);
+  }
+  std::sort(reps.begin(), reps.end(),
+            [](const HotpathPoint& a, const HotpathPoint& b) {
+              return a.ns_per_byte < b.ns_per_byte;
             });
   return reps[kReps / 2];
 }
@@ -243,6 +276,7 @@ void emit_json(std::ostream& os, const std::string& variant,
        << ", \"bytes_copied_per_send\": " << p.bytes_copied_per_send
        << ", \"context_switches\": " << p.context_switches
        << ", \"ns_per_switch\": " << p.ns_per_switch
+       << ", \"ns_per_byte\": " << p.ns_per_byte
        << ", \"symbolic\": " << (p.symbolic ? "true" : "false")
        << ", \"clean\": " << (p.clean ? "true" : "false") << "}"
        << (i + 1 < pts.size() ? "," : "") << "\n";
@@ -265,6 +299,7 @@ int main(int argc, char** argv) {
   std::vector<HotpathPoint> pts;
   pts.push_back(bench_events_raw());
   pts.push_back(bench_ctx_switch());
+  pts.push_back(bench_pattern_fill());
   pts.push_back(
       bench_netpipe("fig7b_native", core::ProtocolKind::Native, 1, reps));
   pts.back().gate_allocs = true;
@@ -299,14 +334,16 @@ int main(int argc, char** argv) {
     emit_json(std::cout, variant, pts);
   } else {
     util::Table table({"point", "host sec", "sends/sec", "events/sec",
-                       "allocs/send", "bytes-copied/send", "ns/switch"});
+                       "allocs/send", "bytes-copied/send", "ns/switch",
+                       "ns/byte"});
     for (const HotpathPoint& p : pts) {
       table.add_row({p.label, util::format_double(p.host_seconds, 3),
                      util::format_double(p.sends_per_sec, 0),
                      util::format_double(p.events_per_sec, 0),
                      util::format_double(p.allocs_per_send, 2),
                      util::format_double(p.bytes_copied_per_send, 0),
-                     util::format_double(p.ns_per_switch, 1)});
+                     util::format_double(p.ns_per_switch, 1),
+                     util::format_double(p.ns_per_byte, 3)});
     }
     table.print(std::cout);
     if (!util::alloc_counting_enabled()) {

@@ -1,7 +1,6 @@
 #include "sdrmpi/mpi/endpoint.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -151,10 +150,6 @@ bool Endpoint::has_pending_rdv_recvs() const {
 // Point-to-point API
 // ---------------------------------------------------------------------------
 
-void Endpoint::charge(double ns) {
-  engine().advance(static_cast<Time>(std::llround(ns)));
-}
-
 Request Endpoint::make_request_cached(ReqState::Kind kind) {
   // Bounded probe over the cache ring for a request every other holder has
   // dropped; fall back to a fresh allocation (which then joins the cache).
@@ -177,7 +172,7 @@ Request Endpoint::make_request_cached(ReqState::Kind kind) {
 
 void Endpoint::enter_call() {
   assert(engine().in_process_context());
-  charge(fabric_.params().call_cost_ns);
+  engine().advance(fabric_.fixed_costs().call);
   engine().maybe_yield();
 }
 
@@ -492,7 +487,6 @@ void Endpoint::progress() {
   }
   inbox_.clear();
   inbox_head_ = 0;
-  protocol_->on_progress(*this);
 }
 
 void Endpoint::progress_until(const std::function<bool()>& pred,
@@ -507,7 +501,7 @@ void Endpoint::progress_until(const std::function<bool()>& pred,
 void Endpoint::handle_frame(net::Delivery&& d) {
   ++stats_.frames_processed;
   engine().advance_to(d.arrival);
-  charge(fabric_.params().o_recv_ns);
+  engine().advance(fabric_.fixed_costs().o_recv);
 
   const FrameHeader h = decode_header(d.data.bytes());
   switch (h.kind) {

@@ -291,7 +291,6 @@ class Endpoint {
   [[nodiscard]] static bool matches(const Request& recv, const FrameHeader& h);
   void complete_recv(const FrameHeader& h, const Request& req);
   void fire_app_complete(const Request& req);
-  void charge(double ns);
 
   [[nodiscard]] CtxState& ctx_state(CommCtx ctx) {
     while (ctx_.size() <= ctx) ctx_.emplace_back();

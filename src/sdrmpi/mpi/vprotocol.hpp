@@ -88,9 +88,6 @@ class Vprotocol {
   virtual void on_ctl(Endpoint&, const FrameHeader&,
                       std::span<const std::byte>) {}
 
-  /// Called every progress round; protocols run deferred work here.
-  virtual void on_progress(Endpoint&) {}
-
   /// A safe point declared by the application (recovery fork point).
   virtual void on_recovery_point(Endpoint&) {}
 

@@ -26,10 +26,9 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <span>
 
 #include "sdrmpi/util/hash.hpp"
 
@@ -113,10 +112,30 @@ struct ContentDesc {
       (pattern_word(seed, i >> 3) >> (8 * (i & 7))) & 0xff);
 }
 
+/// Writes generator words [first_word, first_word + nwords) to `out`, 8
+/// little-endian bytes each: the whole-word middle of fill_pattern. Runs
+/// the first pattern_kernels() variant the host CPU supports, chosen once
+/// per process (content.cpp).
+void fill_pattern_words(std::uint64_t seed, std::uint64_t first_word,
+                        std::size_t nwords, std::byte* out) noexcept;
+
+/// One compiled variant of fill_pattern_words. Every variant writes the
+/// same bytes as pattern_word; they differ only in the instructions used.
+struct PatternKernel {
+  using Fn = void (*)(std::uint64_t seed, std::uint64_t first_word,
+                      std::size_t nwords, std::byte* out) noexcept;
+  const char* name;  ///< the x86-64 ISA level it is compiled for
+  Fn fill;
+  bool runnable;  ///< the host CPU supports that ISA level
+};
+
+/// Every compiled variant, fastest first; the last one is always runnable.
+[[nodiscard]] std::span<const PatternKernel> pattern_kernels() noexcept;
+
 /// Writes `n` bytes of the Pattern(seed) stream starting at stream position
 /// `off` to `out`: one generator word per 8 output bytes, whatever the
-/// alignment of `off` (a leading partial word, whole words, a trailing
-/// partial word). Whole words are one 8-byte store on little-endian hosts.
+/// alignment of `off`. The partial head and tail words are written here
+/// byte by byte; the whole words between them by fill_pattern_words.
 inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
                          std::byte* out) noexcept {
   // Bytes [from, to) of generator word w, little-endian within the word.
@@ -135,13 +154,12 @@ inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
     out += take;
     n -= take;
   }
-  for (; n >= 8; n -= 8, out += 8) {
-    if constexpr (std::endian::native == std::endian::little) {
-      const std::uint64_t v = pattern_word(seed, w++);
-      std::memcpy(out, &v, sizeof v);
-    } else {
-      put(out, w++, 0, 8);
-    }
+  if (n >= 8) {
+    const std::size_t words = n / 8;
+    fill_pattern_words(seed, w, words, out);
+    w += words;
+    out += 8 * words;
+    n -= 8 * words;
   }
   if (n != 0) put(out, w, 0, static_cast<unsigned>(n));
 }

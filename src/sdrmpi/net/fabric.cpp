@@ -12,8 +12,19 @@ namespace sdrmpi::net {
 
 // ---- Fabric (backend-independent machinery) --------------------------------
 
+namespace {
+
+[[nodiscard]] Time round_ns(double ns) {
+  return static_cast<Time>(std::llround(ns));
+}
+
+}  // namespace
+
 Fabric::Fabric(sim::Engine& engine, NetParams params, int nslots)
-    : engine_(engine), params_(params) {
+    : engine_(engine),
+      params_(params),
+      costs_{round_ns(params.call_cost_ns), round_ns(params.o_send_ns),
+             round_ns(params.o_recv_ns), round_ns(params.latency_ns)} {
   slots_.resize(static_cast<std::size_t>(nslots));
 }
 
@@ -68,7 +79,7 @@ void Fabric::send(int src_slot, int dst_slot, Payload frame, Payload bulk,
   }
 
   // Charge the sender's CPU overhead, then hand the frame to the backend.
-  engine_.advance(static_cast<Time>(std::llround(params_.o_send_ns)));
+  engine_.advance(costs_.o_send);
   const Time now = engine_.now();
   const Time arrival = route(src_slot, dst_slot, now, wire_bytes);
 
@@ -131,10 +142,10 @@ FlatFabric::FlatFabric(sim::Engine& engine, NetParams params, int nslots)
 
 Time FlatFabric::route(int src_slot, int /*dst_slot*/, Time ready,
                        std::size_t wire_bytes) {
-  const Time ser = static_cast<Time>(std::llround(
-      static_cast<double>(wire_bytes) * params().ns_per_byte));
+  const Time ser =
+      round_ns(static_cast<double>(wire_bytes) * params().ns_per_byte);
   const Time t = pass_link(ready, egress_free(src_slot), ser);
-  return t + static_cast<Time>(std::llround(params().latency_ns));
+  return t + fixed_costs().latency;
 }
 
 // ---- FatTreeFabric ---------------------------------------------------------
@@ -142,8 +153,7 @@ Time FlatFabric::route(int src_slot, int /*dst_slot*/, Time ready,
 namespace {
 
 [[nodiscard]] Time resolved_latency(double spec_ns, double fallback_ns) {
-  return static_cast<Time>(
-      std::llround(spec_ns < 0.0 ? fallback_ns : spec_ns));
+  return round_ns(spec_ns < 0.0 ? fallback_ns : spec_ns);
 }
 
 }  // namespace
@@ -221,12 +231,9 @@ int FatTreeFabric::hop_count(int src_slot, int dst_slot) const {
 Time FatTreeFabric::route(int src_slot, int dst_slot, Time ready,
                           std::size_t wire_bytes) {
   const double bytes = static_cast<double>(wire_bytes);
-  const Time nic_ser =
-      static_cast<Time>(std::llround(bytes * params().ns_per_byte));
-  const Time link_ser =
-      static_cast<Time>(std::llround(bytes * link_ns_per_byte_));
-  const Time spine_ser =
-      static_cast<Time>(std::llround(bytes * spine_ns_per_byte_));
+  const Time nic_ser = round_ns(bytes * params().ns_per_byte);
+  const Time link_ser = round_ns(bytes * link_ns_per_byte_);
+  const Time spine_ser = round_ns(bytes * spine_ns_per_byte_);
 
   // NIC egress: identical to the flat model.
   Time t = pass_link(ready, egress_free(src_slot), nic_ser);

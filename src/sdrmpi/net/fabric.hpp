@@ -114,8 +114,20 @@ class Fabric {
     return Payload::copy_of(&pool(), bytes);
   }
 
+  /// The per-call and per-frame constants of params(), rounded to whole
+  /// ns once at construction: every MPI call and frame charges them.
+  struct FixedCosts {
+    Time call = 0;     ///< call_cost_ns: entering any MPI call
+    Time o_send = 0;   ///< o_send_ns: sender CPU per injected frame
+    Time o_recv = 0;   ///< o_recv_ns: receiver CPU per processed frame
+    Time latency = 0;  ///< latency_ns: flat-model wire/switch latency
+  };
+
   [[nodiscard]] virtual TopologyKind kind() const noexcept = 0;
   [[nodiscard]] const NetParams& params() const noexcept { return params_; }
+  [[nodiscard]] const FixedCosts& fixed_costs() const noexcept {
+    return costs_;
+  }
   [[nodiscard]] const FabricStats& stats() const noexcept { return stats_; }
   [[nodiscard]] int nslots() const noexcept {
     return static_cast<int>(slots_.size());
@@ -160,6 +172,7 @@ class Fabric {
 
   sim::Engine& engine_;
   NetParams params_;
+  FixedCosts costs_;
   std::vector<Slot> slots_;
   std::uint64_t frame_no_ = 0;
 };

@@ -82,6 +82,106 @@ TEST(SymbolicPayload, FillPatternMatchesPatternByteAtEveryOffset) {
   }
 }
 
+// ------------------------------------------------ whole-word kernel variants
+
+/// Pattern(seed) bytes [off, off + n) from the scalar generator alone.
+std::vector<std::byte> scalar_pattern(std::uint64_t seed, std::uint64_t off,
+                                      std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t b = off + i;
+    out[i] = static_cast<std::byte>(
+        (net::pattern_word(seed, b >> 3) >> (8 * (b & 7))) & 0xff);
+  }
+  return out;
+}
+
+TEST(PatternKernel, BaselineIsLastAndAlwaysRunnable) {
+  const auto kernels = net::pattern_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "baseline");
+  EXPECT_TRUE(kernels.back().runnable);
+}
+
+TEST(PatternKernel, EveryRunnableVariantMatchesScalarPatternWord) {
+  // fill_pattern's split, with `k` writing the whole words: the words
+  // start at every alignment of the output pointer and every word index.
+  const auto fill_with = [](const net::PatternKernel& k, std::uint64_t seed,
+                            std::uint64_t off, std::size_t n,
+                            std::byte* out) {
+    const std::size_t head =
+        std::min<std::size_t>(n, static_cast<std::size_t>((8 - off % 8) % 8));
+    const std::size_t words = (n - head) / 8;
+    const auto ref = scalar_pattern(seed, off, n);
+    std::copy(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(head),
+              out);
+    k.fill(seed, (off + head) / 8, words, out + head);
+    std::copy(ref.begin() + static_cast<std::ptrdiff_t>(head + 8 * words),
+              ref.end(), out + head + 8 * words);
+  };
+  const std::uint64_t seed = 0x5eed'1234'abcdULL;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 130; ++n) lengths.push_back(n);
+  lengths.push_back(std::size_t{1} << 20);
+  int ran = 0;
+  for (const net::PatternKernel& k : net::pattern_kernels()) {
+    if (!k.runnable) continue;
+    ++ran;
+    for (std::uint64_t off = 0; off < 16; ++off) {
+      for (std::size_t n : lengths) {
+        const auto want = scalar_pattern(seed, off, n);
+        std::vector<std::byte> got(n + 1, std::byte{0xee});
+        fill_with(k, seed, off, n, got.data());
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+            << k.name << " off=" << off << " n=" << n;
+        ASSERT_EQ(got[n], std::byte{0xee}) << k.name << " wrote past n";
+      }
+    }
+  }
+  EXPECT_GE(ran, 1);
+}
+
+TEST(PatternKernel, FillPatternMatchesScalarUpToAMebibyte) {
+  const std::uint64_t seed = 0xb16'b10bULL;
+  for (std::uint64_t off = 0; off < 16; ++off) {
+    for (std::size_t n : {std::size_t{130}, std::size_t{1} << 20}) {
+      std::vector<std::byte> got(n);
+      net::fill_pattern(seed, off, n, got.data());
+      ASSERT_EQ(got, scalar_pattern(seed, off, n)) << "off=" << off;
+    }
+  }
+}
+
+TEST(PatternKernel, TileAndStraddleSliceMatchScalar) {
+  util::BufferPool pool;
+  const std::uint64_t seed = 0x711eULL;
+  const std::uint64_t offset = 5;  // a partial head word in every period
+  const std::uint64_t period = 77;
+  const std::uint64_t reps = 9;
+  const auto block = scalar_pattern(seed, offset, period);
+  std::vector<std::byte> want;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    want.insert(want.end(), block.begin(), block.end());
+  }
+  Payload tile =
+      Payload::symbolic(&pool, ContentDesc::tile(seed, offset, period, reps));
+  ASSERT_EQ(tile.kind(), ContentKind::Tile);
+  const auto bytes = tile.bytes();
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), want.begin(), want.end()));
+  // A slice that straddles repetition boundaries is generated chunk by
+  // chunk, each chunk a fill_pattern at its own stream offset.
+  Payload fresh_tile =
+      Payload::symbolic(&pool, ContentDesc::tile(seed, offset, period, reps));
+  const std::size_t off = 40;
+  const std::size_t len = 3 * period + 11;
+  Payload straddle = Payload::slice(&pool, fresh_tile, off, len);
+  EXPECT_FALSE(fresh_tile.is_materialized());
+  const auto sbytes = straddle.bytes();
+  EXPECT_TRUE(std::equal(sbytes.begin(), sbytes.end(),
+                         want.begin() + static_cast<std::ptrdiff_t>(off),
+                         want.begin() + static_cast<std::ptrdiff_t>(off + len)));
+}
+
 TEST(SymbolicPayload, EmptyHandleDigestsLikeEmptySpan) {
   EXPECT_EQ(Payload{}.digest(), util::kFnvOffset);
   EXPECT_EQ(util::fnv1a({}), util::kFnvOffset);

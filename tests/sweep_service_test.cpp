@@ -1382,9 +1382,20 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
   auto slow_points = std::make_shared<std::atomic<int>>(0);
   auto inner = table_resolver(s);
   sweep::WorkerStats fast_stats;
+  // The fast worker holds its first point until the slow worker got one
+  // (2 s at most): otherwise a busy host can let the fast worker drain
+  // all 24 points before the slow worker's first pull is served.
   rig.start_worker(
-      [inner, fast_points](const core::RunConfig& cfg, const std::string& sp) {
-        fast_points->fetch_add(1);
+      [inner, fast_points, slow_points](const core::RunConfig& cfg,
+                                        const std::string& sp) {
+        if (fast_points->fetch_add(1) == 0) {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (slow_points->load() < 1 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
         return inner(cfg, sp);
       },
       {.name = "fast", .stats = &fast_stats});
