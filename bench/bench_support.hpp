@@ -50,7 +50,7 @@ struct Point {
   std::string label;
   core::RunConfig cfg;
   core::AppFn app;
-  std::string spec;
+  std::string spec{};
 };
 
 /// Outcome of one point. Virtual time is deterministic, so one execution

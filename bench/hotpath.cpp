@@ -5,9 +5,9 @@
 // path: simulated sends per host second, engine events per host second, and
 // global operator-new invocations per simulated message, on fig7b-style
 // NetPipe traffic (native and SDR r=2), plus the host cost of one engine
-// dispatch (a fiber → fiber switch) and of one generated Pattern payload
-// byte. These are the numbers the zero-allocation hot-path work is pinned
-// against (BENCH_hotpath.json).
+// dispatch (a fiber → fiber switch), of one generated Pattern payload
+// byte and of one FNV-1a-hashed byte. These are the numbers the
+// zero-allocation hot-path work is pinned against (BENCH_hotpath.json).
 //
 //   --json            machine-readable output for the BENCH_* trajectory
 //   --check           exit non-zero if allocs/send regress past the pinned
@@ -25,6 +25,8 @@
 #include "sdrmpi/net/content.hpp"
 #include "sdrmpi/util/alloc_counter.hpp"
 #include "sdrmpi/util/byte_counter.hpp"
+#include "sdrmpi/util/hash.hpp"
+#include "sdrmpi/util/rng.hpp"
 #include "sdrmpi/workloads/netpipe.hpp"
 
 namespace {
@@ -65,7 +67,9 @@ struct HotpathPoint {
   double bytes_copied_per_send = 0.0;
   std::uint64_t context_switches = 0;
   double ns_per_switch = 0.0;  ///< host ns per dispatch (fiber → fiber)
-  double ns_per_byte = 0.0;    ///< host ns per generated Pattern byte
+  double ns_per_byte = 0.0;  ///< host ns per generated or hashed byte
+  double scalar_ns_per_byte = 0.0;  ///< fnv1a: the scalar loop's ns/byte
+  std::string kernel;               ///< fnv1a: the dispatched variant
   bool symbolic = false;     ///< gate bytes_copied_per_send in --check
   bool gate_allocs = false;  ///< gate allocs_per_send in --check (the fig7b
                              ///< sweep; single-size points run too few sends
@@ -186,6 +190,46 @@ HotpathPoint bench_pattern_fill() {
   return reps[kReps / 2];
 }
 
+// FNV-1a cost per hashed byte over 1 MiB of random bytes (a large
+// collective payload's digest), for the dispatched kernel (util::fnv1a)
+// and the scalar baseline; each the median of kReps. The row is clean only
+// if both produce the same digest, so --check cross-checks the kernel on
+// the host CPU. ns_per_byte is the kernel's, scalar_ns_per_byte the
+// baseline's.
+HotpathPoint bench_fnv1a() {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  constexpr int kHashes = 16;
+  constexpr int kReps = 5;
+
+  util::Rng rng(0xf4a1ULL);
+  std::vector<std::byte> buf(kBytes);
+  for (auto& b : buf) b = static_cast<std::byte>(rng());
+  HotpathPoint pt;
+  pt.label = "fnv1a";
+  const auto median_ns = [&](auto&& hash, std::uint64_t& digest) {
+    std::vector<double> ns;
+    for (int r = 0; r < kReps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::uint64_t h = util::kFnvOffset;
+      for (int i = 0; i < kHashes; ++i) h = hash(buf, h);
+      const double s = seconds_since(t0);
+      pt.host_seconds += s;
+      ns.push_back(s * 1e9 / (double{kHashes} * kBytes));
+      digest = h;
+    }
+    std::sort(ns.begin(), ns.end());
+    return ns[kReps / 2];
+  };
+  pt.kernel = std::ranges::find_if(util::fnv1a_kernels(),
+                                   &util::FnvKernel::runnable)->name;
+  std::uint64_t kernel_digest = 0;
+  std::uint64_t scalar_digest = 0;
+  pt.ns_per_byte = median_ns(util::fnv1a, kernel_digest);
+  pt.scalar_ns_per_byte = median_ns(util::fnv1a_scalar, scalar_digest);
+  pt.clean = kernel_digest == scalar_digest;
+  return pt;
+}
+
 // NetPipe ping-pong traffic under the given protocol/replication, measured
 // on the host clock. An empty `sizes` runs the fig7b sweep (1 B .. 8 MiB);
 // otherwise the given message sizes. `symbolic` switches the workload to
@@ -277,6 +321,8 @@ void emit_json(std::ostream& os, const std::string& variant,
        << ", \"context_switches\": " << p.context_switches
        << ", \"ns_per_switch\": " << p.ns_per_switch
        << ", \"ns_per_byte\": " << p.ns_per_byte
+       << ", \"scalar_ns_per_byte\": " << p.scalar_ns_per_byte
+       << ", \"kernel\": \"" << bench::json_escape(p.kernel) << "\""
        << ", \"symbolic\": " << (p.symbolic ? "true" : "false")
        << ", \"clean\": " << (p.clean ? "true" : "false") << "}"
        << (i + 1 < pts.size() ? "," : "") << "\n";
@@ -300,6 +346,7 @@ int main(int argc, char** argv) {
   pts.push_back(bench_events_raw());
   pts.push_back(bench_ctx_switch());
   pts.push_back(bench_pattern_fill());
+  pts.push_back(bench_fnv1a());
   pts.push_back(
       bench_netpipe("fig7b_native", core::ProtocolKind::Native, 1, reps));
   pts.back().gate_allocs = true;
@@ -335,7 +382,7 @@ int main(int argc, char** argv) {
   } else {
     util::Table table({"point", "host sec", "sends/sec", "events/sec",
                        "allocs/send", "bytes-copied/send", "ns/switch",
-                       "ns/byte"});
+                       "ns/byte", "scalar ns/byte"});
     for (const HotpathPoint& p : pts) {
       table.add_row({p.label, util::format_double(p.host_seconds, 3),
                      util::format_double(p.sends_per_sec, 0),
@@ -343,7 +390,8 @@ int main(int argc, char** argv) {
                      util::format_double(p.allocs_per_send, 2),
                      util::format_double(p.bytes_copied_per_send, 0),
                      util::format_double(p.ns_per_switch, 1),
-                     util::format_double(p.ns_per_byte, 3)});
+                     util::format_double(p.ns_per_byte, 3),
+                     util::format_double(p.scalar_ns_per_byte, 3)});
     }
     table.print(std::cout);
     if (!util::alloc_counting_enabled()) {

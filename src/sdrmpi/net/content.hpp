@@ -180,18 +180,18 @@ inline void fill_pattern(std::uint64_t seed, std::uint64_t off, std::size_t n,
 }
 
 /// fnv1a over bytes [begin, end) of the Pattern(seed) stream, resumed from
-/// `h`, without materializing them.
-[[nodiscard]] constexpr std::uint64_t fnv1a_pattern(
+/// `h`, without materializing them all: the stream is generated one stack
+/// chunk at a time and each chunk hashed by util::fnv1a.
+[[nodiscard]] inline std::uint64_t fnv1a_pattern(
     std::uint64_t seed, std::uint64_t begin, std::uint64_t end,
     std::uint64_t h = util::kFnvOffset) noexcept {
-  for (std::uint64_t i = begin; i < end;) {
-    // One generator word per 8 stream bytes, as in fill_pattern.
-    const std::uint64_t v = pattern_word(seed, i >> 3);
-    const std::uint64_t stop = std::min(end, (i | 7) + 1);
-    for (; i < stop; ++i) {
-      h ^= (v >> (8 * (i & 7))) & 0xff;
-      h *= util::kFnvPrime;
-    }
+  std::byte chunk[1024];
+  while (begin < end) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(end - begin, sizeof chunk));
+    fill_pattern(seed, begin, n, chunk);
+    h = util::fnv1a({chunk, n}, h);
+    begin += n;
   }
   return h;
 }

@@ -131,22 +131,23 @@ constexpr std::uint64_t kFoldPrime = fnv1a_zeros(kFoldBlock, 1);
 }
 
 /// fnv1a over `n` host bytes resumed from `h`, every all-zero 64-byte block
-/// (counted from `p`) folded in closed form; counts the other blocks and
-/// the tail, the bytes that went through the byte loop.
+/// (counted from `p`) folded in closed form. Each maximal run of the other
+/// blocks, the last one with the tail, goes to util::fnv1a in one call, so
+/// the kernel sees the longest spans there are; counts those bytes, the
+/// ones that went through the byte loop.
 [[nodiscard]] std::uint64_t fnv1a_host(const std::byte* p, std::size_t n,
                                        std::uint64_t h) noexcept {
-  std::size_t i = 0;
+  std::size_t run = 0;  // start of the pending run of non-zero blocks
   std::uint64_t fed = 0;
-  for (; n - i >= kFoldBlock; i += kFoldBlock) {
-    if (all_zero_block(p + i)) {
-      h *= kFoldPrime;
-    } else {
-      h = util::fnv1a({p + i, kFoldBlock}, h);
-      fed += kFoldBlock;
-    }
+  for (std::size_t i = 0; n - i >= kFoldBlock; i += kFoldBlock) {
+    if (!all_zero_block(p + i)) continue;
+    h = util::fnv1a({p + run, p + i}, h);
+    fed += i - run;
+    h *= kFoldPrime;
+    run = i + kFoldBlock;
   }
-  util::count_bytes_hashed(fed + (n - i));
-  return util::fnv1a({p + i, n - i}, h);
+  util::count_bytes_hashed(fed + (n - run));
+  return util::fnv1a({p + run, p + n}, h);
 }
 
 /// Live-digest table: digests of byte-backed headers hashed on this host

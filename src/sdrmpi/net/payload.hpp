@@ -47,6 +47,8 @@
 //     blocks of every rank and the byte-identical messages of
 //     send-deterministic replicas are hashed once, and so are equal rope
 //     leaves folded from equal continuation states.
+// The bytes left, each run of non-zero blocks in one call, go through
+// util::fnv1a's vector kernel (the algebra is in util/hash.hpp).
 // bytes_hashed counts only the bytes fed through FNV byte steps.
 // That makes GB-scale simulated messages O(1) host work end to end (send,
 // redMPI hash compare, SDC injection, ack/retransmission buffering).

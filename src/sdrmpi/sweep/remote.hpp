@@ -234,7 +234,7 @@ struct WorkerOptions {
   /// the registration, and a worker holding a secret refuses a
   /// coordinator that never challenges (each side insists on the
   /// stronger posture it was configured for).
-  std::string secret;
+  std::string secret{};
   /// Optional out-param filled as the session runs (torn down with the
   /// connection; read after run_worker returns).
   WorkerStats* stats = nullptr;

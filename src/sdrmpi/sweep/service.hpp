@@ -45,17 +45,17 @@ struct ServiceOptions {
   /// They also run the points a remote fleet hands back.
   int workers = 0;
   /// Path of the persistent result store; empty = in-memory dedupe only.
-  std::string cache_path;
+  std::string cache_path{};
   /// Listen endpoint ("host:port"; port 0 = ephemeral) for remote
   /// sweep-workerd processes. Non-empty selects the remote backend:
   /// misses are dispatched to registered workers with lease-based
   /// re-dispatch; once the fleet has been empty for
   /// RemoteTuning::registration_wait_ms, the rest run on the local pool
   /// (remote.hpp).
-  std::string listen;
+  std::string listen{};
   /// Failure-detection / re-dispatch tuning and the registration secret
   /// (RemoteTuning::secret) for the remote backend.
-  RemoteTuning remote;
+  RemoteTuning remote{};
   /// Maps a point to the app-spec string a remote workerd resolves via
   /// the workload registry ("cg nrows=768 iters=8"). The spec is also
   /// folded into each point's content address (config_key overload), so
@@ -64,7 +64,7 @@ struct ServiceOptions {
   /// spec: digests are config-only (sound only if every point runs the
   /// same program) and registry-backed remote workers reject the points —
   /// set this whenever apps differ across points or `listen` is set.
-  std::function<std::string(const core::RunConfig&, std::size_t index)> spec;
+  std::function<std::string(const core::RunConfig&, std::size_t index)> spec{};
 };
 
 /// One completed point, streamed as it resolves (from cache or worker).

@@ -10,7 +10,11 @@
 // in place: their writer's bytes are never counted as a copy.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -67,7 +71,10 @@ TEST(SymbolicPayload, PatternBytesAreTheDocumentedGenerator) {
 TEST(SymbolicPayload, FillPatternMatchesPatternByteAtEveryOffset) {
   const std::uint64_t seed = 0xf111ULL;
   for (std::uint64_t off = 0; off < 16; ++off) {  // every offset mod 8, twice
-    for (std::size_t n : {0u, 1u, 5u, 7u, 8u, 9u, 16u, 23u, 64u}) {
+    // Up to 64 bytes, and spans ending short of, on and past the streaming
+    // digest's 1 KiB chunk boundary.
+    for (std::size_t n :
+         {0u, 1u, 5u, 7u, 8u, 9u, 16u, 23u, 64u, 1023u, 1024u, 1025u, 5000u}) {
       std::vector<std::byte> out(n + 1, std::byte{0xee});
       net::fill_pattern(seed, off, n, out.data());
       for (std::size_t i = 0; i < n; ++i) {
@@ -75,9 +82,12 @@ TEST(SymbolicPayload, FillPatternMatchesPatternByteAtEveryOffset) {
             << "off=" << off << " n=" << n << " i=" << i;
       }
       EXPECT_EQ(out[n], std::byte{0xee}) << "wrote past n";
-      // The streaming digest walks the same bytes.
+      // The streaming digest walks the same bytes, from any resume state.
+      const std::span<const std::byte> bytes(out.data(), n);
       EXPECT_EQ(net::fnv1a_pattern(seed, off, off + n),
-                util::fnv1a(std::span<const std::byte>(out.data(), n)));
+                util::fnv1a_scalar(bytes));
+      EXPECT_EQ(net::fnv1a_pattern(seed, off, off + n, 0),
+                util::fnv1a_scalar(bytes, 0));
     }
   }
 }
@@ -180,6 +190,116 @@ TEST(PatternKernel, TileAndStraddleSliceMatchScalar) {
   EXPECT_TRUE(std::equal(sbytes.begin(), sbytes.end(),
                          want.begin() + static_cast<std::ptrdiff_t>(off),
                          want.begin() + static_cast<std::ptrdiff_t>(off + len)));
+}
+
+// ------------------------------------------------------------- FNV kernels
+
+// Constant evaluation takes the scalar loop: FNV-1a 64 of a fixed string.
+constexpr auto kFixedText = [] {
+  constexpr char text[] = "send-deterministic";
+  std::array<std::byte, sizeof text - 1> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(text[i]);
+  }
+  return out;
+}();
+static_assert(util::fnv1a(kFixedText) == 0x0b74b572bcd097ecULL);
+
+/// A buffer whose end is the start of a PROT_NONE page: bytes placed flush
+/// against it make a read past their end fault.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::size_t capacity)
+      : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        span_((capacity + page_ - 1) / page_ * page_) {
+    void* m = mmap(nullptr, span_ + page_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<std::byte*>(m);
+    if (mprotect(base_ + span_, page_, PROT_NONE) != 0) {
+      munmap(base_, span_ + page_);
+      throw std::runtime_error("mprotect failed");
+    }
+  }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+  ~GuardedBytes() { munmap(base_, span_ + page_); }
+
+  /// Copies `bytes` so that they end `gap` bytes before the guard page.
+  std::span<const std::byte> place(std::span<const std::byte> bytes,
+                                   std::size_t gap = 0) {
+    std::byte* out = base_ + span_ - gap - bytes.size();
+    std::copy(bytes.begin(), bytes.end(), out);
+    return {out, bytes.size()};
+  }
+
+ private:
+  std::size_t page_;
+  std::size_t span_;
+  std::byte* base_ = nullptr;
+};
+
+/// n bytes of one kernel input shape: random, all 0xff, all zero, or
+/// 64-byte blocks alternately zero and random.
+std::vector<std::byte> kernel_input(int shape, std::size_t n,
+                                    std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto r = static_cast<std::byte>(rng());
+    switch (shape) {
+      case 0: out[i] = r; break;
+      case 1: out[i] = std::byte{0xff}; break;
+      case 2: out[i] = std::byte{0}; break;
+      default: out[i] = (i / 64) % 2 == 0 ? std::byte{0} : r; break;
+    }
+  }
+  return out;
+}
+
+TEST(FnvKernel, BaselineIsLastAndAlwaysRunnable) {
+  const auto kernels = util::fnv1a_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "scalar");
+  EXPECT_TRUE(kernels.back().runnable);
+}
+
+TEST(FnvKernel, EveryRunnableVariantMatchesScalar) {
+  constexpr std::size_t kShort = 1100;
+  constexpr std::size_t kLong = std::size_t{1} << 20;
+  const std::uint64_t states[] = {util::kFnvOffset, 0, ~std::uint64_t{0},
+                                  0x9d2c'5680'1bad'cafeULL};
+  GuardedBytes guard(kLong + 64);
+  int ran = 0;
+  for (const util::FnvKernel& k : util::fnv1a_kernels()) {
+    if (!k.runnable) continue;
+    ++ran;
+    for (int shape = 0; shape < 4; ++shape) {
+      const auto bytes = kernel_input(shape, kShort, 0xf00dULL + shape);
+      // Every length, flush against the guard page; the start's offset
+      // from a 64-byte boundary is -n mod 64, so every offset occurs.
+      for (std::size_t n = 0; n <= kShort; ++n) {
+        const auto in = guard.place(std::span(bytes).first(n));
+        for (std::uint64_t h : states) {
+          ASSERT_EQ(k.hash(in, h), util::fnv1a_scalar(in, h))
+              << k.name << " shape=" << shape << " n=" << n << " h=" << h;
+        }
+      }
+      // Every start offset for one length.
+      for (std::size_t gap = 0; gap < 64; ++gap) {
+        const auto in = guard.place(bytes, gap);
+        ASSERT_EQ(k.hash(in, util::kFnvOffset), util::fnv1a_scalar(in))
+            << k.name << " shape=" << shape << " gap=" << gap;
+      }
+      const auto big = kernel_input(shape, kLong, 0xb16ULL + shape);
+      const auto in = guard.place(big);
+      for (std::uint64_t h : states) {
+        ASSERT_EQ(k.hash(in, h), util::fnv1a_scalar(in, h))
+            << k.name << " shape=" << shape << " 1 MiB h=" << h;
+      }
+    }
+  }
+  EXPECT_GE(ran, 1);
 }
 
 TEST(SymbolicPayload, EmptyHandleDigestsLikeEmptySpan) {
@@ -702,6 +822,29 @@ TEST(HostDigest, AllZeroBlocksFoldInClosedForm) {
   const std::uint64_t h0 = util::byte_counters().bytes_hashed;
   EXPECT_EQ(z.digest(), util::fnv1a(zeros));
   EXPECT_EQ(util::byte_counters().bytes_hashed - h0, 7u);
+}
+
+TEST(HostDigest, NonZeroRunsMatchScalarAndCountExactly) {
+  // Runs of one to nine non-zero blocks between zero runs, then a tail:
+  // each run is one kernel call, and only its bytes count as hashed.
+  util::BufferPool pool;
+  net::clear_digest_memos();
+  util::Rng rng(0x4a11ULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::byte> bytes;
+    while (bytes.size() < 64 * 48) {
+      const auto run = nonzero_bytes(rng(), 64 * (1 + rng() % 9));
+      bytes.insert(bytes.end(), run.begin(), run.end());
+      bytes.resize(bytes.size() + 64 * (rng() % 3), std::byte{0});
+    }
+    const auto tail = nonzero_bytes(rng(), static_cast<std::size_t>(rng() % 64));
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    const Payload p = Payload::copy_of(&pool, bytes);
+    const std::uint64_t h0 = util::byte_counters().bytes_hashed;
+    EXPECT_EQ(p.digest(), util::fnv1a_scalar(bytes)) << "trial " << trial;
+    EXPECT_EQ(util::byte_counters().bytes_hashed - h0, expected_hashed(bytes))
+        << "trial " << trial;
+  }
 }
 
 TEST(LiveDigestTable, EqualLiveBufferIsHashedOnce) {
