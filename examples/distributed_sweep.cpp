@@ -17,7 +17,7 @@
 // lost, points re-dispatched, duplicates suppressed, local-fallback
 // points) goes to STDERR.
 //
-// Flags: --listen=H:P  --wait-workers=N  --wait-timeout-ms=MS
+// Flags: --listen=H:P  --wait-workers=N (gives up after 15 s, kWaitTimeout)
 //        --points=N  --ranks=N  --nrows=N  --iters=N
 //        --pool=N  --cache=PATH
 //        --secret-file=PATH (HMAC registration auth: only workerds started
@@ -38,6 +38,8 @@
 
 namespace {
 
+constexpr std::chrono::milliseconds kWaitTimeout{15000};  // --wait-workers
+
 std::string hex_digest(std::uint64_t digest) {
   char buf[19];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -51,9 +53,8 @@ int main(int argc, char** argv) {
   using namespace sdrmpi;
   const util::Options opts(argc, argv);
   try {
-    opts.expect({"listen", "wait-workers", "wait-timeout-ms", "points",
-                 "ranks", "nrows", "iters", "pool", "cache",
-                 "secret-file", "stats"});
+    opts.expect({"listen", "wait-workers", "points", "ranks", "nrows", "iters",
+                 "pool", "cache", "secret-file", "stats"});
   } catch (const std::invalid_argument& e) {
     std::cerr << "distributed_sweep: " << e.what() << "\n";
     return 2;
@@ -108,9 +109,7 @@ int main(int argc, char** argv) {
               << service.remote_address() << "\n";
     const auto want =
         static_cast<std::size_t>(opts.get_int("wait-workers", 0));
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(opts.get_int("wait-timeout-ms", 15000));
+    const auto deadline = std::chrono::steady_clock::now() + kWaitTimeout;
     while (service.connected_workers() < want &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));

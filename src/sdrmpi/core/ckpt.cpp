@@ -42,8 +42,7 @@ void CkptController::on_failure(int slot, Time when) {
   const Time cost = job_->config.ckpt.restart_cost + rework;
   SDR_LOG(Info, "ckpt") << "slot " << slot << " fails at t=" << when
                         << ": restart + " << rework << "ns rework";
-  job_->engine->schedule_ctl(when + job_->config.detection_delay,
-                             next_lane_++,
+  job_->engine->schedule_ctl(when + kDetectionDelay, next_lane_++,
                              [this, cost] { job_->engine->charge_all(cost); });
 }
 

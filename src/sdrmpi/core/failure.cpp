@@ -39,7 +39,7 @@ void FailureDetector::do_crash(int slot, Time when) {
 
   // The detection service notifies every alive process after its latency;
   // notifications are processed at each process's next MPI call.
-  const Time notify_at = when + job_->config.detection_delay;
+  const Time notify_at = when + kDetectionDelay;
   for (int s = 0; s < job_->topo.nslots(); ++s) {
     if (s == slot || !job_->fabric->alive(s)) continue;
     mpi::FrameHeader h;

@@ -29,6 +29,13 @@ enum class ProtocolKind : int {
 
 [[nodiscard]] const char* to_string(ProtocolKind k) noexcept;
 
+/// Failure-detector latency: a fail-stop fault at T is announced to the
+/// surviving processes (and charged by the ckpt controller) at T + this.
+inline constexpr Time kDetectionDelay = timeunits::microseconds(50.0);
+
+/// Modeled memcpy cost of the eager_copy_completion ablation's extra copy.
+inline constexpr double kCopyCostNsPerByte = 0.05;
+
 /// A fail-stop fault: crash `slot` either at an absolute virtual time or
 /// right before its nth application send (deterministic test placement).
 struct FaultSpec {
@@ -81,13 +88,11 @@ struct RunConfig {
 
   std::vector<FaultSpec> faults;
   std::vector<SdcSpec> sdc;
-  Time detection_delay = timeunits::microseconds(50.0);  ///< detector latency
   bool auto_recover = false;  ///< fork a fresh replica at the next safe point
 
   // Ablations (paper §3.2/§3.3 discussion).
   bool ack_on_wait = false;    ///< ack at app-level completion => can deadlock
   bool eager_copy_completion = false;  ///< complete sends early, extra copy
-  double copy_cost_ns_per_byte = 0.05; ///< modeled memcpy cost for the above
 
   Time time_limit = timeunits::seconds(600.0);  ///< virtual-time failsafe
   std::uint64_t seed = 0x5dbULL;                ///< workload RNG seed

@@ -45,9 +45,8 @@ void SdrProtocol::isend(mpi::Endpoint& ep, const mpi::SendArgs& a,
     // Ablation (§3.2): complete the send request immediately by paying for
     // an extra payload copy instead of gating on acks.
     ++job_.pstats.extra_copies;
-    ep.engine().advance(static_cast<Time>(
-        std::llround(static_cast<double>(payload.size()) *
-                     job_.config.copy_cost_ns_per_byte)));
+    ep.engine().advance(static_cast<Time>(std::llround(
+        static_cast<double>(payload.size()) * kCopyCostNsPerByte)));
   } else {
     gated = req;
     req->gates += static_cast<int>(acker_scratch_.size());

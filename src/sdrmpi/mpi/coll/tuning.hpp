@@ -5,7 +5,9 @@
 // so tuning is configuration, not an implementation detail: it lives in
 // core::RunConfig, is a core::Sweep axis, and every non-default point has
 // its own golden-trace variant. Auto selection is a pure function of
-// (message bytes, communicator size) — bit-deterministic by construction.
+// (message bytes, communicator size) — bit-deterministic by construction:
+// communicators below kMinTreeComm ranks get a fixed shape per collective,
+// larger ones compare the message size with CollTuning's byte thresholds.
 //
 // This header is dependency-light on purpose (enums + a POD struct): it is
 // included by core::RunConfig, while the schedules themselves live in
@@ -77,6 +79,11 @@ enum class AlltoallAlg : std::uint8_t {
   return "?";
 }
 
+/// Auto picks binomial bcast, recursive-doubling allreduce, ring allgather
+/// and pairwise alltoall on communicators smaller than this, whatever the
+/// message size.
+inline constexpr int kMinTreeComm = 4;
+
 /// Per-run collective algorithm selection. Default-constructed = all Auto
 /// with MPICH-flavoured thresholds; field-wise comparable so sweeps and
 /// tests can detect the default point.
@@ -92,7 +99,6 @@ struct CollTuning {
   std::size_t allreduce_long_bytes = 8192;   ///< above: Rabenseifner
   std::size_t allgather_bruck_bytes = 4096;  ///< at/below: Bruck
   std::size_t alltoall_bruck_bytes = 2048;   ///< at/below: Bruck
-  int min_tree_comm = 4;  ///< below: latency-optimal shapes regardless of size
 
   [[nodiscard]] bool operator==(const CollTuning&) const = default;
 
@@ -100,7 +106,7 @@ struct CollTuning {
 
   [[nodiscard]] BcastAlg resolve_bcast(std::size_t bytes, int n) const {
     if (bcast != BcastAlg::Auto) return bcast;
-    if (n < min_tree_comm || bytes <= bcast_long_bytes) {
+    if (n < kMinTreeComm || bytes <= bcast_long_bytes) {
       return BcastAlg::Binomial;
     }
     return BcastAlg::ScatterAllgather;
@@ -108,7 +114,7 @@ struct CollTuning {
   [[nodiscard]] AllreduceAlg resolve_allreduce(std::size_t bytes,
                                                int n) const {
     if (allreduce != AllreduceAlg::Auto) return allreduce;
-    if (n < min_tree_comm || bytes <= allreduce_long_bytes) {
+    if (n < kMinTreeComm || bytes <= allreduce_long_bytes) {
       return AllreduceAlg::RecursiveDoubling;
     }
     return AllreduceAlg::Rabenseifner;
@@ -116,14 +122,14 @@ struct CollTuning {
   [[nodiscard]] AllgatherAlg resolve_allgather(std::size_t block,
                                                int n) const {
     if (allgather != AllgatherAlg::Auto) return allgather;
-    if (n >= min_tree_comm && block <= allgather_bruck_bytes) {
+    if (n >= kMinTreeComm && block <= allgather_bruck_bytes) {
       return AllgatherAlg::Bruck;
     }
     return AllgatherAlg::Ring;
   }
   [[nodiscard]] AlltoallAlg resolve_alltoall(std::size_t block, int n) const {
     if (alltoall != AlltoallAlg::Auto) return alltoall;
-    if (n >= min_tree_comm && block <= alltoall_bruck_bytes) {
+    if (n >= kMinTreeComm && block <= alltoall_bruck_bytes) {
       return AlltoallAlg::Bruck;
     }
     return AlltoallAlg::Pairwise;
@@ -162,9 +168,6 @@ struct CollTuning {
     }
     if (alltoall_bruck_bytes != def.alltoall_bruck_bytes) {
       add("alltoall-bruck", std::to_string(alltoall_bruck_bytes));
-    }
-    if (min_tree_comm != def.min_tree_comm) {
-      add("min-tree-comm", std::to_string(min_tree_comm));
     }
     return out.empty() ? "auto" : out;
   }

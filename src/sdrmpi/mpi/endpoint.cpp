@@ -418,8 +418,7 @@ void Endpoint::base_isend(CommCtx ctx, int dst_rank, int dst_slot, int tag,
     rdv_sends_.push_back(std::move(rec));
     ++next_rdv_id_;
     if (req != nullptr) ++req->local_pending;
-    fabric_.send(slot_, dst_slot, encode_header(pool(), h),
-                 fabric_.params().header_bytes);
+    fabric_.send(slot_, dst_slot, encode_header(pool(), h), net::kHeaderBytes);
   }
 }
 
@@ -462,9 +461,8 @@ void Endpoint::send_ctl(int dst_slot, FrameHeader h,
   h.src_slot = slot_;
   h.world = static_cast<std::uint8_t>(world_);
   ++stats_.ctl_frames_sent;
-  const std::size_t wire = payload.empty()
-                               ? fabric_.params().ctl_frame_bytes
-                               : payload.size() + fabric_.params().header_bytes;
+  const std::size_t wire = payload.empty() ? net::kCtlFrameBytes
+                                           : payload.size() + net::kHeaderBytes;
   fabric_.send(slot_, dst_slot, encode_header(pool(), h),
                net::Payload::copy_of(pool(), payload), wire);
 }
@@ -499,7 +497,6 @@ void Endpoint::progress_until(const std::function<bool()>& pred,
 }
 
 void Endpoint::handle_frame(net::Delivery&& d) {
-  ++stats_.frames_processed;
   engine().advance_to(d.arrival);
   engine().advance(fabric_.fixed_costs().o_recv);
 
@@ -532,10 +529,6 @@ void Endpoint::handle_frame(net::Delivery&& d) {
 }
 
 void Endpoint::handle_data_frame(StoredFrame&& f) {
-  if (protocol_->filter(*this, f.h) == FilterVerdict::Reject) {
-    ++stats_.rejected;
-    return;
-  }
   auto& m = ctx_state(f.h.ctx);
   // Value, not reference: protocol callbacks below re-enter the endpoint
   // and may restructure the sparse counter storage.
@@ -565,7 +558,6 @@ void Endpoint::handle_data_frame(StoredFrame&& f) {
   }
   if (f.h.seq > expected) {
     // Out of order across replica streams: hold until the gap closes.
-    ++stats_.parked;
     SDR_LOG(Trace, "pml") << "slot " << slot_ << " parks (ctx=" << f.h.ctx
                           << ",src=" << f.h.src_rank << ",seq=" << f.h.seq
                           << ") expected " << expected;

@@ -40,16 +40,14 @@
 
 namespace sdrmpi::mpi {
 
-/// Traffic/behaviour counters for one endpoint.
+/// Traffic counters for one endpoint; World::collect sums each into the
+/// RunResult field of the same meaning.
 struct EndpointStats {
   std::uint64_t app_sends = 0;          // logical isend operations
   std::uint64_t data_frames_sent = 0;   // physical Eager/Rts copies
   std::uint64_t ctl_frames_sent = 0;    // protocol control frames
-  std::uint64_t frames_processed = 0;
   std::uint64_t unexpected = 0;         // frames queued before a recv matched
   std::uint64_t duplicates_dropped = 0; // seq-dedup drops (mirror/failover)
-  std::uint64_t rejected = 0;           // protocol filter rejections
-  std::uint64_t parked = 0;             // out-of-order frames held back
 };
 
 /// Communicator bookkeeping shared by the Comm facade.

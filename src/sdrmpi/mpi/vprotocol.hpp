@@ -7,6 +7,12 @@
 // hook points, so replication protocols never reimplement matching,
 // rendezvous, or collectives — they intercept every message *because*
 // collectives are built on the hooked point-to-point path (paper §4.1).
+//
+// The hooks: isend and irecv (pre-treatment), on_match and
+// on_recv_complete (the two patched PML events), plus on_app_complete (the
+// ack-on-wait ablation), on_ctl (protocol control frames) and
+// on_recovery_point (fork points). Every data frame reaches the endpoint's
+// generic sequence dedup/reordering; no hook can drop one before it.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +48,9 @@ struct RecvArgs {
   std::span<std::byte> buf{};
 };
 
-/// Stream-acceptance decision for an incoming data frame, made *before*
-/// sequence bookkeeping. Sequence dedup/reordering is generic and lives in
-/// the endpoint; protocols only decide whether the physical stream is one
-/// this process consumes.
-enum class FilterVerdict {
-  Accept,  ///< consume (subject to sequence dedup/reorder)
-  Reject,  ///< not my stream: drop without touching sequence state
-};
-
 class Vprotocol {
  public:
   virtual ~Vprotocol() = default;
-
-  /// Called once communicators are registered, before the app runs.
-  virtual void init(Endpoint&) {}
 
   /// Pre-treatment of a send. The default forwards to the PML unchanged
   /// (native behaviour); replication protocols fan out / register acks here.
@@ -65,11 +59,6 @@ class Vprotocol {
   /// Pre-treatment of a receive. The default posts it unchanged; the
   /// leader-based protocol holds back ANY_SOURCE receives on followers.
   virtual void irecv(Endpoint& ep, const RecvArgs& a, const Request& req);
-
-  /// Stream acceptance for an incoming data frame (Eager/Rts).
-  virtual FilterVerdict filter(Endpoint&, const FrameHeader&) {
-    return FilterVerdict::Accept;
-  }
 
   /// pml_match: an incoming message was matched to a posted receive.
   virtual void on_match(Endpoint&, const FrameHeader&, const Request&) {}

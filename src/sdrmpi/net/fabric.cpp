@@ -23,7 +23,7 @@ namespace {
 Fabric::Fabric(sim::Engine& engine, NetParams params, int nslots)
     : engine_(engine),
       params_(params),
-      costs_{round_ns(params.call_cost_ns), round_ns(params.o_send_ns),
+      costs_{round_ns(kCallCostNs), round_ns(params.o_send_ns),
              round_ns(params.o_recv_ns), round_ns(params.latency_ns)} {
   slots_.resize(static_cast<std::size_t>(nslots));
 }
@@ -75,7 +75,7 @@ void Fabric::send(int src_slot, int dst_slot, Payload frame, Payload bulk,
   (void)slots_.at(static_cast<std::size_t>(src_slot));  // bounds check
   (void)slots_.at(static_cast<std::size_t>(dst_slot));
   if (wire_bytes == 0) {
-    wire_bytes = frame.size() + bulk.size() + params_.header_bytes;
+    wire_bytes = frame.size() + bulk.size() + kHeaderBytes;
   }
 
   // Charge the sender's CPU overhead, then hand the frame to the backend.
@@ -175,8 +175,6 @@ FatTreeFabric::FatTreeFabric(sim::Engine& engine, NetParams params, int nslots,
   spine_ns_per_byte_ = link_ns_per_byte_ * spec_.oversubscription;
   lat_intra_node_ =
       resolved_latency(spec_.intra_node_latency_ns, params.latency_ns);
-  lat_intra_switch_ =
-      resolved_latency(spec_.intra_switch_latency_ns, params.latency_ns);
   lat_inter_switch_ =
       resolved_latency(spec_.inter_switch_latency_ns, params.latency_ns);
 
@@ -250,7 +248,7 @@ Time FatTreeFabric::route(int src_slot, int dst_slot, Time ready,
       const auto dn = static_cast<std::size_t>(node_of(dst_slot));
       t = pass_link(t, node_up_free_[sn], link_ser);
       t = pass_link(t, node_down_free_[dn], link_ser);
-      return t + lat_intra_switch_;
+      return t + fixed_costs().latency;
     }
     case PathClass::InterSwitch: {
       ++stats_.inter_switch_frames;

@@ -90,7 +90,7 @@ class Fabric {
   /// to its clock and serialises on its egress). `frame` is the wire
   /// envelope (+ inline payload); `bulk` an optional zero-copy attachment
   /// shared with the sender (see Delivery). `wire_bytes` is the modeled
-  /// size; pass 0 to use frame.size() + bulk.size() + header_bytes.
+  /// size; pass 0 to use frame.size() + bulk.size() + kHeaderBytes.
   void send(int src_slot, int dst_slot, Payload frame, Payload bulk,
             std::size_t wire_bytes = 0);
   void send(int src_slot, int dst_slot, Payload frame,
@@ -114,16 +114,15 @@ class Fabric {
     return Payload::copy_of(&pool(), bytes);
   }
 
-  /// The per-call and per-frame constants of params(), rounded to whole
-  /// ns once at construction: every MPI call and frame charges them.
+  /// The per-call and per-frame costs (kCallCostNs, params()), rounded to
+  /// whole ns once at construction: every MPI call and frame charges them.
   struct FixedCosts {
-    Time call = 0;     ///< call_cost_ns: entering any MPI call
+    Time call = 0;     ///< kCallCostNs: entering any MPI call
     Time o_send = 0;   ///< o_send_ns: sender CPU per injected frame
     Time o_recv = 0;   ///< o_recv_ns: receiver CPU per processed frame
     Time latency = 0;  ///< latency_ns: flat-model wire/switch latency
   };
 
-  [[nodiscard]] virtual TopologyKind kind() const noexcept = 0;
   [[nodiscard]] const NetParams& params() const noexcept { return params_; }
   [[nodiscard]] const FixedCosts& fixed_costs() const noexcept {
     return costs_;
@@ -183,10 +182,6 @@ class FlatFabric final : public Fabric {
  public:
   FlatFabric(sim::Engine& engine, NetParams params, int nslots);
 
-  [[nodiscard]] TopologyKind kind() const noexcept override {
-    return TopologyKind::Flat;
-  }
-
  protected:
   [[nodiscard]] Time route(int src_slot, int dst_slot, Time ready,
                            std::size_t wire_bytes) override;
@@ -206,10 +201,6 @@ class FatTreeFabric final : public Fabric {
   /// used by the PackRanks placement; pass 0 for single-world layouts.
   FatTreeFabric(sim::Engine& engine, NetParams params, int nslots,
                 int nranks = 0);
-
-  [[nodiscard]] TopologyKind kind() const noexcept override {
-    return TopologyKind::FatTree;
-  }
 
   [[nodiscard]] int node_of(int slot) const {
     return node_of_.at(static_cast<std::size_t>(slot));
@@ -239,7 +230,6 @@ class FatTreeFabric final : public Fabric {
   double link_ns_per_byte_ = 0.0;   // resolved node↔leaf inverse bandwidth
   double spine_ns_per_byte_ = 0.0;  // resolved (oversubscribed) spine bw
   Time lat_intra_node_ = 0;
-  Time lat_intra_switch_ = 0;
   Time lat_inter_switch_ = 0;
 
   std::vector<int> node_of_;        // slot → node

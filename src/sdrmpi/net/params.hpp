@@ -75,9 +75,9 @@ struct TopologySpec {
   /// 0 means the link never serializes (infinite bandwidth).
   double link_ns_per_byte = -1.0;
 
-  // Per-path-class one-way latencies; < 0 inherits NetParams::latency_ns.
+  // Per-path-class one-way latencies; < 0 inherits NetParams::latency_ns,
+  // which a hop through the shared leaf switch always costs.
   double intra_node_latency_ns = -1.0;   ///< same node (loopback)
-  double intra_switch_latency_ns = -1.0; ///< same leaf, different node
   double inter_switch_latency_ns = -1.0; ///< crosses the spine
 
   [[nodiscard]] bool operator==(const TopologySpec&) const = default;
@@ -138,15 +138,19 @@ struct FabricStats {
   [[nodiscard]] bool operator==(const FabricStats&) const = default;
 };
 
+/// Modeled per-frame header size: added to every frame's payload bytes.
+inline constexpr std::size_t kHeaderBytes = 40;
+/// Modeled wire size of a protocol control frame without a payload (ack).
+inline constexpr std::size_t kCtlFrameBytes = 48;
+/// Modeled CPU cost of entering any MPI call (ns).
+inline constexpr double kCallCostNs = 40.0;
+
 struct NetParams {
   double o_send_ns = 350.0;   ///< sender CPU overhead per injected frame
   double o_recv_ns = 350.0;   ///< receiver CPU overhead per processed frame
-  double latency_ns = 960.0;  ///< wire/switch latency
+  double latency_ns = 960.0;  ///< wire/switch latency (fat-tree: leaf hop)
   double ns_per_byte = 0.5;   ///< inverse bandwidth (0.5 ns/B = 2 GB/s)
-  std::size_t header_bytes = 40;       ///< modeled per-frame header size
-  std::size_t ctl_frame_bytes = 48;    ///< modeled wire size of ack/ctl frames
   std::size_t eager_threshold = 12288; ///< switch to rendezvous above this
-  double call_cost_ns = 40.0;          ///< CPU cost of entering any MPI call
 
   TopologySpec topology;  ///< fabric backend + shape (default: flat)
 
@@ -154,18 +158,6 @@ struct NetParams {
 
   /// Paper testbed: InfiniBand 20G (Mellanox ConnectX, Grid'5000 Nancy).
   [[nodiscard]] static NetParams infiniband_20g() { return NetParams{}; }
-
-  /// Near-zero costs; unit tests that only check protocol logic use this to
-  /// keep virtual timestamps easy to reason about.
-  [[nodiscard]] static NetParams instant() {
-    NetParams p;
-    p.o_send_ns = 1.0;
-    p.o_recv_ns = 1.0;
-    p.latency_ns = 10.0;
-    p.ns_per_byte = 0.0;
-    p.call_cost_ns = 1.0;
-    return p;
-  }
 
   /// A slow Ethernet-like network; used by tests/benches probing how the
   /// protocol overhead scales with latency.

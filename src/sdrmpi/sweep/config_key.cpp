@@ -12,20 +12,19 @@ template <class Io>
 void fields(Io& io, net::TopologySpec& t) {
   io(t.kind, t.placement, t.ranks_per_node, t.nodes_per_switch,
      t.oversubscription, t.link_ns_per_byte, t.intra_node_latency_ns,
-     t.intra_switch_latency_ns, t.inter_switch_latency_ns);
+     t.inter_switch_latency_ns);
 }
 
 template <class Io>
 void fields(Io& io, net::NetParams& p) {
-  io(p.o_send_ns, p.o_recv_ns, p.latency_ns, p.ns_per_byte, p.header_bytes,
-     p.ctl_frame_bytes, p.eager_threshold, p.call_cost_ns, p.topology);
+  io(p.o_send_ns, p.o_recv_ns, p.latency_ns, p.ns_per_byte, p.eager_threshold,
+     p.topology);
 }
 
 template <class Io>
 void fields(Io& io, mpi::CollTuning& t) {
   io(t.bcast, t.allreduce, t.allgather, t.alltoall, t.bcast_long_bytes,
-     t.allreduce_long_bytes, t.allgather_bruck_bytes, t.alltoall_bruck_bytes,
-     t.min_tree_comm);
+     t.allreduce_long_bytes, t.allgather_bruck_bytes, t.alltoall_bruck_bytes);
 }
 
 template <class Io>
@@ -46,9 +45,8 @@ void fields(Io& io, core::CkptConfig& c) {
 template <class Io>
 void fields(Io& io, core::RunConfig& c) {
   io(c.nranks, c.replication, c.protocol, c.net, c.coll, c.faults, c.sdc,
-     c.detection_delay, c.auto_recover, c.ack_on_wait,
-     c.eager_copy_completion, c.copy_cost_ns_per_byte, c.time_limit, c.seed,
-     c.ckpt);  // ckpt came in v2, after the rest
+     c.auto_recover, c.ack_on_wait, c.eager_copy_completion, c.time_limit,
+     c.seed, c.ckpt);  // ckpt came in v2, after the rest
 }
 
 std::vector<std::byte> serialize_config(const core::RunConfig& cfg) {

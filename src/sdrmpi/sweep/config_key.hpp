@@ -30,9 +30,11 @@
 namespace sdrmpi::sweep {
 
 /// Version byte folded into every canonical serialization (and therefore
-/// every digest). Bump on any format or semantic change (v4 dropped the
-/// ckpt verify mode and the per-run fiber stack size).
-inline constexpr std::uint8_t kConfigKeyVersion = 4;
+/// every digest). Bump on any format or semantic change (v5 dropped seven
+/// knobs nothing set, now constants: the detection delay, the eager-copy
+/// cost, the header and control-frame sizes, the MPI call cost, the
+/// intra-switch latency and the minimum tree communicator).
+inline constexpr std::uint8_t kConfigKeyVersion = 5;
 
 /// The canonical byte string of a config: equal iff the configs are ==.
 [[nodiscard]] std::vector<std::byte> serialize_config(

@@ -45,18 +45,16 @@ constexpr std::uint64_t make_reply_id(std::uint32_t gen, std::uint32_t point) {
 constexpr std::uint32_t kMaxControlPayload = 4096;
 
 /// Hello payload (worker -> coordinator): the worker's wire contract
-/// versions and its name. The auth MAC binds to these exact bytes.
+/// versions. The auth MAC binds to these exact bytes.
 struct Hello {
   std::uint32_t protocol_version = 0;
   std::uint8_t config_key_version = 0;
   std::uint32_t result_codec_version = 0;
-  std::string name;
 };
 
 template <class Io>
 void fields(Io& io, Hello& h) {
-  io(h.protocol_version, h.config_key_version, h.result_codec_version,
-     h.name);
+  io(h.protocol_version, h.config_key_version, h.result_codec_version);
 }
 
 /// Dispatch payload (coordinator -> worker): one point's canonical config
@@ -143,6 +141,13 @@ struct RemoteCoordinator::Impl {
       : tuning(std::move(t)), stats(s), listener(listen.host, listen.port) {
     if (tuning.lease_ms <= 0) {
       throw std::invalid_argument("remote sweep: lease_ms must be positive");
+    }
+    // 0 would clear the handshake read bound (set_timeout), and a negative
+    // bound fails in setsockopt: either way a stalled peer wedges the
+    // acceptor.
+    if (tuning.heartbeat_deadline_ms <= 0) {
+      throw std::invalid_argument(
+          "remote sweep: heartbeat_deadline_ms must be positive");
     }
     acceptor = std::thread([this] { accept_loop(); });
   }
@@ -670,8 +675,7 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
   std::vector<std::byte> hello_bytes;
   {
     ByteWriter hello;
-    hello(Hello{opts.protocol_version, kConfigKeyVersion, kResultCodecVersion,
-                opts.name});
+    hello(Hello{opts.protocol_version, kConfigKeyVersion, kResultCodecVersion});
     hello_bytes = hello.take();
     if (!frame::write_frame(fd, kFrameHello, 0, hello_bytes.data(),
                             hello_bytes.size())) {

@@ -66,9 +66,10 @@ namespace sdrmpi::sweep {
 /// Remote worker protocol version, exchanged in the registration
 /// handshake together with kConfigKeyVersion and kResultCodecVersion.
 /// v3: one point per Dispatch, its reply id in the frame header; empty
-/// Heartbeat and WorkRequest payloads. A v2 worker would misparse the
-/// Dispatch payload, so the version gate rejects it at registration.
-inline constexpr std::uint32_t kRemoteProtocolVersion = 3;
+/// Heartbeat and WorkRequest payloads. v4: the Hello carries the three
+/// versions only (no worker name). The version leads the Hello, so the
+/// gate rejects an older worker at registration.
+inline constexpr std::uint32_t kRemoteProtocolVersion = 4;
 
 // Frame kinds layered on the frame_io result/error kinds (0..2).
 inline constexpr std::uint8_t kFrameHello = 10;        ///< worker -> coord
@@ -154,7 +155,8 @@ class RemoteCoordinator {
  public:
   /// Binds and starts accepting immediately (listen spec "host:port",
   /// port 0 = ephemeral). Throws std::runtime_error on bind failure and
-  /// std::invalid_argument when tuning.lease_ms <= 0.
+  /// std::invalid_argument when tuning.lease_ms or
+  /// tuning.heartbeat_deadline_ms is <= 0.
   RemoteCoordinator(const std::string& listen, RemoteTuning tuning);
   ~RemoteCoordinator();
   RemoteCoordinator(const RemoteCoordinator&) = delete;
@@ -219,7 +221,6 @@ struct WorkerStats {
 };
 
 struct WorkerOptions {
-  std::string name = "worker";
   /// Handshake/read timeout against an unresponsive coordinator.
   int connect_timeout_ms = 10000;
   /// Test hook: stop heartbeating after this many beats (-1 = never), so

@@ -1,7 +1,7 @@
 #include "sdrmpi/util/options.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
 namespace sdrmpi::util {
@@ -9,6 +9,23 @@ namespace {
 
 bool looks_like_option(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
+}
+
+[[noreturn]] void malformed(const std::string& key, const std::string& value,
+                            const char* want) {
+  throw std::invalid_argument("option --" + key + "=" + value + ": not " +
+                              want);
+}
+
+/// Parses all of `token` as a T; throws naming --key=value otherwise.
+template <class T>
+T parse_whole(const std::string& key, const std::string& value,
+              const std::string& token, const char* want) {
+  T out{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  if (ec != std::errc{} || ptr != end) malformed(key, value, want);
+  return out;
 }
 
 }  // namespace
@@ -56,13 +73,13 @@ std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   auto v = raw(key);
   if (!v.has_value() || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return parse_whole<std::int64_t>(key, *v, *v, "an integer");
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   auto v = raw(key);
   if (!v.has_value() || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_whole<double>(key, *v, *v, "a number");
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
@@ -71,7 +88,7 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   if (v->empty() || *v == "true" || *v == "1" || *v == "yes" || *v == "on")
     return true;
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  return fallback;
+  malformed(key, *v, "a boolean (true/1/yes/on or false/0/no/off)");
 }
 
 std::vector<std::int64_t> Options::get_int_list(
@@ -84,7 +101,8 @@ std::vector<std::int64_t> Options::get_int_list(
     const auto comma = v->find(',', start);
     const std::string token = v->substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!token.empty()) out.push_back(std::strtoll(token.c_str(), nullptr, 10));
+    out.push_back(
+        parse_whole<std::int64_t>(key, *v, token, "a list of integers"));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -20,6 +20,10 @@ class Options {
   /// True if --key was present (with or without a value).
   [[nodiscard]] bool has(const std::string& key) const;
 
+  // The typed getters return `fallback` when --key is absent or has no
+  // value, and throw std::invalid_argument naming --key=value when the
+  // value is not wholly one of their type ("8x", "eight", "ture").
+
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
@@ -29,7 +33,8 @@ class Options {
   /// --key, --key=true/1/yes/on → true; --key=false/0/no/off → false.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  /// Comma-separated list of integers, e.g. --sizes=1,8,64.
+  /// Comma-separated list of integers, e.g. --sizes=1,8,64; an empty
+  /// element ("1,,8") is malformed.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& key, const std::vector<std::int64_t>& fallback) const;
 

@@ -84,10 +84,7 @@ std::vector<Mutation> all_field_mutations() {
       {"net.o_recv_ns", [](RunConfig& c) { c.net.o_recv_ns += 1.0; }},
       {"net.latency_ns", [](RunConfig& c) { c.net.latency_ns += 1.0; }},
       {"net.ns_per_byte", [](RunConfig& c) { c.net.ns_per_byte += 0.25; }},
-      {"net.header_bytes", [](RunConfig& c) { c.net.header_bytes += 4; }},
-      {"net.ctl_frame_bytes", [](RunConfig& c) { c.net.ctl_frame_bytes += 4; }},
       {"net.eager_threshold", [](RunConfig& c) { c.net.eager_threshold *= 2; }},
-      {"net.call_cost_ns", [](RunConfig& c) { c.net.call_cost_ns += 1.0; }},
       {"topology.kind",
        [](RunConfig& c) { c.net.topology.kind = net::TopologyKind::FatTree; }},
       {"topology.placement",
@@ -104,8 +101,6 @@ std::vector<Mutation> all_field_mutations() {
        [](RunConfig& c) { c.net.topology.link_ns_per_byte = 0.75; }},
       {"topology.intra_node_latency_ns",
        [](RunConfig& c) { c.net.topology.intra_node_latency_ns = 200.0; }},
-      {"topology.intra_switch_latency_ns",
-       [](RunConfig& c) { c.net.topology.intra_switch_latency_ns = 500.0; }},
       {"topology.inter_switch_latency_ns",
        [](RunConfig& c) { c.net.topology.inter_switch_latency_ns = 1900.0; }},
       {"coll.bcast",
@@ -126,7 +121,6 @@ std::vector<Mutation> all_field_mutations() {
        [](RunConfig& c) { c.coll.allgather_bruck_bytes *= 2; }},
       {"coll.alltoall_bruck_bytes",
        [](RunConfig& c) { c.coll.alltoall_bruck_bytes *= 2; }},
-      {"coll.min_tree_comm", [](RunConfig& c) { c.coll.min_tree_comm = 7; }},
       {"faults(empty->one)",
        [](RunConfig& c) {
          c.faults.push_back({.slot = 2, .at_time = -1, .at_send = 3});
@@ -154,13 +148,10 @@ std::vector<Mutation> all_field_mutations() {
       {"ckpt.checkpoint_cost",
        [](RunConfig& c) { c.ckpt.checkpoint_cost += 1000; }},
       {"ckpt.restart_cost", [](RunConfig& c) { c.ckpt.restart_cost += 1000; }},
-      {"detection_delay", [](RunConfig& c) { c.detection_delay += 17; }},
       {"auto_recover", [](RunConfig& c) { c.auto_recover = true; }},
       {"ack_on_wait", [](RunConfig& c) { c.ack_on_wait = true; }},
       {"eager_copy_completion",
        [](RunConfig& c) { c.eager_copy_completion = true; }},
-      {"copy_cost_ns_per_byte",
-       [](RunConfig& c) { c.copy_cost_ns_per_byte += 0.01; }},
       {"time_limit", [](RunConfig& c) { c.time_limit += 1000; }},
       {"seed", [](RunConfig& c) { c.seed ^= 0x1; }},
   };
@@ -227,11 +218,11 @@ TEST(ConfigKey, CanonicalBytesArePinned) {
   // together. These pins can. Change them only with a kConfigKeyVersion
   // bump, since every stored digest moves with them.
   const auto def = sweep::serialize_config(core::RunConfig{});
-  EXPECT_EQ(def.size(), 231u);
-  EXPECT_EQ(util::fnv1a(def), 0xd5ab6c4ee3dadf2eULL);
+  EXPECT_EQ(def.size(), 179u);
+  EXPECT_EQ(util::fnv1a(def), 0xfe96824692902c14ULL);
   const auto full = sweep::serialize_config(fully_populated_config());
-  EXPECT_EQ(full.size(), 347u);
-  EXPECT_EQ(util::fnv1a(full), 0x4fcc6d904a081955ULL);
+  EXPECT_EQ(full.size(), 295u);
+  EXPECT_EQ(util::fnv1a(full), 0x125e9cfb7384b7b3ULL);
 }
 
 // ------------------------------------------------------------ result_codec
@@ -1055,8 +1046,7 @@ TEST(RemoteBackend, WorkerFleetsReproducePoolBaseline) {
   for (const std::size_t nworkers : {1u, 2u, 3u}) {
     RemoteRig rig(remote_options(fast_tuning()));
     for (std::size_t w = 0; w < nworkers; ++w) {
-      rig.start_worker(table_resolver(s),
-                       {.name = "w" + std::to_string(w)});
+      rig.start_worker(table_resolver(s));
     }
     ASSERT_TRUE(rig.wait_for_workers(nworkers));
     const auto runs = rig.service->run(s.configs, factory);
@@ -1089,8 +1079,7 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
       [inner, calls](const core::RunConfig& cfg, const std::string& spec) {
         if (calls->fetch_add(1) == 2) throw sweep::WorkerAbort{};
         return inner(cfg, spec);
-      },
-      {.name = "doomed"});
+      });
   // The survivor holds its first point until the doomed worker reached its
   // third (2 s at most): otherwise a busy host can let the survivor drain
   // the sweep first, and no kill happens at all.
@@ -1102,8 +1091,7 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         return inner(cfg, spec);
-      },
-      {.name = "survivor"});
+      });
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
@@ -1139,8 +1127,8 @@ TEST(RemoteBackend, LeaseExpiryRedispatchesAndSuppressesTheLateTwin) {
         }
         return inner(cfg, spec);
       };
-  rig.start_worker(stalling, {.name = "stalled"});
-  rig.start_worker(stalling, {.name = "healthy"});
+  rig.start_worker(stalling);
+  rig.start_worker(stalling);
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   std::unordered_map<std::uint64_t, int> streamed;
@@ -1196,8 +1184,8 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
         }
         return inner(cfg, spec);
       },
-      {.name = "silent", .max_heartbeats = 0});
-  rig.start_worker(table_resolver(s), {.name = "healthy"});
+      {.max_heartbeats = 0});
+  rig.start_worker(table_resolver(s));
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
@@ -1226,8 +1214,7 @@ TEST(RemoteBackend, LastWorkerDeathDegradesToLocalExecution) {
       [inner, calls](const core::RunConfig& cfg, const std::string& spec) {
         if (calls->fetch_add(1) == 2) throw sweep::WorkerAbort{};
         return inner(cfg, spec);
-      },
-      {.name = "only-worker"});
+      });
   ASSERT_TRUE(rig.wait_for_workers(1));
 
   // The fleet dies mid-sweep with nobody left; the sweep must complete
@@ -1311,6 +1298,19 @@ TEST(RemoteBackend, NonPositiveLeaseIsRejected) {
   }
 }
 
+TEST(RemoteBackend, NonPositiveHeartbeatDeadlineIsRejected) {
+  // A deadline of 0 would clear the handshake read bound (a negative one
+  // fails in setsockopt): a peer stalled mid-Hello would then wedge the
+  // acceptor for every later worker.
+  for (const int deadline_ms : {0, -1}) {
+    auto tuning = fast_tuning();
+    tuning.heartbeat_deadline_ms = deadline_ms;
+    EXPECT_THROW(sweep::SweepService service(remote_options(tuning)),
+                 std::invalid_argument)
+        << "heartbeat_deadline_ms=" << deadline_ms;
+  }
+}
+
 TEST(RemoteBackend, ExhaustedRedispatchBudgetIsAHardError) {
   const FuzzSweep s = draw_sweep(4);
   auto factory = [&s](const core::RunConfig&, std::size_t i) {
@@ -1330,8 +1330,8 @@ TEST(RemoteBackend, ExhaustedRedispatchBudgetIsAHardError) {
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
         return inner(cfg, spec);
       };
-  rig.start_worker(molasses, {.name = "slow-a"});
-  rig.start_worker(molasses, {.name = "slow-b"});
+  rig.start_worker(molasses);
+  rig.start_worker(molasses);
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   try {
@@ -1353,7 +1353,7 @@ TEST(RemoteBackend, VersionMismatchIsRejectedAtRegistration) {
   for (const std::uint32_t version : {2u, 99u}) {
     try {
       sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
-                        {.name = "stale-binary", .protocol_version = version});
+                        {.protocol_version = version});
       FAIL() << "expected registration of v" << version << " to be rejected";
     } catch (const sweep::RegistrationRejected& e) {
       const std::string msg = e.what();
@@ -1398,7 +1398,7 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
         }
         return inner(cfg, sp);
       },
-      {.name = "fast", .stats = &fast_stats});
+      {.stats = &fast_stats});
   sweep::WorkerStats slow_stats;
   rig.start_worker(
       [inner, slow_points](const core::RunConfig& cfg, const std::string& sp) {
@@ -1406,7 +1406,7 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         return inner(cfg, sp);
       },
-      {.name = "slow", .stats = &slow_stats});
+      {.stats = &slow_stats});
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
@@ -1540,7 +1540,7 @@ TEST(Auth, WrongSecretIsRejectedWithAReason) {
   sweep::SweepService service(std::move(opts));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
-                      {.name = "impostor", .secret = "incorrect horse"});
+                      {.secret = "incorrect horse"});
     FAIL() << "expected the registration to be rejected";
   } catch (const sweep::RegistrationRejected& e) {
     const std::string msg = e.what();
@@ -1556,8 +1556,7 @@ TEST(Auth, MissingSecretIsRefusedBeforeAnyConfigBytes) {
   opts.remote.secret = "correct horse battery staple";
   sweep::SweepService service(std::move(opts));
   try {
-    sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
-                      {.name = "unprovisioned"});
+    sweep::run_worker(service.remote_address(), sweep::registry_resolver());
     FAIL() << "expected the worker to refuse the challenge";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("requires authentication"),
@@ -1573,7 +1572,7 @@ TEST(Auth, WorkerWithSecretRefusesAnUnauthenticatedCoordinator) {
   sweep::SweepService service(remote_options(fast_tuning()));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
-                      {.name = "cautious", .secret = "provisioned"});
+                      {.secret = "provisioned"});
     FAIL() << "expected the worker to refuse the unauthenticated coordinator";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("did not request authentication"),
@@ -1603,9 +1602,9 @@ TEST(Auth, AuthenticatedFleetReproducesThePoolBaseline) {
   opts.remote.secret = "fleet-secret";
   RemoteRig rig(std::move(opts));
   rig.start_worker(table_resolver(s),
-                   {.name = "auth-a", .secret = "fleet-secret"});
+                   {.secret = "fleet-secret"});
   rig.start_worker(table_resolver(s),
-                   {.name = "auth-b", .secret = "fleet-secret"});
+                   {.secret = "fleet-secret"});
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
@@ -1634,10 +1633,10 @@ std::vector<unsigned char> raw_header(std::uint8_t kind, std::uint64_t id,
 }
 
 /// A byte-exact valid Hello frame (header + payload), the fuzz baseline.
-std::vector<unsigned char> hello_image(const std::string& name = "fuzz") {
+std::vector<unsigned char> hello_image() {
   sweep::ByteWriter w;
   w(sweep::kRemoteProtocolVersion, sweep::kConfigKeyVersion,
-    sweep::kResultCodecVersion, name);
+    sweep::kResultCodecVersion);
   const auto payload = w.take();
   auto image = raw_header(sweep::kFrameHello, 0,
                           static_cast<std::uint32_t>(payload.size()));
@@ -1707,7 +1706,7 @@ TEST(HandshakeFuzz, MalformedHellosNeverKillTheCoordinator) {
   attack(addr, raw_header(sweep::frame::kFrameResult, 7, 0));
   attack(addr, raw_header(sweep::kFrameAuthResponse, 0, 0));
   attack(addr, raw_header(0x63, 0, 0));
-  // A payload one byte short of its length claim parses as a torn str.
+  // A payload one byte short of its length claim parses as a torn field.
   {
     auto malformed = good;
     malformed.pop_back();
@@ -1722,8 +1721,8 @@ TEST(HandshakeFuzz, MalformedHellosNeverKillTheCoordinator) {
         << r.reason;
   }
   // Bit flips across the whole image. Some flips still form a valid
-  // Hello (id bytes, name bytes) — the point is that no flip hangs or
-  // kills the coordinator, whatever the verdict.
+  // Hello (id bytes) — the point is that no flip hangs or kills the
+  // coordinator, whatever the verdict.
   for (std::size_t i = 0; i < good.size(); ++i) {
     auto flipped = good;
     flipped[i] ^= 0x80;
@@ -1732,7 +1731,7 @@ TEST(HandshakeFuzz, MalformedHellosNeverKillTheCoordinator) {
 
   // The coordinator survived all of it: a real worker registers and the
   // sweep still reproduces the baseline without local fallback.
-  rig.start_worker(table_resolver(s), {.name = "survivor"});
+  rig.start_worker(table_resolver(s));
   ASSERT_TRUE(rig.wait_for_workers(1));
   const auto runs = rig.service->run(s.configs, factory);
   EXPECT_EQ(rig.service->stats().remote.local_fallback_points, 0u);
@@ -1761,7 +1760,7 @@ TEST(HandshakeFuzz, StalledHelloPrefixDoesNotBlockLaterWorkers) {
   ASSERT_TRUE(sweep::frame::write_all(stalled, hello.data(), 5));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  rig.start_worker(table_resolver(s), {.name = "behind-the-staller"});
+  rig.start_worker(table_resolver(s));
   const bool registered = rig.wait_for_workers(1, 5000);
   // Closed before any assertion can return early: a coordinator wedged
   // on this socket would otherwise hang the rig's teardown.
@@ -1793,7 +1792,7 @@ TEST(HandshakeFuzz, WorkerRejectsAnOversizedRegistrationReply) {
   });
   try {
     sweep::run_worker(evil.address(), sweep::registry_resolver(),
-                      {.name = "victim", .connect_timeout_ms = 5000});
+                      {.connect_timeout_ms = 5000});
     FAIL() << "expected the worker to refuse the oversized reply";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("oversized registration frame"),
@@ -1822,7 +1821,7 @@ TEST(HandshakeFuzz, WorkerThrowsOnAGarbageRegistrationReply) {
   });
   try {
     sweep::run_worker(evil.address(), sweep::registry_resolver(),
-                      {.name = "victim", .connect_timeout_ms = 5000});
+                      {.connect_timeout_ms = 5000});
     FAIL() << "expected the worker to refuse the garbage reply";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("unexpected registration frame"),
@@ -1863,7 +1862,6 @@ TEST(HandshakeFuzz, WorkerBoundsADispatchLengthClaimByItsFrame) {
     ::close(fd);
   });
   sweep::WorkerOptions victim;
-  victim.name = "victim";
   victim.connect_timeout_ms = 5000;
   const std::uint64_t before = util::alloc_bytes();
   EXPECT_NO_THROW(
@@ -1971,8 +1969,7 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
                     ::kill(::getpid(), SIGKILL);  // fail-stop, mid-point
                   }
                   return inner(cfg, sp);
-                },
-                {.name = "supervised"});
+                });
           } catch (...) {
             return 1;
           }
@@ -2042,8 +2039,7 @@ TEST(Supervisor, SpentRestartBudgetDegradesToLocalFallback) {
                    const std::string&) -> core::AppFn {
                   ::kill(::getpid(), SIGKILL);  // die on the first dispatch
                   throw std::runtime_error("unreachable");
-                },
-                {.name = "doomed"});
+                });
           } catch (...) {
             return 1;
           }

@@ -158,10 +158,10 @@ TEST(Stats, FormatDouble) {
 // ---------------------------------------------------------------- options
 
 TEST(Options, KeyEqualsValue) {
-  const char* argv[] = {"prog", "--ranks=16", "--name=test"};
+  const char* argv[] = {"prog", "--ranks=16", "--label=test"};
   Options o(3, argv);
   EXPECT_EQ(o.get_int("ranks", 0), 16);
-  EXPECT_EQ(o.get_string("name", ""), "test");
+  EXPECT_EQ(o.get_string("label", ""), "test");
 }
 
 TEST(Options, KeySpaceValue) {
@@ -221,6 +221,86 @@ TEST(Options, DoubleParsing) {
   const char* argv[] = {"prog", "--scale=2.5"};
   Options o(2, argv);
   EXPECT_DOUBLE_EQ(o.get_double("scale", 0.0), 2.5);
+}
+
+/// Expects `get` to throw std::invalid_argument naming --key=value.
+template <class Get>
+void expect_malformed(Get get, const std::string& flag) {
+  try {
+    (void)get();
+    FAIL() << "expected std::invalid_argument for " << flag;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(flag), std::string::npos) << msg;
+  }
+}
+
+TEST(Options, IntParsesTheWholeToken) {
+  Options o;
+  o.set("pool", "8");
+  EXPECT_EQ(o.get_int("pool", 0), 8);
+  o.set("pool", "-3");
+  EXPECT_EQ(o.get_int("pool", 0), -3);
+  o.set("pool", "");  // --pool with no value
+  EXPECT_EQ(o.get_int("pool", 5), 5);
+  o.set("pool", "8x");
+  expect_malformed([&] { return o.get_int("pool", 0); }, "--pool=8x");
+  o.set("pool", "eight");
+  expect_malformed([&] { return o.get_int("pool", 0); }, "--pool=eight");
+  o.set("pool", "2.5");
+  expect_malformed([&] { return o.get_int("pool", 0); }, "--pool=2.5");
+  o.set("pool", "99999999999999999999");  // out of int64 range
+  expect_malformed([&] { return o.get_int("pool", 0); },
+                   "--pool=99999999999999999999");
+}
+
+TEST(Options, DoubleParsesTheWholeToken) {
+  Options o;
+  o.set("scale", "1e-3");
+  EXPECT_DOUBLE_EQ(o.get_double("scale", 0.0), 1e-3);
+  o.set("scale", "");
+  EXPECT_EQ(o.get_double("scale", 1.5), 1.5);
+  o.set("scale", "2.5s");
+  expect_malformed([&] { return o.get_double("scale", 0.0); },
+                   "--scale=2.5s");
+  o.set("scale", "half");
+  expect_malformed([&] { return o.get_double("scale", 0.0); },
+                   "--scale=half");
+}
+
+TEST(Options, UnknownBoolSpellingIsRejected) {
+  Options o;
+  o.set("check", "true");
+  EXPECT_TRUE(o.get_bool("check", false));
+  o.set("check", "");  // bare --check
+  EXPECT_TRUE(o.get_bool("check", false));
+  o.set("check", "ture");
+  expect_malformed([&] { return o.get_bool("check", false); },
+                   "--check=ture");
+  o.set("check", "TRUE");
+  expect_malformed([&] { return o.get_bool("check", false); },
+                   "--check=TRUE");
+  o.set("check", "1 ");
+  expect_malformed([&] { return o.get_bool("check", false); },
+                   "--check=1 ");
+}
+
+TEST(Options, IntListParsesEveryToken) {
+  Options o;
+  o.set("sizes", "1,-8,64");
+  EXPECT_EQ(o.get_int_list("sizes", {}),
+            (std::vector<std::int64_t>{1, -8, 64}));
+  o.set("sizes", "");
+  EXPECT_EQ(o.get_int_list("sizes", {7}), std::vector<std::int64_t>{7});
+  o.set("sizes", "1,8k,64");
+  expect_malformed([&] { return o.get_int_list("sizes", {}); },
+                   "--sizes=1,8k,64");
+  o.set("sizes", "1,,64");
+  expect_malformed([&] { return o.get_int_list("sizes", {}); },
+                   "--sizes=1,,64");
+  o.set("sizes", "1,8,");
+  expect_malformed([&] { return o.get_int_list("sizes", {}); },
+                   "--sizes=1,8,");
 }
 
 TEST(Options, ExpectAcceptsKnownFlags) {

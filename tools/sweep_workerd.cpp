@@ -10,9 +10,8 @@
 // the coordinator shuts the fleet down.
 //
 // Usage:
-//   sweep-workerd --connect=HOST:PORT [--name=N] [--retries=K]
-//                 [--retry-ms=MS] [--connect-timeout-ms=MS]
-//                 [--secret-file=PATH] [--stats] [--supervise[=N]]
+//   sweep-workerd --connect=HOST:PORT [--secret-file=PATH] [--stats]
+//                 [--supervise[=N]]
 //
 // --supervise[=N] runs a supervisor: the worker proper executes in a
 // fork/exec'd child; any abnormal child exit — SIGKILL, SIGSEGV, nonzero
@@ -38,7 +37,9 @@
 // that exited 2.
 //
 // Start order is free: a workerd launched before its coordinator retries
-// the connection (--retries x --retry-ms covers the gap).
+// the connection kRetries times, kRetryMs apart (30 x 500 ms covers the
+// gap); each attempt waits up to WorkerOptions::connect_timeout_ms (10 s)
+// for the connection and for every registration reply.
 
 #include <unistd.h>
 
@@ -56,19 +57,22 @@
 
 namespace {
 
+/// Connection attempts after the first, and the pause between two.
+constexpr int kRetries = 30;
+constexpr int kRetryMs = 500;
+
 void usage(const char* prog) {
   std::fprintf(stderr,
-               "usage: %s --connect=HOST:PORT [--name=N] [--retries=K]\n"
-               "       [--retry-ms=MS] [--connect-timeout-ms=MS]\n"
-               "       [--secret-file=PATH] [--stats] [--supervise[=N]]\n",
+               "usage: %s --connect=HOST:PORT [--secret-file=PATH] [--stats]\n"
+               "       [--supervise[=N]]\n",
                prog);
 }
 
 /// The worker proper: retry loop around run_worker. Runs in the child
 /// when supervised, inline otherwise.
 int run_worker_main(const std::string& connect,
-                    const sdrmpi::sweep::WorkerOptions& base, int retries,
-                    int retry_ms, bool print_stats) {
+                    const sdrmpi::sweep::WorkerOptions& base,
+                    bool print_stats) {
   using namespace sdrmpi;
   sweep::ignore_sigpipe();
   const sweep::AppResolver resolver = sweep::registry_resolver();
@@ -93,14 +97,14 @@ int run_worker_main(const std::string& connect,
       std::fprintf(stderr, "sweep-workerd: %s\n", e.what());
       return 2;  // retrying cannot change the verdict
     } catch (const std::exception& e) {
-      if (attempt >= retries) {
+      if (attempt >= kRetries) {
         std::fprintf(stderr, "sweep-workerd: %s\n", e.what());
         emit_stats();
         return 1;
       }
       std::fprintf(stderr, "sweep-workerd: %s (retry %d/%d in %d ms)\n",
-                   e.what(), attempt + 1, retries, retry_ms);
-      std::this_thread::sleep_for(std::chrono::milliseconds(retry_ms));
+                   e.what(), attempt + 1, kRetries, kRetryMs);
+      std::this_thread::sleep_for(std::chrono::milliseconds(kRetryMs));
     }
   }
 }
@@ -111,9 +115,7 @@ int main(int argc, char** argv) {
   using namespace sdrmpi;
   try {
     const util::Options opts(argc, argv);
-    opts.expect({"connect", "name", "retries", "retry-ms",
-                 "connect-timeout-ms", "secret-file", "stats", "supervise",
-                 "help"});
+    opts.expect({"connect", "secret-file", "stats", "supervise", "help"});
     if (opts.has("help")) {
       usage(argv[0]);
       return 0;
@@ -124,19 +126,14 @@ int main(int argc, char** argv) {
       return 2;
     }
     sweep::WorkerOptions wopts;
-    wopts.name = opts.get_string("name", "worker");
-    wopts.connect_timeout_ms =
-        static_cast<int>(opts.get_int("connect-timeout-ms", 10000));
     const std::string secret_file = opts.get_string("secret-file", "");
     if (!secret_file.empty()) {
       wopts.secret = sweep::auth::load_secret_file(secret_file);
     }
-    const int retries = static_cast<int>(opts.get_int("retries", 30));
-    const int retry_ms = static_cast<int>(opts.get_int("retry-ms", 500));
     const bool print_stats = opts.get_bool("stats", false);
 
     if (!opts.has("supervise")) {
-      return run_worker_main(connect, wopts, retries, retry_ms, print_stats);
+      return run_worker_main(connect, wopts, print_stats);
     }
 
     // Supervisor mode: re-exec this binary (minus --supervise) as the
