@@ -7,9 +7,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, bench::with_workload_flags({"ranks"}));
   bench::banner(opts, "acknowledgement-placement ablation",
                 "paragraphs 3.2-3.3 (ack timing and send completion)");
@@ -76,4 +75,8 @@ int main(int argc, char** argv) {
   }
   if (!results[0].run.clean() || !results[1].run.clean()) return 2;
   return hung ? 0 : 2;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

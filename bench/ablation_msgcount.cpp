@@ -9,9 +9,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, bench::with_workload_flags({"ranks"}));
   bench::banner(opts, "message complexity: mirror vs parallel protocols",
                 "paragraph 2.4 (O(q*r^2) vs O(q*r))");
@@ -60,4 +59,8 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected: sdr data/q = r with (r-1) acks per message; "
                "mirror data/q = r^2 with no acks\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -9,9 +9,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, bench::with_workload_flags({"ranks"}));
   bench::banner(opts, "redMPI wildcard-handling ablation",
                 "paragraph 2.4 (redMPI 6.8% deterministic vs 29% with "
@@ -63,4 +62,8 @@ int main(int argc, char** argv) {
                "ANY_SOURCE apps the leader variant pays for decisions while "
                "the send-deterministic variant does not\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -19,7 +19,8 @@
 //                 end ("faults: none" when clean)
 //   --stream      emit one JSON line per completed point on stderr
 //   --json        machine-readable document on stdout
-// Unknown flags are rejected with the accepted list (check_options).
+// Unknown flags are rejected with the accepted list (check_options), and
+// they and malformed values exit 2 with the reason (run_main).
 #pragma once
 
 #include <sys/resource.h>
@@ -124,10 +125,26 @@ inline bool json_mode(const util::Options& opts) {
   return opts.get_bool("json", false);
 }
 
+/// Every bench's main: runs `body` on the parsed command line. A flag the
+/// bench does not accept (check_options) or a malformed flag value (the
+/// util::Options getters) throws std::invalid_argument naming it; that
+/// exits 2 with the reason on stderr instead of ending in std::terminate.
+inline int run_main(int argc, char** argv,
+                    int (*body)(const util::Options& opts)) {
+  const util::Options opts(argc, argv);
+  try {
+    return body(opts);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << (opts.program().empty() ? "bench" : opts.program()) << ": "
+              << e.what() << "\n";
+    return 2;
+  }
+}
+
 /// Validates the bench's flag set: the harness flags above plus the
-/// bench's own `extra` keys. A typo'd flag aborts with the accepted list
-/// instead of silently running with a default (--pol=8 used to run the
-/// sweep on the wrong pool size).
+/// bench's own `extra` keys. A typo'd flag throws with the accepted list
+/// (run_main exits 2) instead of silently running with a default
+/// (--pol=8 used to run the sweep on the wrong pool size).
 inline void check_options(const util::Options& opts,
                           std::vector<std::string> extra = {},
                           bool service_flags = true) {
@@ -137,13 +154,7 @@ inline void check_options(const util::Options& opts,
                 "stream"};
   }
   accepted.insert(accepted.end(), extra.begin(), extra.end());
-  try {
-    opts.expect(accepted);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << (opts.program().empty() ? "bench" : opts.program()) << ": "
-              << e.what() << "\n";
-    std::exit(2);
-  }
+  opts.expect(accepted);
 }
 
 /// Appends the option keys the registered workloads read (registry.cpp)
@@ -153,9 +164,8 @@ inline void check_options(const util::Options& opts,
 inline std::vector<std::string> with_workload_flags(
     std::vector<std::string> extra) {
   static const char* const kWorkloadKeys[] = {
-      "any-source", "class", "compute-scale", "iters", "materialize",
-      "nrows",      "nx",    "ny",            "nz",    "reps",
-      "seed",       "sizes", "symbolic"};
+      "class", "compute-scale", "iters", "materialize", "nrows", "nx",
+      "ny",    "nz",            "reps",  "seed",        "sizes", "symbolic"};
   for (const char* k : kWorkloadKeys) extra.emplace_back(k);
   return extra;
 }

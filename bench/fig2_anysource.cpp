@@ -39,9 +39,8 @@ sdrmpi::core::AppFn anysource_app(int rounds) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"ranks", "rounds"});
   bench::banner(opts, "ANY_SOURCE microbenchmark: leader vs send-determinism",
                 "Figure 2 (anonymous reception handling)");
@@ -87,4 +86,8 @@ int main(int argc, char** argv) {
                "locally — no decision messages, fewer unexpected arrivals, "
                "lower latency\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -47,8 +47,7 @@ core::AppFn ring_app(int iters) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  util::Options opts(argc, argv);
+static int bench_main(const util::Options& opts) {
   bench::check_options(opts, {"ranks", "iters", "crash-send"});
   bench::banner(opts, "failover / recovery cost",
                 "Figures 3 and 4 (fault and recovery scenarios)");
@@ -107,4 +106,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -8,9 +8,8 @@
 #include "bench_support.hpp"
 #include "sdrmpi/workloads/netpipe.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"reps", "sizes"});
   bench::banner(opts, "NetPipe latency sweep", "Figure 7a (latency, IB-20G)");
 
@@ -56,4 +55,8 @@ int main(int argc, char** argv) {
   std::cout << "\npaper: 1B latency 1.67us native vs 2.37us SDR-MPI; "
                "overhead >25% only below ~100B, ~0% at megabyte sizes\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -4,9 +4,8 @@
 #include "bench_support.hpp"
 #include "sdrmpi/workloads/netpipe.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"reps", "sizes"});
   bench::banner(opts, "NetPipe throughput sweep",
                 "Figure 7b (throughput, IB-20G)");
@@ -52,4 +51,8 @@ int main(int argc, char** argv) {
   std::cout << "\npaper: throughput decrease mirrors the latency figure — "
                "noticeable only for small messages, ~0% for large ones\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

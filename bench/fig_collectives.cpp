@@ -132,9 +132,8 @@ struct Meta {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"nranks", "iters", "check"});
   bench::banner(opts, "Collectives engine sweep (algorithms x sizes x protocols)",
                 "MPICH-style tuned collective selection as a controlled axis");
@@ -299,4 +298,8 @@ int main(int argc, char** argv) {
     if (rc != 0) return rc;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -13,9 +13,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(
       opts, bench::with_workload_flags({"nranks", "rpn", "nps", "oversub"}));
   bench::banner(opts, "Fabric contention sweep (flat vs fat-tree)",
@@ -99,4 +98,8 @@ int main(int argc, char** argv) {
             << ":1 oversubscribed spine; spread = replicas across switches, "
                "pack = replicas share nodes\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

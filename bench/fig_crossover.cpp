@@ -58,9 +58,8 @@ std::vector<sdrmpi::core::FaultSpec> draw_schedule(std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"ranks", "check"});
   bench::banner(opts,
                 "checkpoint/restart vs replication: the efficiency crossover",
@@ -229,4 +228,8 @@ int main(int argc, char** argv) {
        "ckpt efficiency never improves as the failure rate grows");
   std::cerr << (ok ? "crossover check PASSED\n" : "crossover check FAILED\n");
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

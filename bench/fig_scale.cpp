@@ -40,9 +40,8 @@ constexpr double kMinSendsPerSec = 10'000.0;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(
       opts, bench::with_workload_flags({"ranks", "net", "check"}));
   bench::banner(opts, "engine scaling: 256 -> 4k simulated ranks",
@@ -186,4 +185,8 @@ int main(int argc, char** argv) {
     if (!ok) return 3;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -18,9 +18,8 @@
 #include "bench_support.hpp"
 #include "sdrmpi/util/timer.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, {"points", "ranks", "check"});
   bench::banner(opts, "content-addressed sweep service: cold vs warm cache",
                 "harness extension (dedupe + persistent result store)");
@@ -169,4 +168,8 @@ int main(int argc, char** argv) {
   std::cerr << (ok ? "sweep-service check PASSED\n"
                    : "sweep-service check FAILED\n");
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

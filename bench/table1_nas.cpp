@@ -17,9 +17,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, bench::with_workload_flags(
                                  {"ranks", "protocols", "max-rss-mb"}));
   bench::banner(opts, "NAS kernels, native vs SDR-MPI (r=2)",
@@ -112,4 +111,8 @@ int main(int argc, char** argv) {
     return 3;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

@@ -9,9 +9,8 @@
 
 #include "bench_support.hpp"
 
-int main(int argc, char** argv) {
+static int bench_main(const sdrmpi::util::Options& opts) {
   using namespace sdrmpi;
-  util::Options opts(argc, argv);
   bench::check_options(opts, bench::with_workload_flags({"ranks"}));
   bench::banner(opts, "ANY_SOURCE applications, native vs SDR-MPI (r=2)",
                 "Table 2 (HPCCG 128x128x64, CM1 160^3 in the paper)");
@@ -66,4 +65,8 @@ int main(int argc, char** argv) {
                "anonymous receptions (HPCCG ~0%, CM1 3.14%), unlike "
                "leader-based rMPI/redMPI\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sdrmpi::bench::run_main(argc, argv, bench_main);
 }

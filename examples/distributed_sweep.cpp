@@ -52,18 +52,24 @@ std::string hex_digest(std::uint64_t digest) {
 int main(int argc, char** argv) {
   using namespace sdrmpi;
   const util::Options opts(argc, argv);
+  // An unknown flag or a malformed value exits 2 with the reason.
+  int npoints = 0, nranks = 0, nrows = 0, iters = 0, pool = 0;
+  std::size_t want_workers = 0;
+  bool stats = false;
   try {
     opts.expect({"listen", "wait-workers", "points", "ranks", "nrows", "iters",
                  "pool", "cache", "secret-file", "stats"});
+    npoints = static_cast<int>(opts.get_int("points", 64));
+    nranks = static_cast<int>(opts.get_int("ranks", 4));
+    nrows = static_cast<int>(opts.get_int("nrows", 768));
+    iters = static_cast<int>(opts.get_int("iters", 8));
+    pool = static_cast<int>(opts.get_int("pool", 0));
+    want_workers = static_cast<std::size_t>(opts.get_int("wait-workers", 0));
+    stats = opts.get_bool("stats", false);
   } catch (const std::invalid_argument& e) {
     std::cerr << "distributed_sweep: " << e.what() << "\n";
     return 2;
   }
-
-  const int npoints = static_cast<int>(opts.get_int("points", 64));
-  const int nranks = static_cast<int>(opts.get_int("ranks", 4));
-  const int nrows = static_cast<int>(opts.get_int("nrows", 768));
-  const int iters = static_cast<int>(opts.get_int("iters", 8));
 
   util::Options wl_opts;
   wl_opts.set("nrows", std::to_string(nrows));
@@ -89,7 +95,7 @@ int main(int argc, char** argv) {
   }
 
   sweep::ServiceOptions sopts;
-  sopts.workers = static_cast<int>(opts.get_int("pool", 0));
+  sopts.workers = pool;
   sopts.cache_path = opts.get_string("cache", "");
   sopts.listen = opts.get_string("listen", "");
   const std::string secret_file = opts.get_string("secret-file", "");
@@ -107,10 +113,8 @@ int main(int argc, char** argv) {
   if (service.remote()) {
     std::cerr << "[distributed_sweep] listening on "
               << service.remote_address() << "\n";
-    const auto want =
-        static_cast<std::size_t>(opts.get_int("wait-workers", 0));
     const auto deadline = std::chrono::steady_clock::now() + kWaitTimeout;
-    while (service.connected_workers() < want &&
+    while (service.connected_workers() < want_workers &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
@@ -155,7 +159,7 @@ int main(int argc, char** argv) {
             << " duplicate_results=" << faults.duplicate_results
             << " local_fallback_points=" << faults.local_fallback_points
             << "\n";
-  if (opts.get_bool("stats", false)) {
+  if (stats) {
     std::cerr << "[distributed_sweep] " << sweep::format_fault_summary(st)
               << "\n";
   }

@@ -45,8 +45,7 @@ void FailureDetector::do_crash(int slot, Time when) {
     mpi::FrameHeader h;
     h.kind = mpi::FrameKind::Failure;
     h.value = static_cast<std::uint64_t>(slot);
-    job_->fabric->inject_oob(
-        s, mpi::encode_header(&job_->fabric->pool(), h), notify_at);
+    job_->fabric->inject_oob(s, h, notify_at);
   }
 }
 

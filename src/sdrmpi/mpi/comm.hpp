@@ -179,13 +179,14 @@ class Comm {
   // The same schedules as the byte-level entry points, but contents stay
   // refcounted net::Payload handles end to end: no user buffer exists and
   // no host byte moves unless an algorithm has to pack (Bruck) or reduce
-  // non-Zeros data. With symbolic payloads (make_payload(ContentDesc))
+  // non-Zeros data. With symbolic payloads (symbolic_payload(desc))
   // this runs GB-scale collectives in O(1) host bytes while keeping wire
   // traffic and virtual time bit-identical to the raw-buffer twin — the
   // SymColl path the class C/D skeletons use.
 
   /// Pooled payload helpers for the payload-native entry points.
-  [[nodiscard]] net::Payload make_payload(const net::ContentDesc& desc) const {
+  [[nodiscard]] net::Payload symbolic_payload(
+      const net::ContentDesc& desc) const {
     return net::Payload::symbolic(&ep_->buffer_pool(), desc);
   }
   /// An uninitialized pooled slab of `n` bytes (net::Payload::fresh): fill

@@ -1,7 +1,6 @@
 #include "sdrmpi/mpi/endpoint.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -402,7 +401,8 @@ void Endpoint::base_isend(CommCtx ctx, int dst_rank, int dst_slot, int tag,
     // wire, so the application buffer is immediately reusable. The handle
     // aliases the logical send's buffer/descriptor — no bytes move here.
     h.kind = FrameKind::Eager;
-    fabric_.send(slot_, dst_slot, encode_header(pool(), h), payload);
+    fabric_.send(dst_slot, h, payload,
+                 payload.size() + net::kDataEnvelopeBytes);
   } else {
     // Rendezvous: RTS now, payload after CTS; the buffer stays busy until
     // the payload is injected.
@@ -418,7 +418,7 @@ void Endpoint::base_isend(CommCtx ctx, int dst_rank, int dst_slot, int tag,
     rdv_sends_.push_back(std::move(rec));
     ++next_rdv_id_;
     if (req != nullptr) ++req->local_pending;
-    fabric_.send(slot_, dst_slot, encode_header(pool(), h), net::kHeaderBytes);
+    fabric_.send(dst_slot, h, {}, net::kHeaderBytes);
   }
 }
 
@@ -440,13 +440,13 @@ void Endpoint::base_irecv(CommCtx ctx, int src_rank, int tag,
     const bool src_ok = src_rank == kAnySource || it->h.src_rank == src_rank;
     const bool tag_ok = tag == kAnyTag || it->h.tag == tag;
     if (!src_ok || !tag_ok) continue;
-    StoredFrame f = std::move(*it);
+    net::Delivery f = std::move(*it);
     m.unexpected.erase(it);
     protocol_->on_match(*this, f.h, req);
     if (f.h.kind == FrameKind::Eager) {
       deliver_eager(std::move(f), req);
     } else {
-      start_rendezvous_recv(f, req, /*discard=*/false);
+      start_rendezvous_recv(f.h, req, /*discard=*/false);
     }
     return;
   }
@@ -463,8 +463,7 @@ void Endpoint::send_ctl(int dst_slot, FrameHeader h,
   ++stats_.ctl_frames_sent;
   const std::size_t wire = payload.empty() ? net::kCtlFrameBytes
                                            : payload.size() + net::kHeaderBytes;
-  fabric_.send(slot_, dst_slot, encode_header(pool(), h),
-               net::Payload::copy_of(pool(), payload), wire);
+  fabric_.send(dst_slot, h, net::Payload::copy_of(pool(), payload), wire);
 }
 
 // ---------------------------------------------------------------------------
@@ -500,35 +499,24 @@ void Endpoint::handle_frame(net::Delivery&& d) {
   engine().advance_to(d.arrival);
   engine().advance(fabric_.fixed_costs().o_recv);
 
-  const FrameHeader h = decode_header(d.data.bytes());
-  switch (h.kind) {
+  switch (d.h.kind) {
     case FrameKind::Eager:
-    case FrameKind::Rts: {
-      StoredFrame f;
-      f.h = h;
-      f.bulk = std::move(d.bulk);  // aliases the sender's buffer
-      f.arrival = d.arrival;
-      handle_data_frame(std::move(f));
+    case FrameKind::Rts:
+      handle_data_frame(std::move(d));
       break;
-    }
     case FrameKind::Cts:
-      handle_cts(h);
+      handle_cts(d.h);
       break;
-    case FrameKind::RdvData: {
-      StoredFrame f;
-      f.h = h;
-      f.bulk = std::move(d.bulk);
-      f.arrival = d.arrival;
-      handle_rdv_data(std::move(f));
+    case FrameKind::RdvData:
+      handle_rdv_data(std::move(d));
       break;
-    }
     default:
-      protocol_->on_ctl(*this, h, d.bulk.bytes());
+      protocol_->on_ctl(*this, d.h, d.bulk.bytes());
       break;
   }
 }
 
-void Endpoint::handle_data_frame(StoredFrame&& f) {
+void Endpoint::handle_data_frame(net::Delivery&& f) {
   auto& m = ctx_state(f.h.ctx);
   // Value, not reference: protocol callbacks below re-enter the endpoint
   // and may restructure the sparse counter storage.
@@ -546,12 +534,12 @@ void Endpoint::handle_data_frame(StoredFrame&& f) {
           RdvRecv moved = std::move(*it);
           rdv_recvs_.erase(it);
           moved.header = f.h;
-          start_rendezvous_recv(f, moved.req, /*discard=*/false);
+          start_rendezvous_recv(f.h, moved.req, /*discard=*/false);
           return;
         }
       }
       // Plain duplicate rendezvous: let the sender finish, discard payload.
-      start_rendezvous_recv(f, nullptr, /*discard=*/true);
+      start_rendezvous_recv(f.h, nullptr, /*discard=*/true);
     }
     ++stats_.duplicates_dropped;
     return;
@@ -567,7 +555,7 @@ void Endpoint::handle_data_frame(StoredFrame&& f) {
 
   m.recv_seq.set(f.h.src_rank, expected + 1);
   const int src_rank = f.h.src_rank;
-  accept_data_frame(std::move(f));
+  match_or_queue(std::move(f));
 
   // Drain parked successors now unblocked. (Re-fetch the counter each
   // round: protocol callbacks ran in between.)
@@ -575,15 +563,13 @@ void Endpoint::handle_data_frame(StoredFrame&& f) {
   while (pit != m.parked.end() && !pit->second.empty()) {
     auto first = pit->second.begin();
     if (first->first != m.recv_seq.get(src_rank)) break;
-    StoredFrame next = std::move(first->second);
+    net::Delivery next = std::move(first->second);
     pit->second.erase(first);
     (void)m.recv_seq.bump(src_rank);
-    accept_data_frame(std::move(next));
+    match_or_queue(std::move(next));
     pit = m.parked.find(src_rank);
   }
 }
-
-void Endpoint::accept_data_frame(StoredFrame&& f) { match_or_queue(std::move(f)); }
 
 bool Endpoint::matches(const Request& recv, const FrameHeader& h) {
   const int want_src = recv->status.source;  // narrowed match source
@@ -592,7 +578,7 @@ bool Endpoint::matches(const Request& recv, const FrameHeader& h) {
   return src_ok && tag_ok;
 }
 
-void Endpoint::match_or_queue(StoredFrame&& f) {
+void Endpoint::match_or_queue(net::Delivery&& f) {
   auto& m = ctx_state(f.h.ctx);
   for (auto it = m.posted.begin(); it != m.posted.end(); ++it) {
     if (!matches(*it, f.h)) continue;
@@ -602,7 +588,7 @@ void Endpoint::match_or_queue(StoredFrame&& f) {
     if (f.h.kind == FrameKind::Eager) {
       deliver_eager(std::move(f), req);
     } else {
-      start_rendezvous_recv(f, req, /*discard=*/false);
+      start_rendezvous_recv(f.h, req, /*discard=*/false);
     }
     return;
   }
@@ -610,7 +596,7 @@ void Endpoint::match_or_queue(StoredFrame&& f) {
   m.unexpected.push_back(std::move(f));
 }
 
-void Endpoint::deliver_eager(StoredFrame&& f, const Request& req) {
+void Endpoint::deliver_eager(net::Delivery&& f, const Request& req) {
   const std::size_t cap = req->sink ? req->sink_cap : req->recv_buf.size();
   if (f.bulk.size() > cap) {
     throw std::runtime_error("sdrmpi: message truncation (eager recv)");
@@ -626,17 +612,17 @@ void Endpoint::deliver_eager(StoredFrame&& f, const Request& req) {
   complete_recv(f.h, req);
 }
 
-void Endpoint::start_rendezvous_recv(const StoredFrame& f, const Request& req,
-                                     bool discard) {
+void Endpoint::start_rendezvous_recv(const FrameHeader& rts,
+                                     const Request& req, bool discard) {
   if (!discard &&
-      f.h.value > (req->sink ? req->sink_cap : req->recv_buf.size())) {
+      rts.value > (req->sink ? req->sink_cap : req->recv_buf.size())) {
     throw std::runtime_error("sdrmpi: message truncation (rendezvous recv)");
   }
   RdvRecv rec;
-  rec.src_slot = f.h.src_slot;
-  rec.rdv_id = f.h.aux;
+  rec.src_slot = rts.src_slot;
+  rec.rdv_id = rts.aux;
   rec.req = req;
-  rec.header = f.h;
+  rec.header = rts;
   rec.discard = discard;
   bool replaced = false;
   for (RdvRecv& rr : rdv_recvs_) {
@@ -650,11 +636,11 @@ void Endpoint::start_rendezvous_recv(const StoredFrame& f, const Request& req,
 
   FrameHeader cts;
   cts.kind = FrameKind::Cts;
-  cts.ctx = f.h.ctx;
-  cts.src_rank = f.h.dst_rank;
-  cts.dst_rank = f.h.src_rank;
-  cts.value = f.h.aux;
-  send_ctl(f.h.src_slot, cts);
+  cts.ctx = rts.ctx;
+  cts.src_rank = rts.dst_rank;
+  cts.dst_rank = rts.src_rank;
+  cts.value = rts.aux;
+  send_ctl(rts.src_slot, cts);
 }
 
 void Endpoint::handle_cts(const FrameHeader& h) {
@@ -669,12 +655,12 @@ void Endpoint::handle_cts(const FrameHeader& h) {
   dh.aux = h.value;
   // The staged payload rides as the bulk attachment — zero-copy from the
   // rendezvous store to the receiver.
-  fabric_.send(slot_, rec.dst_slot, encode_header(pool(), dh),
-               std::move(rec.payload));
+  const std::size_t wire = rec.payload.size() + net::kDataEnvelopeBytes;
+  fabric_.send(rec.dst_slot, dh, std::move(rec.payload), wire);
   if (rec.req != nullptr) --rec.req->local_pending;
 }
 
-void Endpoint::handle_rdv_data(StoredFrame&& f) {
+void Endpoint::handle_rdv_data(net::Delivery&& f) {
   auto it = rdv_recvs_.begin();
   while (it != rdv_recvs_.end() &&
          !(it->src_slot == f.h.src_slot && it->rdv_id == f.h.aux)) {
@@ -764,10 +750,10 @@ std::size_t Endpoint::footprint_bytes() const noexcept {
     n += sizeof(CtxState);
     n += m.send_seq.heap_bytes() + m.recv_seq.heap_bytes();
     n += m.posted.capacity() * sizeof(Request);
-    n += m.unexpected.capacity() * sizeof(StoredFrame);
+    n += m.unexpected.capacity() * sizeof(net::Delivery);
     for (const auto& [src, parked] : m.parked) {
       // Approximate the per-node overhead of the two nested maps.
-      n += sizeof(void*) * 4 + parked.size() * (sizeof(StoredFrame) +
+      n += sizeof(void*) * 4 + parked.size() * (sizeof(net::Delivery) +
                                                 sizeof(void*) * 4);
     }
   }

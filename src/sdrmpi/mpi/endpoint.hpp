@@ -61,11 +61,6 @@ struct CommInfo {
 
 class Endpoint {
  private:
-  struct StoredFrame {
-    FrameHeader h;
-    net::Payload bulk;  ///< aliases the delivered buffer (no copy)
-    Time arrival = 0;
-  };
   /// Per-context hot state: channel counters (sparse, keyed by active
   /// peer — see seq_map.hpp), matching queues, and the owning communicator.
   /// Contexts are dense small integers, so the whole table is a deque
@@ -78,8 +73,10 @@ class Endpoint {
     // matching order); they are short, and their capacity recycles where
     // the former std::list allocated a node per operation.
     std::vector<Request> posted;
-    std::vector<StoredFrame> unexpected;
-    std::map<int, std::map<std::uint64_t, StoredFrame>> parked;  // reorder
+    // Queued and parked frames are the deliveries themselves; their bulk
+    // aliases the sender's buffer (no copy).
+    std::vector<net::Delivery> unexpected;
+    std::map<int, std::map<std::uint64_t, net::Delivery>> parked;  // reorder
     int comm_handle = -1;  ///< registered communicator, -1 if none yet
   };
   /// Pending rendezvous transfers live in flat vectors looked up by their
@@ -278,14 +275,13 @@ class Endpoint {
                        std::span<std::byte> buf, bool sink, std::size_t cap);
   void on_delivery(net::Delivery&& d);
   void handle_frame(net::Delivery&& d);
-  void handle_data_frame(StoredFrame&& f);
-  void accept_data_frame(StoredFrame&& f);
-  void match_or_queue(StoredFrame&& f);
-  void deliver_eager(StoredFrame&& f, const Request& req);
-  void start_rendezvous_recv(const StoredFrame& f, const Request& req,
+  void handle_data_frame(net::Delivery&& f);
+  void match_or_queue(net::Delivery&& f);
+  void deliver_eager(net::Delivery&& f, const Request& req);
+  void start_rendezvous_recv(const FrameHeader& rts, const Request& req,
                              bool discard);
   void handle_cts(const FrameHeader& h);
-  void handle_rdv_data(StoredFrame&& f);
+  void handle_rdv_data(net::Delivery&& f);
   [[nodiscard]] static bool matches(const Request& recv, const FrameHeader& h);
   void complete_recv(const FrameHeader& h, const Request& req);
   void fire_app_complete(const Request& req);

@@ -1,70 +1,23 @@
-// Wire frame format: a POD header optionally followed by payload bytes.
-//
-// Data-path kinds (Eager/Rts/Cts/RdvData) implement the two standard MPI
-// point-to-point protocols. The remaining kinds carry replication-protocol
-// control traffic (acks, leader decisions, redMPI hashes, failure and
-// recovery notifications); the base library routes them to the active
-// protocol's on_ctl hook without interpreting them.
+// Wire frame format, as the MPI layer sees it: net::FrameHeader travels by
+// value from the sending endpoint through the fabric into the receiver's
+// inbox and matching queues, and a frame's payload rides beside it as a
+// shared net::Payload (net/fabric.hpp defines both).
 #pragma once
 
-#include <cstdint>
-#include <cstring>
-#include <span>
+#include <type_traits>
 
 #include "sdrmpi/mpi/types.hpp"
-#include "sdrmpi/net/payload.hpp"
+#include "sdrmpi/net/fabric.hpp"
 
 namespace sdrmpi::mpi {
 
-enum class FrameKind : std::uint8_t {
-  Eager = 1,      // full payload inline
-  Rts,            // rendezvous request-to-send (value = payload bytes)
-  Cts,            // clear-to-send (value = rdv id)
-  RdvData,        // rendezvous payload (value = rdv id)
-  Ack,            // SDR receiver-side acknowledgement
-  Decision,       // leader protocol: resolved ANY_SOURCE (value = src rank)
-  Hash,           // redMPI payload hash (value = digest)
-  Failure,        // failure-detector notification (value = failed slot)
-  RecoverNotify,  // recovery marker broadcast by the substitute
-  RecoverState,   // recovery snapshot transfer (payload = serialized state)
-  Ctl,            // protocol-specific control
-};
+using net::FrameHeader;
+using net::FrameKind;
+static_assert(std::is_same_v<decltype(FrameHeader::ctx), CommCtx>);
 
 [[nodiscard]] constexpr bool is_data_kind(FrameKind k) noexcept {
   return k == FrameKind::Eager || k == FrameKind::Rts ||
          k == FrameKind::Cts || k == FrameKind::RdvData;
-}
-
-/// Fixed-size frame header. Trivially copyable by design.
-struct FrameHeader {
-  FrameKind kind = FrameKind::Eager;
-  std::uint8_t world = 0;       // sender's replica world id
-  std::uint16_t reserved = 0;
-  CommCtx ctx = 0;              // matching context
-  std::int32_t src_rank = -1;   // logical sender rank within ctx
-  std::int32_t dst_rank = -1;   // logical destination rank within ctx
-  std::int32_t tag = 0;
-  std::int32_t src_slot = -1;   // physical slot that injected the frame
-  std::uint64_t seq = 0;        // per (ctx, src_rank -> dst_rank) sequence
-  std::uint64_t value = 0;      // kind-specific
-  std::uint64_t aux = 0;        // kind-specific
-};
-static_assert(std::is_trivially_copyable_v<FrameHeader>);
-
-/// Serializes the wire envelope into a pool-backed buffer. Payload bytes
-/// never ride inside the frame: they travel as Delivery::bulk, a zero-copy
-/// attachment shared with the sender's buffer (the receive path reads
-/// d.bulk exclusively).
-inline net::Payload encode_header(util::BufferPool* pool,
-                                  const FrameHeader& h) {
-  return net::Payload::copy_of_object(pool, h);
-}
-
-/// Reads the header back out of a wire buffer.
-inline FrameHeader decode_header(std::span<const std::byte> buf) {
-  FrameHeader h;
-  std::memcpy(&h, buf.data(), sizeof(FrameHeader));
-  return h;
 }
 
 }  // namespace sdrmpi::mpi

@@ -70,62 +70,41 @@ Time Fabric::pass_link(Time t, Time& link_free, Time ser) {
   return start + ser;
 }
 
-void Fabric::send(int src_slot, int dst_slot, Payload frame, Payload bulk,
+void Fabric::send(int dst_slot, const FrameHeader& h, Payload bulk,
                   std::size_t wire_bytes) {
-  (void)slots_.at(static_cast<std::size_t>(src_slot));  // bounds check
+  (void)slots_.at(static_cast<std::size_t>(h.src_slot));  // bounds check
   (void)slots_.at(static_cast<std::size_t>(dst_slot));
-  if (wire_bytes == 0) {
-    wire_bytes = frame.size() + bulk.size() + kHeaderBytes;
-  }
 
   // Charge the sender's CPU overhead, then hand the frame to the backend.
   engine_.advance(costs_.o_send);
-  const Time now = engine_.now();
-  const Time arrival = route(src_slot, dst_slot, now, wire_bytes);
-
-  Delivery d;
-  d.src_slot = src_slot;
-  d.dst_slot = dst_slot;
-  d.sent_at = now;
-  d.arrival = arrival;
-  d.frame_no = frame_no_++;
-  d.data = std::move(frame);
-  d.bulk = std::move(bulk);
+  const Time arrival = route(h.src_slot, dst_slot, engine_.now(), wire_bytes);
 
   ++stats_.frames_sent;
   stats_.payload_bytes += wire_bytes;
 
-  // Fabric* + Delivery fit InlineFn's inline buffer: scheduling a frame
-  // allocates nothing.
-  engine_.schedule(arrival, [this, d = std::move(d)]() mutable {
-    deliver(std::move(d));
-  });
+  // The header travels by value and the payload as one handle: the closure
+  // fits InlineFn's inline buffer, so scheduling a frame allocates nothing.
+  auto fn = [this, dst_slot, h, bulk = std::move(bulk)]() mutable {
+    deliver(dst_slot, h, std::move(bulk));
+  };
+  static_assert(sizeof(fn) <= sim::InlineFn::kInlineBytes);
+  engine_.schedule(arrival, std::move(fn));
 }
 
-void Fabric::inject_oob(int dst_slot, Payload frame, Time at) {
-  Delivery d;
-  d.src_slot = -1;
-  d.dst_slot = dst_slot;
-  d.sent_at = at;
-  d.arrival = at;
-  d.frame_no = frame_no_++;
-  d.out_of_band = true;
-  d.data = std::move(frame);
-  engine_.schedule(at, [this, d = std::move(d)]() mutable {
-    deliver(std::move(d));
-  });
+void Fabric::inject_oob(int dst_slot, const FrameHeader& h, Time at) {
+  engine_.schedule(at, [this, dst_slot, h] { deliver(dst_slot, h, {}); });
 }
 
-void Fabric::deliver(Delivery&& d) {
-  auto& dst = slots_.at(static_cast<std::size_t>(d.dst_slot));
+void Fabric::deliver(int dst_slot, const FrameHeader& h, Payload&& bulk) {
+  auto& dst = slots_.at(static_cast<std::size_t>(dst_slot));
   if (!dst.alive || !dst.sink) {
     ++stats_.frames_dropped_dead_dst;
-    SDR_LOG(Trace, "net") << "drop frame to dead slot " << d.dst_slot;
+    SDR_LOG(Trace, "net") << "drop frame to dead slot " << dst_slot;
     return;
   }
   const int owner = dst.owner_pid;
-  const Time arrival = d.arrival;
-  dst.sink(std::move(d));
+  const Time arrival = engine_.now();  // the event's time
+  dst.sink(Delivery{h, std::move(bulk), arrival});
   // Wake the owner if it is parked inside an MPI progress loop. Slots
   // without an owning process (raw-fabric tests) skip the wakeup.
   if (owner >= 0) engine_.wake(owner, arrival);

@@ -27,20 +27,52 @@
 
 namespace sdrmpi::net {
 
-/// One frame arriving at a slot's inbox. `data` is the wire frame (the
-/// envelope, plus any inline payload); `bulk` is an optional zero-copy
-/// attachment for large transfers — it shares the sender's buffer instead
-/// of copying it, while still being charged as wire bytes by the cost
-/// model. Both return their slabs to the engine's pool on destruction.
+/// Frame kinds. Data-path kinds (Eager/Rts/Cts/RdvData) implement the two
+/// standard MPI point-to-point protocols. The remaining kinds carry
+/// replication-protocol control traffic (acks, leader decisions, redMPI
+/// hashes, failure and recovery notifications); the MPI layer routes them
+/// to the active protocol's on_ctl hook without interpreting them.
+enum class FrameKind : std::uint8_t {
+  Eager = 1,      // full payload attached
+  Rts,            // rendezvous request-to-send (value = payload bytes)
+  Cts,            // clear-to-send (value = rdv id)
+  RdvData,        // rendezvous payload (value = rdv id)
+  Ack,            // SDR receiver-side acknowledgement
+  Decision,       // leader protocol: resolved ANY_SOURCE (value = src rank)
+  Hash,           // redMPI payload hash (value = digest)
+  Failure,        // failure-detector notification (value = failed slot)
+  RecoverNotify,  // recovery marker broadcast by the substitute
+  RecoverState,   // recovery snapshot transfer (payload = serialized state)
+  Ctl,            // protocol-specific control
+};
+
+/// A frame's envelope. It travels by value from the sender to the
+/// receiver's matching queues; its modeled wire size is a params.hpp
+/// constant (kDataEnvelopeBytes, kHeaderBytes, kCtlFrameBytes), not its
+/// sizeof.
+struct FrameHeader {
+  FrameKind kind = FrameKind::Eager;
+  std::uint8_t world = 0;       // sender's replica world id
+  std::uint16_t reserved = 0;
+  std::uint32_t ctx = 0;        // matching context (mpi::CommCtx)
+  std::int32_t src_rank = -1;   // logical sender rank within ctx
+  std::int32_t dst_rank = -1;   // logical destination rank within ctx
+  std::int32_t tag = 0;
+  std::int32_t src_slot = -1;   // physical slot that injected the frame
+  std::uint64_t seq = 0;        // per (ctx, src_rank -> dst_rank) sequence
+  std::uint64_t value = 0;      // kind-specific
+  std::uint64_t aux = 0;        // kind-specific
+};
+
+/// One frame at a slot: arriving in its inbox, then parked or queued as
+/// unexpected until a receive matches it. `bulk` is the payload (message
+/// contents, or a control frame's bytes) as a refcounted handle: a data
+/// frame shares the sender's buffer instead of copying it. Its slab
+/// returns to the engine's pool when the last handle goes.
 struct Delivery {
-  int src_slot = -1;
-  int dst_slot = -1;
-  Time sent_at = 0;
-  Time arrival = 0;
-  std::uint64_t frame_no = 0;  // global injection order (diagnostics)
-  bool out_of_band = false;    // true for failure-detector notifications
-  Payload data;
+  FrameHeader h;
   Payload bulk;
+  Time arrival = 0;
 };
 
 class Fabric {
@@ -86,32 +118,22 @@ class Fabric {
   void set_alive(int slot, bool alive);
   [[nodiscard]] bool alive(int slot) const;
 
-  /// Injects a frame from the *currently running process* (charges o_send
-  /// to its clock and serialises on its egress). `frame` is the wire
-  /// envelope (+ inline payload); `bulk` an optional zero-copy attachment
-  /// shared with the sender (see Delivery). `wire_bytes` is the modeled
-  /// size; pass 0 to use frame.size() + bulk.size() + kHeaderBytes.
-  void send(int src_slot, int dst_slot, Payload frame, Payload bulk,
-            std::size_t wire_bytes = 0);
-  void send(int src_slot, int dst_slot, Payload frame,
-            std::size_t wire_bytes = 0) {
-    send(src_slot, dst_slot, std::move(frame), Payload{}, wire_bytes);
-  }
+  /// Injects a frame from slot `h.src_slot`, run by the *currently running
+  /// process* (charges o_send to its clock and serialises on its egress).
+  /// `bulk` is shared with the sender (see Delivery); `wire_bytes` is the
+  /// modeled size the backend routes.
+  void send(int dst_slot, const FrameHeader& h, Payload bulk,
+            std::size_t wire_bytes);
 
   /// Delivers an out-of-band notification at absolute time `at` without
   /// consuming network resources (the paper's external failure-detection
-  /// service). FIFO with respect to nothing; marked out_of_band.
-  void inject_oob(int dst_slot, Payload frame, Time at);
+  /// service). FIFO with respect to nothing.
+  void inject_oob(int dst_slot, const FrameHeader& h, Time at);
 
-  /// The engine's buffer pool; all frame/payload buffers should draw from
-  /// it so they recycle instead of hitting the heap.
+  /// The engine's buffer pool; all payload buffers should draw from it so
+  /// they recycle instead of hitting the heap.
   [[nodiscard]] util::BufferPool& pool() noexcept {
     return engine_.buffer_pool();
-  }
-
-  /// Pool-backed copy of `bytes` (convenience for raw-fabric callers).
-  [[nodiscard]] Payload make_payload(std::span<const std::byte> bytes) {
-    return Payload::copy_of(&pool(), bytes);
   }
 
   /// The per-call and per-frame costs (kCallCostNs, params()), rounded to
@@ -167,13 +189,14 @@ class Fabric {
     Time egress_free = 0;  // NIC serialisation horizon
   };
 
-  void deliver(Delivery&& d);
+  /// Event context: hands the frame to the slot's sink, stamped with the
+  /// event's time as its arrival.
+  void deliver(int dst_slot, const FrameHeader& h, Payload&& bulk);
 
   sim::Engine& engine_;
   NetParams params_;
   FixedCosts costs_;
   std::vector<Slot> slots_;
-  std::uint64_t frame_no_ = 0;
 };
 
 /// The original flat LogGP model: every pair of slots is one hop apart,

@@ -138,10 +138,16 @@ struct FabricStats {
   [[nodiscard]] bool operator==(const FabricStats&) const = default;
 };
 
-/// Modeled per-frame header size: added to every frame's payload bytes.
+/// Modeled per-frame header size: the wire size of a rendezvous RTS, and
+/// added to a control frame's payload bytes.
 inline constexpr std::size_t kHeaderBytes = 40;
 /// Modeled wire size of a protocol control frame without a payload (ack).
 inline constexpr std::size_t kCtlFrameBytes = 48;
+/// Modeled envelope of a payload-carrying data frame (Eager, RdvData),
+/// added to its payload bytes: a 48-byte match envelope plus the
+/// kHeaderBytes header. A model constant, independent of how the
+/// simulator lays out its FrameHeader.
+inline constexpr std::size_t kDataEnvelopeBytes = 88;
 /// Modeled CPU cost of entering any MPI call (ns).
 inline constexpr double kCallCostNs = 40.0;
 

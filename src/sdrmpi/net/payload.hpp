@@ -128,32 +128,6 @@ class Payload {
     return p;
   }
 
-  /// Copies a trivially-copyable object's bytes (frame headers).
-  template <class T>
-  [[nodiscard]] static Payload copy_of_object(util::BufferPool* pool,
-                                              const T& obj) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return copy_of(pool, std::span<const std::byte>(
-                             reinterpret_cast<const std::byte*>(&obj),
-                             sizeof(T)));
-  }
-
-  /// Concatenates two spans into one buffer (header + inline payload).
-  [[nodiscard]] static Payload concat(util::BufferPool* pool,
-                                      std::span<const std::byte> head,
-                                      std::span<const std::byte> tail) {
-    if (head.empty() && tail.empty()) return {};
-    Payload p(pool, head.size() + tail.size(), head.size() + tail.size());
-    if (!head.empty()) {
-      std::memcpy(p.mutable_data(), head.data(), head.size());
-    }
-    if (!tail.empty()) {
-      std::memcpy(p.mutable_data() + head.size(), tail.data(), tail.size());
-    }
-    util::count_bytes_copied(head.size() + tail.size());
-    return p;
-  }
-
   /// Symbolic payload from a content descriptor: O(1) regardless of
   /// desc.len (allocates only the header slab). Empty lengths yield an
   /// empty handle; Raw descriptors are invalid here (they have no bytes to

@@ -1,10 +1,11 @@
 // InlineFn: the event queue's callback type — a move-only type-erased
-// callable with a 64-byte inline buffer.
+// callable with a 72-byte inline buffer.
 //
 // The closures that dominate the simulator (fabric delivery, wake, timeout)
-// capture a Delivery plus an object pointer and fit inline, so scheduling
-// them touches no heap at all — unlike std::function, whose small-buffer
-// window (16 B on libstdc++) forces one allocation per scheduled frame.
+// capture at most an object pointer, a slot, a frame header and a payload
+// handle, and fit inline, so scheduling them touches no heap at all —
+// unlike std::function, whose small-buffer window (16 B on libstdc++)
+// forces one allocation per scheduled frame.
 // Larger captures transparently fall back to a heap box; heap_allocated()
 // exposes which path a callable took so tests can pin the inline guarantee.
 #pragma once
@@ -19,9 +20,11 @@ namespace sdrmpi::sim {
 class InlineFn {
  public:
   /// Inline capture capacity. Sized for the fabric's delivery closure
-  /// (Fabric* + Delivery, currently 56 bytes); enlarging this is cheap but
-  /// every event slab entry grows with it.
-  static constexpr std::size_t kInlineBytes = 64;
+  /// (Fabric*, destination slot, FrameHeader and Payload: 72 bytes, which
+  /// fabric.cpp pins with a static_assert). buf_ comes first, so the ops
+  /// pointer fills the tail of its 16-byte alignment and sizeof(InlineFn)
+  /// is 80; enlarging this grows every event slab entry.
+  static constexpr std::size_t kInlineBytes = 72;
 
   InlineFn() noexcept = default;
 
@@ -112,8 +115,9 @@ class InlineFn {
     }
   }
 
-  const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
 };
+static_assert(sizeof(void*) != 8 || sizeof(InlineFn) == 80);
 
 }  // namespace sdrmpi::sim

@@ -29,7 +29,10 @@ namespace sdrmpi::sweep {
 /// Bump when the result wire format changes; stores with a different
 /// version are rejected on open (a stale cache is discarded, never
 /// misread).
-inline constexpr std::uint32_t kResultCodecVersion = 3;  // v3: MemStats
+/// v3: MemStats. v4: bytes_copied counts payload copies only (frame
+/// headers no longer pass through a host buffer), so a v3 result's count
+/// means something else.
+inline constexpr std::uint32_t kResultCodecVersion = 4;
 
 /// Serializes a full RunResult (version-tagged).
 [[nodiscard]] std::vector<std::byte> encode_result(const core::RunResult& r);

@@ -19,7 +19,8 @@ core::AppFn make_cm1(Cm1Params p) {
     const int ly = p.ny / pg[1];
     const double points = static_cast<double>(lx) * ly * p.nz;
 
-    HaloExchanger halo{world, {pg[0], pg[1], 1}, coords, p.any_source, 500};
+    HaloExchanger halo{world, {pg[0], pg[1], 1}, coords,
+                       /*any_source=*/true, 500};
 
     // Two prognostic fields: a scalar (theta) and a tracer.
     Field3D theta(lx, ly, p.nz);

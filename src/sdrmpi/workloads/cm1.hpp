@@ -18,7 +18,6 @@ struct Cm1Params {
   int iters = 15;        ///< timesteps
   std::uint64_t seed = 0x5eed31ULL;
   double compute_scale = 1.0;
-  bool any_source = true;
   PayloadMode payload = PayloadMode::Real;  ///< non-Real: skeleton kernel
 };
 

@@ -40,7 +40,8 @@ core::AppFn make_hpccg(HpccgParams p) {
 
     // z-decomposed chimney: my block is nx x ny x nz; ghosts only matter
     // along z (x/y boundaries are domain edges, ghost stays 0).
-    HaloExchanger halo{world, {1, 1, np}, {0, 0, rank}, p.any_source, 400};
+    HaloExchanger halo{world, {1, 1, np}, {0, 0, rank},
+                       /*any_source=*/true, 400};
 
     Field3D pfield(p.nx, p.ny, p.nz);
     Field3D q(p.nx, p.ny, p.nz);

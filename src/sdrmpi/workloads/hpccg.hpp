@@ -19,7 +19,6 @@ struct HpccgParams {
   int iters = 30;
   std::uint64_t seed = 0x5eedccULL;
   double compute_scale = 1.0;
-  bool any_source = true;  ///< post wildcard receives (the miniapp default)
   PayloadMode payload = PayloadMode::Real;  ///< non-Real: skeleton kernel
 };
 

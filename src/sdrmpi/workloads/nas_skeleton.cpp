@@ -365,10 +365,8 @@ core::AppFn make_hpccg_skeleton(HpccgParams p) {
       // boundaries keep kProcNull so no phantom wildcard recv is posted).
       const int below = rank > 0 ? rank - 1 : mpi::kProcNull;
       const int above = rank + 1 < np ? rank + 1 : mpi::kProcNull;
-      auto src = [&](int peer) {
-        return peer == mpi::kProcNull
-                   ? mpi::kProcNull
-                   : (p.any_source ? mpi::kAnySource : peer);
+      auto src = [](int peer) {
+        return peer == mpi::kProcNull ? mpi::kProcNull : mpi::kAnySource;
       };
       mpi::Request recvs[2] = {x.irecv(plane, src(below), 300),
                                x.irecv(plane, src(above), 301)};
@@ -426,9 +424,7 @@ core::AppFn make_cm1_skeleton(Cm1Params p) {
           const int tag = 400 + axis * 2 + (dir + 1) / 2;
           const int from = neighbor(axis, -dir);
           mpi::Request r = x.irecv(
-              bytes,
-              from == mpi::kProcNull ? mpi::kProcNull
-                                     : (p.any_source ? mpi::kAnySource : from),
+              bytes, from == mpi::kProcNull ? mpi::kProcNull : mpi::kAnySource,
               tag);
           mpi::Request s = x.isend(bytes, neighbor(axis, dir), tag);
           world.wait(r);

@@ -157,7 +157,6 @@ core::AppFn make_workload(const std::string& name, const util::Options& opts) {
     if (iters > 0) p.iters = iters;
     p.seed ^= seed;
     p.compute_scale = scale;
-    p.any_source = opts.get_bool("any-source", p.any_source);
     return make_hpccg(p);
   }
   if (name == "cm1") {
@@ -170,7 +169,6 @@ core::AppFn make_workload(const std::string& name, const util::Options& opts) {
     if (iters > 0) p.iters = iters;
     p.seed ^= seed;
     p.compute_scale = scale;
-    p.any_source = opts.get_bool("any-source", p.any_source);
     return make_cm1(p);
   }
   throw std::invalid_argument("unknown workload: " + name);

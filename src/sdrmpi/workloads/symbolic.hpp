@@ -187,7 +187,7 @@ class SymColl {
   void allreduce_zeros(std::size_t bytes, util::Checksum& cs) {
     net::Payload mine;
     if (symbolic_) {
-      mine = comm_.make_payload(net::ContentDesc::zeros(bytes));
+      mine = comm_.symbolic_payload(net::ContentDesc::zeros(bytes));
     } else {
       std::byte* data = nullptr;
       mine = comm_.fresh_payload(bytes, data);
@@ -202,7 +202,7 @@ class SymColl {
   [[nodiscard]] net::Payload make_block(int tag, std::size_t bytes) {
     const std::uint64_t seed = shape_seed(tag);
     if (symbolic_) {
-      return comm_.make_payload(net::ContentDesc::pattern(seed, bytes));
+      return comm_.symbolic_payload(net::ContentDesc::pattern(seed, bytes));
     }
     std::byte* data = nullptr;
     net::Payload p = comm_.fresh_payload(bytes, data);

@@ -82,7 +82,7 @@ TEST(FatTreeTopology, PlacementPoliciesMapReplicasDifferently) {
 TEST(FatTreeFabricTest, SingleFrameArrivalMatchesCostModel) {
   // One intra-switch frame: o_send + NIC ser + 2 links + intra-switch lat.
   Harness h(8, fat_tree_params(2, 2, 4.0), 8);
-  h.engine.spawn("s", [&] { h.fabric->send(0, 2, h.blob(1000)); });
+  h.engine.spawn("s", [&] { h.send(0, 2, h.blob(1000)); });
   h.engine.run();
   ASSERT_EQ(h.received[2].size(), 1u);
   const double wire = 1000.0 + static_cast<double>(net::kHeaderBytes);
@@ -98,8 +98,8 @@ TEST(FatTreeFabricTest, SharedNodeUplinkSerializes) {
   // Slots 0 and 1 share node 0's uplink. Both inject a large frame at t=0
   // toward node 1; the second frame queues behind the first on the uplink.
   Harness h(8, fat_tree_params(2, 2, 2.0), 8);
-  h.engine.spawn("s0", [&] { h.fabric->send(0, 2, h.blob(10000)); });
-  h.engine.spawn("s1", [&] { h.fabric->send(1, 3, h.blob(10000)); });
+  h.engine.spawn("s0", [&] { h.send(0, 2, h.blob(10000)); });
+  h.engine.spawn("s1", [&] { h.send(1, 3, h.blob(10000)); });
   h.engine.run();
   ASSERT_EQ(h.received[2].size(), 1u);
   ASSERT_EQ(h.received[3].size(), 1u);
@@ -121,8 +121,8 @@ TEST(FatTreeFabricTest, IndependentNodesDoNotContend) {
   // Two intra-switch frames on disjoint node pairs (0→1 under leaf 0,
   // 2→3 under leaf 1): no shared link, identical arrival times.
   Harness h(8, fat_tree_params(2, 2, 2.0), 8);
-  h.engine.spawn("s0", [&] { h.fabric->send(0, 2, h.blob(10000)); });
-  h.engine.spawn("s4", [&] { h.fabric->send(4, 6, h.blob(10000)); });
+  h.engine.spawn("s0", [&] { h.send(0, 2, h.blob(10000)); });
+  h.engine.spawn("s4", [&] { h.send(4, 6, h.blob(10000)); });
   h.engine.run();
   ASSERT_EQ(h.received[2].size(), 1u);
   ASSERT_EQ(h.received[6].size(), 1u);
@@ -138,13 +138,13 @@ TEST(FatTreeFabricTest, OversubscriptionSlowsSpineCrossings) {
   Time arrival_8to1 = 0;
   {
     Harness h(8, fat_tree_params(2, 2, 1.0), 8);
-    h.engine.spawn("s", [&] { h.fabric->send(0, 4, h.blob(bytes)); });
+    h.engine.spawn("s", [&] { h.send(0, 4, h.blob(bytes)); });
     h.engine.run();
     arrival_1to1 = h.received[4][0].arrival;
   }
   {
     Harness h(8, fat_tree_params(2, 2, 8.0), 8);
-    h.engine.spawn("s", [&] { h.fabric->send(0, 4, h.blob(bytes)); });
+    h.engine.spawn("s", [&] { h.send(0, 4, h.blob(bytes)); });
     h.engine.run();
     arrival_8to1 = h.received[4][0].arrival;
     EXPECT_EQ(h.fabric->stats().inter_switch_frames, 1u);
@@ -160,8 +160,8 @@ TEST(FatTreeFabricTest, OversubscriptionSlowsSpineCrossings) {
 TEST(FatTreeFabricTest, OversubscribedSpineQueuesConcurrentCrossings) {
   // Two leaves' worth of traffic funnel into one dst leaf downlink.
   Harness h(8, fat_tree_params(2, 1, 4.0), 8);  // 1 node/switch: 4 leaves
-  h.engine.spawn("s0", [&] { h.fabric->send(0, 6, h.blob(10000)); });
-  h.engine.spawn("s2", [&] { h.fabric->send(2, 7, h.blob(10000)); });
+  h.engine.spawn("s0", [&] { h.send(0, 6, h.blob(10000)); });
+  h.engine.spawn("s2", [&] { h.send(2, 7, h.blob(10000)); });
   h.engine.run();
   // Both frames traverse leaf 3's downlink; one of them stalls on it.
   EXPECT_GE(h.fabric->stats().link_stalls, 1u);

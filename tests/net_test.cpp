@@ -17,19 +17,19 @@ TEST(Fabric, DeliversPayloadIntact) {
   Harness h(2);
   h.engine.spawn("sender", [&] {
     auto data = h.blob(16, 0x5c);
-    h.fabric->send(0, 1, data);
+    h.send(0, 1, data);
   });
   auto out = h.engine.run();
   EXPECT_TRUE(out.clean());
   ASSERT_EQ(h.received[1].size(), 1u);
-  EXPECT_EQ(h.received[1][0].data.size(), 16u);
-  EXPECT_EQ(h.received[1][0].data[3], std::byte{0x5c});
-  EXPECT_EQ(h.received[1][0].src_slot, 0);
+  EXPECT_EQ(h.received[1][0].bulk.size(), 16u);
+  EXPECT_EQ(h.received[1][0].bulk[3], std::byte{0x5c});
+  EXPECT_EQ(h.received[1][0].h.src_slot, 0);
 }
 
 TEST(Fabric, ArrivalMatchesCostModel) {
   Harness h(2);
-  h.engine.spawn("sender", [&] { h.fabric->send(0, 1, h.blob(100)); });
+  h.engine.spawn("sender", [&] { h.send(0, 1, h.blob(100)); });
   h.engine.run();
   ASSERT_EQ(h.received[1].size(), 1u);
   const auto& d = h.received[1][0];
@@ -45,7 +45,7 @@ TEST(Fabric, SenderChargedOverhead) {
   Harness h(2);
   Time after = -1;
   h.engine.spawn("sender", [&] {
-    h.fabric->send(0, 1, h.blob(8));
+    h.send(0, 1, h.blob(8));
     after = h.engine.now();
   });
   h.engine.run();
@@ -55,12 +55,12 @@ TEST(Fabric, SenderChargedOverhead) {
 TEST(Fabric, FifoPerChannel) {
   Harness h(2);
   h.engine.spawn("sender", [&] {
-    for (unsigned char i = 0; i < 10; ++i) h.fabric->send(0, 1, h.blob(4, i));
+    for (unsigned char i = 0; i < 10; ++i) h.send(0, 1, h.blob(4, i));
   });
   h.engine.run();
   ASSERT_EQ(h.received[1].size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(h.received[1][i].data[0], std::byte{static_cast<unsigned char>(i)});
+    EXPECT_EQ(h.received[1][i].bulk[0], std::byte{static_cast<unsigned char>(i)});
     if (i > 0) {
       EXPECT_GT(h.received[1][i].arrival, h.received[1][i - 1].arrival);
     }
@@ -72,8 +72,8 @@ TEST(Fabric, EgressSerialization) {
   // the first's wire time (one NIC per process).
   Harness h(3);
   h.engine.spawn("sender", [&] {
-    h.fabric->send(0, 1, h.blob(10000));
-    h.fabric->send(0, 2, h.blob(10000));
+    h.send(0, 1, h.blob(10000));
+    h.send(0, 2, h.blob(10000));
   });
   h.engine.run();
   ASSERT_EQ(h.received[1].size(), 1u);
@@ -88,14 +88,14 @@ TEST(Fabric, EgressSerialization) {
 TEST(Fabric, BiggerFramesTakeLonger) {
   Harness h(2);
   h.engine.spawn("s", [&] {
-    h.fabric->send(0, 1, h.blob(1));
+    h.send(0, 1, h.blob(1));
   });
   h.engine.run();
   const Time small = h.received[1][0].arrival;
 
   Harness h2(2);
   h2.engine.spawn("s", [&] {
-    h2.fabric->send(0, 1, h2.blob(1 << 20));
+    h2.send(0, 1, h2.blob(1 << 20));
   });
   h2.engine.run();
   EXPECT_GT(h2.received[1][0].arrival, small + 100000);
@@ -105,7 +105,10 @@ TEST(Fabric, ExplicitWireBytesOverride) {
   Harness h(2);
   h.engine.spawn("s", [&] {
     // Tiny payload but modeled as a 48-byte control frame.
-    h.fabric->send(0, 1, h.blob(4), kCtlFrameBytes);
+    FrameHeader ctl;
+    ctl.kind = FrameKind::Ack;
+    ctl.src_slot = 0;
+    h.fabric->send(1, ctl, h.blob(4), kCtlFrameBytes);
   });
   h.engine.run();
   const Time expect =
@@ -119,7 +122,7 @@ TEST(Fabric, ExplicitWireBytesOverride) {
 TEST(Fabric, DeadDestinationDropsFrames) {
   Harness h(2);
   h.fabric->set_alive(1, false);
-  h.engine.spawn("s", [&] { h.fabric->send(0, 1, h.blob(8)); });
+  h.engine.spawn("s", [&] { h.send(0, 1, h.blob(8)); });
   h.engine.run();
   EXPECT_TRUE(h.received[1].empty());
   EXPECT_EQ(h.fabric->stats().frames_dropped_dead_dst, 1u);
@@ -130,7 +133,7 @@ TEST(Fabric, InFlightFramesFromDeadSenderStillDeliver) {
   // reaches its destination.
   Harness h(2);
   h.engine.spawn("s", [&] {
-    h.fabric->send(0, 1, h.blob(8));
+    h.send(0, 1, h.blob(8));
     // Sender dies immediately after injection.
     h.fabric->set_alive(0, false);
   });
@@ -140,19 +143,23 @@ TEST(Fabric, InFlightFramesFromDeadSenderStillDeliver) {
 
 TEST(Fabric, OobInjectionArrivesAtRequestedTime) {
   Harness h(2);
-  h.fabric->inject_oob(1, h.blob(4), 12345);
+  FrameHeader note;
+  note.kind = FrameKind::Failure;
+  note.value = 0;
+  h.fabric->inject_oob(1, note, 12345);
   h.engine.run();
   ASSERT_EQ(h.received[1].size(), 1u);
   EXPECT_EQ(h.received[1][0].arrival, 12345);
-  EXPECT_TRUE(h.received[1][0].out_of_band);
-  EXPECT_EQ(h.received[1][0].src_slot, -1);
+  EXPECT_EQ(h.received[1][0].h.kind, FrameKind::Failure);
+  EXPECT_EQ(h.received[1][0].h.src_slot, -1);
+  EXPECT_TRUE(h.received[1][0].bulk.empty());
 }
 
 TEST(Fabric, StatsCountFrames) {
   Harness h(2);
   h.engine.spawn("s", [&] {
-    h.fabric->send(0, 1, h.blob(100));
-    h.fabric->send(0, 1, h.blob(100));
+    h.send(0, 1, h.blob(100));
+    h.send(0, 1, h.blob(100));
   });
   h.engine.run();
   EXPECT_EQ(h.fabric->stats().frames_sent, 2u);
@@ -169,7 +176,7 @@ TEST(Fabric, ReattachReplacesSink) {
   h.fabric->set_alive(1, false);
   h.fabric->reattach(1, -1, Fabric::Sink::of<&Recorder::on_delivery>(&second));
   EXPECT_TRUE(h.fabric->alive(1));  // reattach revives the slot
-  h.engine.spawn("s", [&] { h.fabric->send(0, 1, h.blob(8)); });
+  h.engine.spawn("s", [&] { h.send(0, 1, h.blob(8)); });
   h.engine.run();
   EXPECT_TRUE(h.received[1].empty());
   EXPECT_EQ(second.got.size(), 1u);

@@ -120,16 +120,6 @@ TEST(Payload, PoollessHandlesUseTheHeap) {
   // Destruction must not touch any pool (would crash on nullptr).
 }
 
-TEST(Payload, ConcatJoinsHeaderAndBody) {
-  util::BufferPool pool;
-  const std::vector<std::byte> head(8, std::byte{0xaa});
-  const std::vector<std::byte> tail(8, std::byte{0xbb});
-  net::Payload p = net::Payload::concat(&pool, head, tail);
-  ASSERT_EQ(p.size(), 16u);
-  EXPECT_EQ(p[7], std::byte{0xaa});
-  EXPECT_EQ(p[8], std::byte{0xbb});
-}
-
 // ---------------------------------------------------------------- InlineFn
 
 TEST(InlineFn, SmallCapturesStayInline) {
@@ -141,19 +131,24 @@ TEST(InlineFn, SmallCapturesStayInline) {
 }
 
 TEST(InlineFn, DeliveryClosureFitsInline) {
-  // The exact closure the fabric schedules per frame: an object pointer
-  // plus a Delivery. This static guarantee is what makes the per-frame
-  // schedule allocation-free.
-  static_assert(sizeof(void*) + sizeof(net::Delivery) <=
-                sim::InlineFn::kInlineBytes);
+  // The shape of the closure the fabric schedules per frame: an object
+  // pointer, the destination slot, the header by value and the payload
+  // handle. This static guarantee is what makes the per-frame schedule
+  // allocation-free.
   util::BufferPool pool;
-  net::Delivery d;
-  d.data = net::Payload::copy_of(&pool, std::vector<std::byte>(40));
+  net::FrameHeader h;
+  h.tag = 7;
+  net::Payload bulk =
+      net::Payload::copy_of(&pool, std::vector<std::byte>(40));
   bool delivered = false;
   void* ctx = &delivered;
-  sim::InlineFn fn([ctx, d = std::move(d)]() mutable {
-    *static_cast<bool*>(ctx) = d.data.size() == 40;
-  });
+  int dst_slot = 1;
+  auto closure = [ctx, dst_slot, h, bulk = std::move(bulk)]() mutable {
+    *static_cast<bool*>(ctx) =
+        dst_slot == 1 && h.tag == 7 && bulk.size() == 40;
+  };
+  static_assert(sizeof(closure) <= sim::InlineFn::kInlineBytes);
+  sim::InlineFn fn(std::move(closure));
   EXPECT_FALSE(fn.heap_allocated());
   fn();
   EXPECT_TRUE(delivered);
@@ -271,7 +266,7 @@ TEST(AllocRegression, WarmFabricSendsStayUnderBound) {
     h.engine.spawn("s", [&h] {
       // One staged payload; every send aliases it (refcount bump only).
       const net::Payload msg = h.blob(256);
-      for (int i = 0; i < kSends; ++i) h.fabric->send(0, 1, msg);
+      for (int i = 0; i < kSends; ++i) h.send(0, 1, msg);
     });
     (void)h.engine.run();
   };

@@ -52,7 +52,16 @@ struct FabricHarness {
   /// Pool-backed payload of n bytes, every byte = fill.
   [[nodiscard]] net::Payload blob(std::size_t n, unsigned char fill = 0xab) {
     const std::vector<std::byte> bytes(n, std::byte{fill});
-    return fabric->make_payload(bytes);
+    return net::Payload::copy_of(&fabric->pool(), bytes);
+  }
+
+  /// Injects a frame from `src` to `dst` carrying `bulk`, modeled as
+  /// bulk.size() + kHeaderBytes wire bytes. Call from a process.
+  void send(int src, int dst, net::Payload bulk) {
+    net::FrameHeader h;
+    h.src_slot = src;
+    const std::size_t wire = bulk.size() + net::kHeaderBytes;
+    fabric->send(dst, h, std::move(bulk), wire);
   }
 };
 
