@@ -134,7 +134,7 @@ HotpathPoint bench_ctx_switch() {
     pt.label = "ctx_switch";
     sim::Engine engine;
     for (int p = 0; p < 2; ++p) {
-      engine.spawn("p" + std::to_string(p), [&engine] {
+      engine.spawn(std::string("p").append(std::to_string(p)), [&engine] {
         for (int k = 0; k < kYields; ++k) {
           engine.advance(1);
           engine.yield();

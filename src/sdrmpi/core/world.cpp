@@ -61,6 +61,17 @@ void validate(const RunConfig& cfg) {
   return cfg;
 }
 
+/// The sim process name of `slot`: "r<rank>.w<world>", then `suffix`.
+/// Appended piecewise: GCC 12 warns (-Wrestrict) on "r" + std::string.
+std::string slot_name(const Topology& topo, int slot, const char* suffix) {
+  std::string name = "r";
+  name += std::to_string(topo.rank_of(slot));
+  name += ".w";
+  name += std::to_string(topo.world_of(slot));
+  name += suffix;
+  return name;
+}
+
 }  // namespace
 
 World::World(RunConfig config, AppFn app)
@@ -190,10 +201,8 @@ void World::install_recovery() {
     }
     job_.restart_state[static_cast<std::size_t>(slot)] = std::move(state);
 
-    const std::string name = "r" + std::to_string(job_.topo.rank_of(slot)) +
-                             ".w" + std::to_string(job_.topo.world_of(slot)) +
-                             ".rec";
-    const int pid = engine_.spawn(name, [this, slot] { slot_body(slot); });
+    const int pid = engine_.spawn(slot_name(job_.topo, slot, ".rec"),
+                                  [this, slot] { slot_body(slot); });
     job_.endpoint(slot).rebind_process(pid);
     job_.pids[static_cast<std::size_t>(slot)] = pid;
   };
@@ -208,9 +217,8 @@ sim::RunOutcome World::drive() {
   bytes_at_start_ = util::byte_counters();
   const Topology& topo = job_.topo;
   for (int s = 0; s < topo.nslots(); ++s) {
-    const std::string name = "r" + std::to_string(topo.rank_of(s)) + ".w" +
-                             std::to_string(topo.world_of(s));
-    const int pid = engine_.spawn(name, [this, s] { slot_body(s); });
+    const int pid =
+        engine_.spawn(slot_name(topo, s, ""), [this, s] { slot_body(s); });
     job_.endpoint(s).bind_process(pid);
     job_.pids[static_cast<std::size_t>(s)] = pid;
   }

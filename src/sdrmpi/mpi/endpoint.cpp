@@ -1,5 +1,6 @@
 #include "sdrmpi/mpi/endpoint.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,11 @@ namespace sdrmpi::mpi {
 namespace {
 /// Context ids 0..3 are reserved: 0/1 internal world, 2/3 application world.
 constexpr CommCtx kFirstDynamicCtx = 4;
+
+/// Bytes a receive can take: the sink bound or the buffer size.
+std::size_t cap(const Request& req) noexcept {
+  return req->sink ? req->sink_cap : req->recv_buf.size();
+}
 }  // namespace
 
 Endpoint::Endpoint(net::Fabric& fabric, int slot, int world, int nworlds)
@@ -329,47 +335,28 @@ bool Endpoint::testall(std::span<Request> reqs) {
 
 Status Endpoint::probe(CommCtx ctx, int src_rank, int tag) {
   enter_call();
-  Status status;
+  std::optional<Status> status;
   progress_until(
-      [&] {
-        auto& m = ctx_state(ctx);
-        for (const auto& f : m.unexpected) {
-          const bool src_ok =
-              src_rank == kAnySource || f.h.src_rank == src_rank;
-          const bool tag_ok = tag == kAnyTag || f.h.tag == tag;
-          if (src_ok && tag_ok) {
-            status.source = f.h.src_rank;
-            status.tag = f.h.tag;
-            status.bytes = f.h.kind == FrameKind::Rts
-                               ? static_cast<std::size_t>(f.h.value)
-                               : f.bulk.size();
-            return true;
-          }
-        }
-        return false;
-      },
+      [&] { return (status = peek(ctx, src_rank, tag)).has_value(); },
       "probe");
-  return status;
+  return *status;
 }
 
 std::optional<Status> Endpoint::iprobe(CommCtx ctx, int src_rank, int tag) {
   enter_call();
   progress();
-  auto& m = ctx_state(ctx);
-  for (const auto& f : m.unexpected) {
-    const bool src_ok = src_rank == kAnySource || f.h.src_rank == src_rank;
-    const bool tag_ok = tag == kAnyTag || f.h.tag == tag;
-    if (src_ok && tag_ok) {
-      Status status;
-      status.source = f.h.src_rank;
-      status.tag = f.h.tag;
-      status.bytes = f.h.kind == FrameKind::Rts
-                         ? static_cast<std::size_t>(f.h.value)
-                         : f.bulk.size();
-      return status;
-    }
-  }
-  return std::nullopt;
+  return peek(ctx, src_rank, tag);
+}
+
+std::optional<Status> Endpoint::peek(CommCtx ctx, int src_rank, int tag) {
+  CtxState& m = ctx_state(ctx);
+  const auto it = oldest_unexpected(m, src_rank, tag);
+  if (it == m.unexpected.end()) return std::nullopt;
+  // An RTS announces the size its payload will have.
+  return Status{it->h.src_rank, it->h.tag,
+                it->h.kind == FrameKind::Rts
+                    ? static_cast<std::size_t>(it->h.value)
+                    : it->bulk.size()};
 }
 
 // ---------------------------------------------------------------------------
@@ -408,16 +395,9 @@ void Endpoint::base_isend(CommCtx ctx, int dst_rank, int dst_slot, int tag,
     // the payload is injected.
     h.kind = FrameKind::Rts;
     h.value = payload.size();
-    h.aux = next_rdv_id_;
-    RdvSend rec;
-    rec.id = next_rdv_id_;
-    rec.payload = payload;
-    rec.dst_slot = dst_slot;
-    rec.req = req;
-    rec.header = h;
-    rdv_sends_.push_back(std::move(rec));
-    ++next_rdv_id_;
-    if (req != nullptr) ++req->local_pending;
+    h.aux = next_rdv_id_++;
+    rdv_sends_.push_back(RdvSend{payload, dst_slot, req, h});
+    ++req->local_pending;
     fabric_.send(dst_slot, h, {}, net::kHeaderBytes);
   }
 }
@@ -428,32 +408,22 @@ void Endpoint::base_irecv(CommCtx ctx, int src_rank, int tag,
   if (req->recv_buf.data() == nullptr) req->recv_buf = buf;
   req->posted = true;
   req->local_pending = 1;
-  // The matching engine consults match_src/tag through the request fields;
+  // The match source rides in status.source until the receive completes;
   // peer_rank keeps what the *application* posted (possibly ANY_SOURCE) so
-  // protocols can distinguish wildcard receives; match_rank is what we
-  // actually match on (the leader protocol narrows it).
+  // protocols can distinguish wildcard receives (the leader protocol
+  // narrows the match source).
+  req->status.source = src_rank;
   req->tag = tag;
 
-  auto& m = ctx_state(ctx);
-  // Look through already-arrived (unexpected) frames first, oldest first.
-  for (auto it = m.unexpected.begin(); it != m.unexpected.end(); ++it) {
-    const bool src_ok = src_rank == kAnySource || it->h.src_rank == src_rank;
-    const bool tag_ok = tag == kAnyTag || it->h.tag == tag;
-    if (!src_ok || !tag_ok) continue;
-    net::Delivery f = std::move(*it);
-    m.unexpected.erase(it);
-    protocol_->on_match(*this, f.h, req);
-    if (f.h.kind == FrameKind::Eager) {
-      deliver_eager(std::move(f), req);
-    } else {
-      start_rendezvous_recv(f.h, req, /*discard=*/false);
-    }
+  CtxState& m = ctx_state(ctx);
+  const auto it = oldest_unexpected(m, src_rank, tag);
+  if (it == m.unexpected.end()) {
+    m.posted.push_back(req);
     return;
   }
-  // No match yet: remember the source we match on and queue the request.
-  // We smuggle the match source through status.source until matched.
-  req->status.source = src_rank;
-  m.posted.push_back(req);
+  net::Delivery f = std::move(*it);
+  m.unexpected.erase(it);
+  deliver(std::move(f), req);
 }
 
 void Endpoint::send_ctl(int dst_slot, FrameHeader h,
@@ -510,6 +480,9 @@ void Endpoint::handle_frame(net::Delivery&& d) {
     case FrameKind::RdvData:
       handle_rdv_data(std::move(d));
       break;
+    case FrameKind::Failure:
+      on_peer_dead(static_cast<int>(d.h.value));
+      [[fallthrough]];
     default:
       protocol_->on_ctl(*this, d.h, d.bulk.bytes());
       break;
@@ -527,14 +500,16 @@ void Endpoint::handle_data_frame(net::Delivery&& f) {
     if (f.h.kind == FrameKind::Rts) {
       // A duplicate RTS may actually be the retransmission of a rendezvous
       // whose original sender died between RTS and payload: re-attach it.
+      // The sender's liveness is read from the fabric, not left to
+      // on_peer_dead: under Mirror the sibling's RTS can arrive before this
+      // endpoint has processed the Failure notification.
       for (auto it = rdv_recvs_.begin(); it != rdv_recvs_.end(); ++it) {
         if (!it->discard && it->header.ctx == f.h.ctx &&
             it->header.src_rank == f.h.src_rank && it->header.seq == f.h.seq &&
             !fabric_.alive(it->header.src_slot)) {
-          RdvRecv moved = std::move(*it);
+          const Request req = std::move(it->req);
           rdv_recvs_.erase(it);
-          moved.header = f.h;
-          start_rendezvous_recv(f.h, moved.req, /*discard=*/false);
+          start_rendezvous_recv(f.h, req, /*discard=*/false);
           return;
         }
       }
@@ -571,68 +546,50 @@ void Endpoint::handle_data_frame(net::Delivery&& f) {
   }
 }
 
-bool Endpoint::matches(const Request& recv, const FrameHeader& h) {
-  const int want_src = recv->status.source;  // narrowed match source
-  const bool src_ok = want_src == kAnySource || want_src == h.src_rank;
-  const bool tag_ok = recv->tag == kAnyTag || recv->tag == h.tag;
-  return src_ok && tag_ok;
+bool Endpoint::matches(int src_rank, int tag, const FrameHeader& h) noexcept {
+  return (src_rank == kAnySource || src_rank == h.src_rank) &&
+         (tag == kAnyTag || tag == h.tag);
+}
+
+std::vector<net::Delivery>::iterator Endpoint::oldest_unexpected(
+    CtxState& m, int src_rank, int tag) {
+  return std::find_if(
+      m.unexpected.begin(), m.unexpected.end(),
+      [&](const net::Delivery& f) { return matches(src_rank, tag, f.h); });
 }
 
 void Endpoint::match_or_queue(net::Delivery&& f) {
-  auto& m = ctx_state(f.h.ctx);
-  for (auto it = m.posted.begin(); it != m.posted.end(); ++it) {
-    if (!matches(*it, f.h)) continue;
-    Request req = *it;
-    m.posted.erase(it);
-    protocol_->on_match(*this, f.h, req);
-    if (f.h.kind == FrameKind::Eager) {
-      deliver_eager(std::move(f), req);
-    } else {
-      start_rendezvous_recv(f.h, req, /*discard=*/false);
-    }
+  CtxState& m = ctx_state(f.h.ctx);
+  const auto it =
+      std::find_if(m.posted.begin(), m.posted.end(), [&](const Request& r) {
+        return matches(r->status.source, r->tag, f.h);
+      });
+  if (it == m.posted.end()) {
+    ++stats_.unexpected;
+    m.unexpected.push_back(std::move(f));
     return;
   }
-  ++stats_.unexpected;
-  m.unexpected.push_back(std::move(f));
+  const Request req = std::move(*it);
+  m.posted.erase(it);
+  deliver(std::move(f), req);
 }
 
-void Endpoint::deliver_eager(net::Delivery&& f, const Request& req) {
-  const std::size_t cap = req->sink ? req->sink_cap : req->recv_buf.size();
-  if (f.bulk.size() > cap) {
-    throw std::runtime_error("sdrmpi: message truncation (eager recv)");
+void Endpoint::deliver(net::Delivery&& f, const Request& req) {
+  protocol_->on_match(*this, f.h, req);
+  if (f.h.kind == FrameKind::Eager) {
+    complete_recv(f.h, std::move(f.bulk), req);
+  } else {
+    start_rendezvous_recv(f.h, req, /*discard=*/false);
   }
-  if (!req->sink) {
-    // Buffer mode: write the contents straight into the application buffer
-    // (symbolic contents and ropes are generated there, never materialized
-    // first). Sink mode records the delivered handle only — no bytes.
-    f.bulk.copy_to(req->recv_buf.data());
-  }
-  req->status.bytes = f.bulk.size();
-  req->recv_payload = std::move(f.bulk);
-  complete_recv(f.h, req);
 }
 
 void Endpoint::start_rendezvous_recv(const FrameHeader& rts,
                                      const Request& req, bool discard) {
-  if (!discard &&
-      rts.value > (req->sink ? req->sink_cap : req->recv_buf.size())) {
+  if (!discard && rts.value > cap(req)) {
     throw std::runtime_error("sdrmpi: message truncation (rendezvous recv)");
   }
-  RdvRecv rec;
-  rec.src_slot = rts.src_slot;
-  rec.rdv_id = rts.aux;
-  rec.req = req;
-  rec.header = rts;
-  rec.discard = discard;
-  bool replaced = false;
-  for (RdvRecv& rr : rdv_recvs_) {
-    if (rr.src_slot == rec.src_slot && rr.rdv_id == rec.rdv_id) {
-      rr = std::move(rec);
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) rdv_recvs_.push_back(std::move(rec));
+  // (src_slot, aux) names one RTS, so the key is never in the table yet.
+  rdv_recvs_.push_back(RdvRecv{req, rts, discard});
 
   FrameHeader cts;
   cts.kind = FrameKind::Cts;
@@ -644,28 +601,27 @@ void Endpoint::start_rendezvous_recv(const FrameHeader& rts,
 }
 
 void Endpoint::handle_cts(const FrameHeader& h) {
-  auto it = rdv_sends_.begin();
-  while (it != rdv_sends_.end() && it->id != h.value) ++it;
-  if (it == rdv_sends_.end()) return;  // stale CTS after failover
+  const auto it =
+      std::find_if(rdv_sends_.begin(), rdv_sends_.end(),
+                   [&](const RdvSend& rs) { return rs.header.aux == h.value; });
+  if (it == rdv_sends_.end()) return;  // stale: on_peer_dead finished it
   RdvSend rec = std::move(*it);
   rdv_sends_.erase(it);
 
   FrameHeader dh = rec.header;
   dh.kind = FrameKind::RdvData;
-  dh.aux = h.value;
   // The staged payload rides as the bulk attachment — zero-copy from the
   // rendezvous store to the receiver.
   const std::size_t wire = rec.payload.size() + net::kDataEnvelopeBytes;
   fabric_.send(rec.dst_slot, dh, std::move(rec.payload), wire);
-  if (rec.req != nullptr) --rec.req->local_pending;
+  --rec.req->local_pending;
 }
 
 void Endpoint::handle_rdv_data(net::Delivery&& f) {
-  auto it = rdv_recvs_.begin();
-  while (it != rdv_recvs_.end() &&
-         !(it->src_slot == f.h.src_slot && it->rdv_id == f.h.aux)) {
-    ++it;
-  }
+  const auto it = std::find_if(
+      rdv_recvs_.begin(), rdv_recvs_.end(), [&](const RdvRecv& rr) {
+        return rr.header.src_slot == f.h.src_slot && rr.header.aux == f.h.aux;
+      });
   if (it == rdv_recvs_.end()) return;
   RdvRecv rec = std::move(*it);
   rdv_recvs_.erase(it);
@@ -673,18 +629,20 @@ void Endpoint::handle_rdv_data(net::Delivery&& f) {
     ++stats_.duplicates_dropped;
     return;
   }
-  const std::size_t cap =
-      rec.req->sink ? rec.req->sink_cap : rec.req->recv_buf.size();
-  if (f.bulk.size() > cap) {
-    throw std::runtime_error("sdrmpi: message truncation (rendezvous data)");
-  }
-  if (!rec.req->sink) f.bulk.copy_to(rec.req->recv_buf.data());
-  rec.req->status.bytes = f.bulk.size();
-  rec.req->recv_payload = std::move(f.bulk);
-  complete_recv(rec.header, rec.req);
+  complete_recv(rec.header, std::move(f.bulk), rec.req);
 }
 
-void Endpoint::complete_recv(const FrameHeader& h, const Request& req) {
+void Endpoint::complete_recv(const FrameHeader& h, net::Payload&& bulk,
+                             const Request& req) {
+  if (bulk.size() > cap(req)) {
+    throw std::runtime_error("sdrmpi: message truncation (recv)");
+  }
+  // Buffer mode writes the contents straight into the application buffer
+  // (symbolic contents and ropes are generated there, never materialized
+  // first). Sink mode records the delivered handle only — no bytes.
+  if (!req->sink) bulk.copy_to(req->recv_buf.data());
+  req->status.bytes = bulk.size();
+  req->recv_payload = std::move(bulk);
   req->status.source = h.src_rank;
   req->status.tag = h.tag;
   req->seq = h.seq;
@@ -696,6 +654,21 @@ void Endpoint::complete_recv(const FrameHeader& h, const Request& req) {
   // longer would pin large slabs in the request recycler. Sink receives
   // keep it — the handle IS the delivered data.
   if (!req->sink) req->recv_payload.reset();
+}
+
+void Endpoint::on_peer_dead(int slot) {
+  // A rendezvous send to a dead slot would wait for a CTS that never comes
+  // and hold its request open forever. Dropping the copy is safe: under
+  // SDR/Leader the sender keeps the payload in its ack store until the
+  // other replicas of the destination ack it, for a substitute's resend,
+  // and under Mirror the sibling copy already went to the other replica.
+  // A CTS the dead slot sent before it died finds no entry, like any stale
+  // CTS.
+  std::erase_if(rdv_sends_, [slot](const RdvSend& rs) {
+    if (rs.dst_slot != slot) return false;
+    --rs.req->local_pending;
+    return true;
+  });
 }
 
 void Endpoint::recovery_point() {
@@ -730,12 +703,13 @@ std::string Endpoint::debug_state() const {
     }
   }
   for (const RdvSend& rs : rdv_sends_) {
-    os << " rdv_send(id=" << rs.id << ",dst_slot=" << rs.dst_slot << ")";
+    os << " rdv_send(id=" << rs.header.aux << ",dst_slot=" << rs.dst_slot
+       << ")";
   }
   for (const RdvRecv& rr : rdv_recvs_) {
     if (!rr.discard) {
-      os << " rdv_recv(src_slot=" << rr.src_slot << ",seq=" << rr.header.seq
-         << ")";
+      os << " rdv_recv(src_slot=" << rr.header.src_slot
+         << ",seq=" << rr.header.seq << ")";
     }
   }
   if (inbox_head_ < inbox_.size()) {

@@ -6,12 +6,18 @@
 // progress happens inside MPI calls — the default Open MPI / MPICH2
 // behaviour that the paper's ack-on-irecvComplete argument depends on.
 //
-// Hot-path layout: per-channel sequence counters and the context→comm
-// mapping are flat vectors indexed by the (dense) context id and peer rank
-// — the seed code's std::map<std::pair<CommCtx,int>,...> lookups are gone
-// from the send/receive path. Message payloads are refcounted pool-backed
-// net::Payload handles end to end: unexpected/parked frames and pending
-// rendezvous transfers alias the delivered buffer instead of copying it.
+// Each receive-side decision has one place. `matches` is the (src, tag)
+// rule. `oldest_unexpected` is where a posted receive, probe or iprobe —
+// wildcard or not — picks its frame. `deliver` runs on_match, then eager
+// completion or the rendezvous start, and `complete_recv` finishes eager
+// and rendezvous payloads alike. `on_peer_dead(slot)` is the one hook for
+// a dead peer: it runs on the failure detector's Failure frame, before the
+// protocol sees it.
+//
+// Per-channel sequence counters and the context→comm mapping are flat
+// vectors indexed by the dense context id and peer rank. Payloads are
+// refcounted pool-backed net::Payload handles end to end: queued frames
+// and pending rendezvous transfers alias the delivered buffer.
 //
 // Replication protocols intercept traffic through the Vprotocol hooks; the
 // endpoint provides them base operations (base_isend / base_irecv /
@@ -79,21 +85,18 @@ class Endpoint {
     std::map<int, std::map<std::uint64_t, net::Delivery>> parked;  // reorder
     int comm_handle = -1;  ///< registered communicator, -1 if none yet
   };
-  /// Pending rendezvous transfers live in flat vectors looked up by their
-  /// unique id/key (a handful live at a time; the former std::map paid a
-  /// node allocation per large message).
+  /// Pending rendezvous transfers: flat vectors (a handful live at a time)
+  /// keyed by the RTS header they keep, whose aux is the sender's
+  /// rendezvous id — a send by `aux`, a receive by `(src_slot, aux)`.
   struct RdvSend {
-    std::uint64_t id = 0;
     net::Payload payload;  ///< shared with sibling copies / ack store
     int dst_slot = -1;
     Request req;
-    FrameHeader header;
+    FrameHeader header;  ///< the RTS sent
   };
   struct RdvRecv {
-    int src_slot = -1;
-    std::uint64_t rdv_id = 0;
     Request req;
-    FrameHeader header;  // original Rts header
+    FrameHeader header;  ///< the RTS matched (or re-attached)
     bool discard = false;
   };
 
@@ -276,14 +279,20 @@ class Endpoint {
   void on_delivery(net::Delivery&& d);
   void handle_frame(net::Delivery&& d);
   void handle_data_frame(net::Delivery&& f);
+  [[nodiscard]] static bool matches(int src_rank, int tag,
+                                    const FrameHeader& h) noexcept;
+  [[nodiscard]] static std::vector<net::Delivery>::iterator oldest_unexpected(
+      CtxState& m, int src_rank, int tag);
+  [[nodiscard]] std::optional<Status> peek(CommCtx ctx, int src_rank, int tag);
   void match_or_queue(net::Delivery&& f);
-  void deliver_eager(net::Delivery&& f, const Request& req);
+  void deliver(net::Delivery&& f, const Request& req);
   void start_rendezvous_recv(const FrameHeader& rts, const Request& req,
                              bool discard);
   void handle_cts(const FrameHeader& h);
   void handle_rdv_data(net::Delivery&& f);
-  [[nodiscard]] static bool matches(const Request& recv, const FrameHeader& h);
-  void complete_recv(const FrameHeader& h, const Request& req);
+  void complete_recv(const FrameHeader& h, net::Payload&& bulk,
+                     const Request& req);
+  void on_peer_dead(int slot);
   void fire_app_complete(const Request& req);
 
   [[nodiscard]] CtxState& ctx_state(CommCtx ctx) {

@@ -15,9 +15,4 @@ using net::FrameHeader;
 using net::FrameKind;
 static_assert(std::is_same_v<decltype(FrameHeader::ctx), CommCtx>);
 
-[[nodiscard]] constexpr bool is_data_kind(FrameKind k) noexcept {
-  return k == FrameKind::Eager || k == FrameKind::Rts ||
-         k == FrameKind::Cts || k == FrameKind::RdvData;
-}
-
 }  // namespace sdrmpi::mpi

@@ -3,6 +3,7 @@
 // after a replica fail-stop.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "test_support.hpp"
@@ -65,6 +66,22 @@ TEST(Failure, SubstituteResendsBufferedMessages) {
   EXPECT_GT(res.protocol.resends, 0u);
 }
 
+/// Every run in `runs` is clean and each surviving process reported the
+/// checksum of its rank in `native`.
+void expect_survivors_match_native(const std::vector<core::RunResult>& runs,
+                                   const std::vector<std::string>& labels,
+                                   const core::RunResult& native) {
+  ASSERT_EQ(runs.size(), labels.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(run_clean(runs[i])) << labels[i];
+    for (const auto& slot : runs[i].slots) {
+      if (!slot.reported_checksum) continue;
+      EXPECT_EQ(slot.checksum, native.checksum_of(slot.rank))
+          << labels[i] << ": slot " << slot.slot << " diverged";
+    }
+  }
+}
+
 struct FaultCase {
   const char* workload;
   int nranks;
@@ -85,13 +102,8 @@ TEST_P(WorkloadWithFault, SurvivorsMatchNative) {
   auto cfg = quick_config(nranks, 2, core::ProtocolKind::Sdr);
   cfg.faults.push_back(
       {.slot = crash_slot, .at_time = -1, .at_send = at_send});
-  auto res = core::run(cfg, small_workload(name));
-  ASSERT_TRUE(run_clean(res));
-  for (const auto& slot : res.slots) {
-    if (!slot.reported_checksum) continue;
-    EXPECT_EQ(slot.checksum, native.checksum_of(slot.rank))
-        << name << " slot " << slot.slot << " diverged after failover";
-  }
+  expect_survivors_match_native({core::run(cfg, small_workload(name))},
+                                {name}, native);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,6 +186,92 @@ TEST(Failure, CrashDuringRendezvousIsRetransmitted) {
         << "world-1 receiver lost data after sender crash at send "
         << at_send;
   }
+}
+
+/// Two ranks swap `bytes`-sized vectors in `rounds` sendrecv rounds.
+core::AppFn sendrecv_app(int rounds, std::size_t bytes) {
+  return [rounds, bytes](mpi::Env& env) {
+    auto& world = env.world();
+    const int peer = env.rank() ^ 1;
+    std::vector<double> out(bytes / sizeof(double));
+    std::vector<double> in(out.size());
+    double acc = env.rank() + 1.0;
+    for (int r = 0; r < rounds; ++r) {
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = acc + static_cast<double>(i);
+      }
+      world.sendrecv(std::span<const double>(out), peer, r,
+                     std::span<double>(in), peer, r);
+      acc += in[in.size() / 2] * 0.5;
+    }
+    util::Checksum cs;
+    cs.add_double(acc);
+    env.report_checksum(cs.digest());
+  };
+}
+
+// A rendezvous send whose destination dies must still complete: its CTS
+// will never come. Every single crash of a 2-rank r=2 exchange above the
+// eager threshold, under each protocol that survives a replica crash.
+TEST(Failure, RendezvousSendToDeadPeerCompletes) {
+  constexpr int kRounds = 6;
+  constexpr std::size_t kBytes = 16 * 1024;
+  static_assert(kBytes > net::NetParams{}.eager_threshold);
+  const auto app = sendrecv_app(kRounds, kBytes);
+  const auto native =
+      core::run(quick_config(2, 1, core::ProtocolKind::Native), app);
+  ASSERT_TRUE(run_clean(native));
+
+  std::vector<core::RunConfig> configs;
+  std::vector<std::string> labels;
+  for (const auto proto : {core::ProtocolKind::Sdr, core::ProtocolKind::Leader,
+                           core::ProtocolKind::Mirror}) {
+    for (int slot = 0; slot < 4; ++slot) {
+      for (std::int64_t at_send = 0; at_send <= kRounds; ++at_send) {
+        auto cfg = quick_config(2, 2, proto);
+        cfg.faults.push_back({.slot = slot, .at_time = -1, .at_send = at_send});
+        cfg.time_limit = timeunits::seconds(1.0);
+        configs.push_back(cfg);
+        labels.push_back(std::string(core::to_string(proto)) + " slot " +
+                         std::to_string(slot) + " send " +
+                         std::to_string(at_send));
+      }
+    }
+  }
+  expect_survivors_match_native(core::run_many(configs, app), labels, native);
+}
+
+// The same hang inside a collective: 8-rank CG with the Bruck allgather
+// (rendezvous-sized blocks), SDR, every single (slot, at_send) crash.
+TEST(Failure, CgBruckSurvivesEverySingleCrash) {
+  util::Options opts;
+  opts.set("nrows", "4096");
+  opts.set("iters", "2");
+  const auto app = wl::make_workload("cg", opts);
+  auto base = quick_config(8, 1, core::ProtocolKind::Native);
+  base.coll.allgather = mpi::AllgatherAlg::Bruck;
+  const auto native = core::run(base, app);
+  ASSERT_TRUE(run_clean(native));
+  // 40 crash points per slot cover every send of every process (each
+  // rank sends 21 times here); the later ones never fire.
+  constexpr std::int64_t kCrashPoints = 40;
+  ASSERT_LT(native.app_sends / 8, static_cast<std::uint64_t>(kCrashPoints));
+
+  std::vector<core::RunConfig> configs;
+  std::vector<std::string> labels;
+  for (int slot = 0; slot < 16; ++slot) {
+    for (std::int64_t at_send = 0; at_send < kCrashPoints; ++at_send) {
+      auto cfg = base;
+      cfg.protocol = core::ProtocolKind::Sdr;
+      cfg.replication = 2;
+      cfg.faults.push_back({.slot = slot, .at_time = -1, .at_send = at_send});
+      cfg.time_limit = timeunits::seconds(1.0);
+      configs.push_back(cfg);
+      labels.push_back("slot " + std::to_string(slot) + " send " +
+                       std::to_string(at_send));
+    }
+  }
+  expect_survivors_match_native(core::run_many(configs, app), labels, native);
 }
 
 TEST(Failure, NativeCrashIsFatal) {

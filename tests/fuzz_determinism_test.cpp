@@ -6,10 +6,11 @@
 // straddling the eager threshold), and runs the whole batch twice through
 // core::run_many with pool sizes 1 and 8. Every run must be bit-identical
 // between the two executions: final virtual times, per-slot outcomes,
-// traffic totals, ProtocolStats and FabricStats. This is the systematic
-// version of the hand-picked determinism_test scenarios, and the guard that
-// keeps the fat-tree contention backend inside the simulator's
-// reproducibility contract.
+// traffic totals, ProtocolStats and FabricStats. A fault case must also
+// run clean, every surviving replica holding a native run's checksum.
+// This is the systematic version of the hand-picked determinism_test
+// scenarios, and the guard that keeps the fat-tree contention backend
+// inside the simulator's reproducibility contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +29,7 @@ struct FuzzCase {
   core::RunConfig cfg;
   core::AppFn app;
   std::string label;
+  bool rendezvous = false;  ///< a ring whose messages pass eager_threshold
 };
 
 // ---- synthetic apps (deterministic given their captured parameters) --------
@@ -190,10 +192,18 @@ std::vector<FuzzCase> draw_cases() {
 
     switch (rng.below(3)) {
       case 0: {
-        // Message sizes straddle the eager/rendezvous threshold.
-        const int doubles = static_cast<int>(1 + rng.below(2048));
-        fc.app = ring_app(static_cast<int>(2 + rng.below(5)), doubles);
+        // Message sizes straddle the eager/rendezvous threshold, and a
+        // crash lands on a rendezvous-sized ring every other time.
+        int doubles = static_cast<int>(1 + rng.below(2048));
+        if (!cfg.faults.empty() && doubles % 2 == 0) {
+          doubles += static_cast<int>(cfg.net.eager_threshold / sizeof(double));
+        }
+        const int iters = static_cast<int>(2 + rng.below(5));
+        // Each rank sends once per iteration: crash on one of those sends.
+        for (auto& f : cfg.faults) f.at_send %= iters;
+        fc.app = ring_app(iters, doubles);
         fc.label = "ring";
+        fc.rendezvous = doubles * sizeof(double) > cfg.net.eager_threshold;
         break;
       }
       case 1:
@@ -251,6 +261,44 @@ TEST(FuzzDeterminism, PoolSizeNeverLeaksIntoResults) {
   const auto serial = core::run_many(configs, factory, {.threads = 1});
   const auto pooled = core::run_many(configs, factory, {.threads = 8});
   ASSERT_EQ(serial.size(), pooled.size());
+
+  // Oracle for fault cases: one crash leaves a replica of every rank
+  // alive, so the run is clean and every surviving (or recovered) replica
+  // holds the checksum of a native run of the same app.
+  std::vector<std::size_t> faulty;
+  std::vector<core::RunConfig> natives;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    if (cases[i].cfg.faults.empty()) continue;
+    core::RunConfig n = cases[i].cfg;
+    n.protocol = core::ProtocolKind::Native;
+    n.replication = 1;
+    n.faults.clear();
+    n.auto_recover = false;
+    faulty.push_back(i);
+    natives.push_back(n);
+  }
+  const auto native = core::run_many(
+      natives,
+      [&](const core::RunConfig&, std::size_t k) {
+        return cases[faulty[k]].app;
+      },
+      {.threads = 4});
+  int rendezvous_crashes = 0;
+  for (std::size_t k = 0; k < faulty.size(); ++k) {
+    const FuzzCase& c = cases[faulty[k]];
+    const core::RunResult& res = serial[faulty[k]];
+    ASSERT_TRUE(test::run_clean(native[k])) << c.label;
+    EXPECT_TRUE(test::run_clean(res)) << c.label;
+    for (const auto& slot : res.slots) {
+      if (slot.reported_checksum) {
+        EXPECT_EQ(slot.checksum, native[k].checksum_of(slot.rank))
+            << c.label << " slot " << slot.slot << " diverged from native";
+      }
+      if (c.rendezvous && slot.final_state == "Crashed") ++rendezvous_crashes;
+    }
+  }
+  // The rendezvous failover path must be among the crashes checked.
+  EXPECT_GE(rendezvous_crashes, 1);
 
   int clean = 0;
   for (std::size_t i = 0; i < serial.size(); ++i) {

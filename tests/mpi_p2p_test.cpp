@@ -2,6 +2,9 @@
 // eager/rendezvous, completion functions, probing, error cases.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "test_support.hpp"
 
 namespace sdrmpi {
@@ -229,34 +232,50 @@ TEST(P2p, TestPollsWithoutBlocking) {
   });
 }
 
+// Eager and rendezvous sizes (an RTS announces its payload's size): two
+// senders, and each wildcard probe's source names the message that the
+// recv from that source then gets.
 TEST(P2p, ProbeSeesPendingMessage) {
-  run2([](mpi::Env& env) {
-    auto& w = env.world();
-    if (env.rank() == 0) {
-      std::vector<double> v(5, 2.0);
-      w.send(std::span<const double>(v), 1, 42);
-    } else {
-      auto st = w.probe(mpi::kAnySource, 42);
-      EXPECT_EQ(st.source, 0);
-      EXPECT_EQ(st.bytes, 5 * sizeof(double));
-      std::vector<double> v(5);
-      w.recv(std::span<double>(v), st.source, 42);
-      EXPECT_DOUBLE_EQ(v[0], 2.0);
-    }
-  });
+  for (const std::size_t n : {std::size_t{5}, std::size_t{4096}}) {
+    run2(
+        [n](mpi::Env& env) {
+          auto& w = env.world();
+          if (env.rank() < 2) {
+            std::vector<double> v(n, env.rank() + 2.0);
+            w.send(std::span<const double>(v), 2, 42);
+          } else {
+            for (int k = 0; k < 2; ++k) {
+              const auto st = w.probe(mpi::kAnySource, 42);
+              EXPECT_EQ(st.bytes, n * sizeof(double));
+              std::vector<double> v(n);
+              EXPECT_EQ(w.recv(std::span<double>(v), st.source, 42).bytes,
+                        n * sizeof(double));
+              EXPECT_DOUBLE_EQ(v[n - 1], st.source + 2.0);
+            }
+          }
+        },
+        3);
+  }
 }
 
 TEST(P2p, IprobeNonBlocking) {
-  run2([](mpi::Env& env) {
-    auto& w = env.world();
-    if (env.rank() == 0) {
-      EXPECT_FALSE(w.iprobe(1, 99).has_value());  // nothing sent to me
-      w.send_value(1.0, 1, 99);
-    } else {
-      while (!w.iprobe(0, 99).has_value()) env.compute(1e-6);
-      EXPECT_DOUBLE_EQ(w.recv_value<double>(0, 99), 1.0);
-    }
-  });
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4096}}) {
+    run2([n](mpi::Env& env) {
+      auto& w = env.world();
+      if (env.rank() == 0) {
+        EXPECT_FALSE(w.iprobe(1, 99).has_value());  // nothing sent to me
+        const std::vector<double> v(n, 1.0);
+        w.send(std::span<const double>(v), 1, 99);
+      } else {
+        std::optional<mpi::Status> st;
+        while (!(st = w.iprobe(0, 99))) env.compute(1e-6);
+        EXPECT_EQ(st->bytes, n * sizeof(double));
+        std::vector<double> v(n);
+        w.recv(std::span<double>(v), 0, 99);
+        EXPECT_DOUBLE_EQ(v[n - 1], 1.0);
+      }
+    });
+  }
 }
 
 TEST(P2p, SendToSelf) {
@@ -285,21 +304,24 @@ TEST(P2p, ProcNullIsNoop) {
 }
 
 TEST(P2p, TruncationThrows) {
-  core::RunConfig cfg;
-  cfg.nranks = 2;
-  auto res = core::run(cfg, [](mpi::Env& env) {
-    auto& w = env.world();
-    if (env.rank() == 0) {
-      std::vector<double> v(8, 1.0);
-      w.send(std::span<const double>(v), 1, 0);
-    } else {
-      std::vector<double> v(2);  // too small
-      w.recv(std::span<double>(v), 0, 0);
-    }
-  });
-  EXPECT_FALSE(res.clean());
-  ASSERT_FALSE(res.errors.empty());
-  EXPECT_NE(res.errors[0].find("truncation"), std::string::npos);
+  // An eager message, and a rendezvous one (caught at its RTS).
+  for (const std::size_t n : {std::size_t{8}, std::size_t{4096}}) {
+    core::RunConfig cfg;
+    cfg.nranks = 2;
+    auto res = core::run(cfg, [n](mpi::Env& env) {
+      auto& w = env.world();
+      if (env.rank() == 0) {
+        std::vector<double> v(n, 1.0);
+        w.send(std::span<const double>(v), 1, 0);
+      } else {
+        std::vector<double> v(2);  // too small
+        w.recv(std::span<double>(v), 0, 0);
+      }
+    });
+    EXPECT_FALSE(res.clean()) << n;
+    ASSERT_FALSE(res.errors.empty()) << n;
+    EXPECT_NE(res.errors[0].find("truncation"), std::string::npos) << n;
+  }
 }
 
 TEST(P2p, SendrecvBothDirections) {

@@ -314,7 +314,7 @@ TEST(Engine, DeterministicOutcome) {
     Engine e;
     std::vector<int> order;
     for (int p = 0; p < 4; ++p) {
-      e.spawn("p" + std::to_string(p), [&, p] {
+      e.spawn(std::string("p").append(std::to_string(p)), [&, p] {
         for (int i = 0; i < 5; ++i) {
           e.advance(10 * (p + 1));
           e.yield();
@@ -432,7 +432,7 @@ TEST(Engine, FiberEntryStackIsAbiAligned) {
   Engine e;
   std::vector<std::uintptr_t> addrs;
   for (int p = 0; p < 2; ++p) {
-    e.spawn("p" + std::to_string(p), [&] {
+    e.spawn(std::string("p").append(std::to_string(p)), [&] {
       alignas(16) char first_frame[16] = {};
       addrs.push_back(reinterpret_cast<std::uintptr_t>(&first_frame[0]));
       addrs.push_back(aligned_local_address());

@@ -947,7 +947,7 @@ sweep::ServiceOptions remote_options(sweep::RemoteTuning tuning) {
   o.listen = "127.0.0.1:0";
   o.remote = tuning;
   o.spec = [](const core::RunConfig&, std::size_t i) {
-    return "p" + std::to_string(i);
+    return std::string("p").append(std::to_string(i));
   };
   return o;
 }

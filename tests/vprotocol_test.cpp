@@ -68,7 +68,7 @@ struct Rig {
 
   void spawn(int slot, std::function<void(mpi::Endpoint&)> body) {
     const int pid = engine.spawn(
-        "p" + std::to_string(slot),
+        std::string("p").append(std::to_string(slot)),
         [this, slot, body = std::move(body)] { body(*eps[static_cast<std::size_t>(slot)]); });
     eps[static_cast<std::size_t>(slot)]->bind_process(pid);
   }
