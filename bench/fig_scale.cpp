@@ -8,8 +8,9 @@
 // regression gates (--check):
 //
 //   * peak-RSS-per-slot — host bytes per simulated MPI process across the
-//     whole sweep stay under kMaxRssKbPerSlot (measured ~125 KB/slot over
-//     the full default grid; the dense-state engine sat at ~4800).
+//     whole sweep stay under kMaxRssKbPerSlot (measured ~28 KB/slot over
+//     the full default grid at 4 threads; the dense-state engine sat at
+//     ~4800).
 //   * sends/sec floor — host throughput at 4k ranks stays above
 //     kMinSendsPerSec (the O(procs)-per-event scheduler scan this repo
 //     replaced with a runnable min-heap would fail it by ~50x).
@@ -27,9 +28,10 @@
 namespace {
 
 // Host bytes per simulated MPI process (slot), over the sweep's peak RSS.
-// Measured over the full default grid (both apps, up to 4k ranks x r=2):
-// ~1 GB peak over 8192 max slots, ~125 KB/slot. 2x headroom for allocator
-// and libc variation; the pre-diet engine's ~4800 KB/slot is 18x past it.
+// Measured over the full default grid (both apps, up to 4k ranks x r=2)
+// on a 4-vCPU host: 218-232 MB peak over 8192 max slots, ~28 KB/slot; one
+// 4k world alone (--pool=1) peaks at 87 MB, ~11 KB/slot, flat from 1k ranks.
+// The pre-diet engine's ~4800 KB/slot is 18x past the bound.
 constexpr long kMaxRssKbPerSlot = 256;
 
 // Host sends/sec floor over the whole sweep (total simulated application
@@ -83,9 +85,14 @@ static int bench_main(const sdrmpi::util::Options& opts) {
             wl_opts.set("nrows", std::to_string(64 * r));
           }
           if (!opts.has("iters")) wl_opts.set("iters", "4");
-        } else {  // ft: nz must be a power of two divisible by nranks
-          if (!opts.has("nz")) {
-            wl_opts.set("nz", std::to_string(std::max<std::int64_t>(64, r)));
+        } else {
+          // ft: nx and nz must be powers of two divisible by nranks; one
+          // x- and one z-plane per rank gives 512 B transpose blocks
+          // (nx/np * ny * nz/np complex values, ny = 32).
+          for (const char* axis : {"nx", "nz"}) {
+            if (!opts.has(axis)) {
+              wl_opts.set(axis, std::to_string(std::max<std::int64_t>(64, r)));
+            }
           }
           if (!opts.has("iters")) wl_opts.set("iters", "2");
         }
@@ -94,7 +101,7 @@ static int bench_main(const sdrmpi::util::Options& opts) {
         // FT share byte-identical configs here) and lets remote workers
         // rebuild the exact workload.
         std::string spec = app_name;
-        for (const char* key : {"symbolic", "nrows", "nz", "iters"}) {
+        for (const char* key : {"symbolic", "nrows", "nx", "nz", "iters"}) {
           if (wl_opts.has(key)) {
             spec += std::string(" ") + key + "=" + wl_opts.get_string(key, "");
           }
@@ -135,14 +142,15 @@ static int bench_main(const sdrmpi::util::Options& opts) {
     bench::emit_json(std::cout, "scale", points, results);
   } else {
     util::Table table({"Network", "App", "Ranks", "Native (s)", "SDR r=2 (s)",
-                       "Overhead (%)", "KB/slot (SDR)"});
+                       "Overhead (%)", "B/slot (SDR)"});
     for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
       const bench::Point& pn = points[i];
       const double t_native = results[i].mean_sec;
       const double t_sdr = results[i + 1].mean_sec;
       const core::RunResult& sdr_run = results[i + 1].run;
-      const std::uint64_t host_bytes = sdr_run.mem.stack_bytes_peak +
-                                       sdr_run.mem.endpoint_bytes +
+      // Accounted heap state in bytes: mapped fiber stacks (256 KiB a slot,
+      // mostly never touched) would swamp the column and hide its growth.
+      const std::uint64_t host_bytes = sdr_run.mem.endpoint_bytes +
                                        sdr_run.mem.fabric_bytes +
                                        sdr_run.mem.payload_slab_bytes;
       const long slots =
@@ -156,8 +164,7 @@ static int bench_main(const sdrmpi::util::Options& opts) {
            std::to_string(pn.cfg.nranks), util::format_double(t_native, 4),
            util::format_double(t_sdr, 4),
            util::format_double(util::overhead_percent(t_native, t_sdr), 2),
-           std::to_string(
-               static_cast<long>(host_bytes / 1024) / slots)});
+           std::to_string(static_cast<long>(host_bytes) / slots)});
     }
     table.print(std::cout);
     std::cout << "\nhost: " << total_sends << " sends in "
@@ -169,9 +176,11 @@ static int bench_main(const sdrmpi::util::Options& opts) {
 
   if (opts.get_bool("check", false)) {
     bool ok = true;
-    // Peak RSS is a process-wide high-water mark: points run sequentially
-    // and each engine is torn down after its run, so the peak is set by
-    // the largest point — gate it per slot of that point.
+    // Peak RSS is a process-wide high-water mark over every world alive at
+    // once: --pool defaults to hardware concurrency, so that many points
+    // overlap (four 4k-rank worlds on a 4-core host). The bound is per slot
+    // of the largest point, which holds while per-world memory is flat in
+    // the rank count: the overlapping worlds together stay far under it.
     const long bound_mb = max_slots * kMaxRssKbPerSlot / 1024;
     if (!bench::check_max_rss_mb("fig_scale", bound_mb)) ok = false;
     std::cerr << "fig_scale: " << static_cast<long>(sends_per_sec)

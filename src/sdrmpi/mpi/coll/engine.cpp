@@ -13,8 +13,17 @@
 //  * Rabenseifner falls back to recursive doubling when the vector has
 //    fewer elements than the power-of-two participant count (or a ragged
 //    element size) — deterministic, like MPICH's count >= pof2 guard.
+//  * Ring schedules (ring allgather, pairwise alltoall, the bcast segment
+//    ring) receive blocks in descending cyclic order from their own
+//    index: me - 1, ..., 0, n - 1, ..., me + 1. Prepending each arrival
+//    builds two runs, [0, me] and past the wrap [me + 1, n), joined once
+//    at the end; contiguous segments of one symbolic or Raw source re-merge
+//    on every prepend, so a bcast result is the root's own payload again.
 #include "sdrmpi/mpi/coll/engine.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -43,6 +52,31 @@ constexpr int kTagAllreduce = 0x100b;
   return p;
 }
 
+/// `a` followed by `b`, joined without a copy.
+[[nodiscard]] net::Payload join(util::BufferPool* pool, const net::Payload& a,
+                                const net::Payload& b) {
+  const net::Payload parts[2] = {a, b};
+  return net::Payload::concat_payloads(pool, parts);
+}
+
+/// part(0), ..., part(count - 1) joined in order, batched 16 to a
+/// concat_payloads call: a rope's leaf table is copied once per batch, not
+/// once per part, and no table of all the parts exists.
+template <class PartFn>
+[[nodiscard]] net::Payload join_all(util::BufferPool* pool, int count,
+                                    PartFn part) {
+  std::array<net::Payload, 17> parts;  // parts[0] holds the join so far
+  std::size_t used = 1;
+  for (int i = 0; i < count; ++i) {
+    parts[used++] = part(i);
+    if (used < parts.size() && i + 1 < count) continue;
+    parts[0] = net::Payload::concat_payloads(
+        pool, std::span<const net::Payload>(parts.data(), used));
+    for (; used > 1; --used) parts[used - 1].reset();
+  }
+  return std::move(parts[0]);
+}
+
 }  // namespace
 
 CollEngine::CollEngine(Endpoint& ep, const CommInfo& info)
@@ -52,7 +86,7 @@ CollEngine::CollEngine(Endpoint& ep, const CommInfo& info)
       size_(static_cast<int>(info.rank_to_slot.size())),
       tune_(ep.coll_tuning()),
       pool_(&ep.buffer_pool()),
-      scratch_(ep.coll_scratch()) {}
+      reqs_(ep.coll_requests()) {}
 
 // ---------------------------------------------------------------------------
 // p2p primitives
@@ -164,16 +198,15 @@ net::Payload CollEngine::bcast_binomial(const net::Payload& mine,
   }
   mask >>= 1;
   // Nonblocking fan-out: every child send aliases the one delivered handle.
-  auto& reqs = scratch_.reqs;
-  reqs.clear();
+  reqs_.clear();
   while (mask > 0) {
     if (rel + mask < n) {
-      reqs.push_back(isend_p(data, abs_rank(rel + mask, root), kTagBcast));
+      reqs_.push_back(isend_p(data, abs_rank(rel + mask, root), kTagBcast));
     }
     mask >>= 1;
   }
-  if (!reqs.empty()) ep_.waitall(reqs);
-  reqs.clear();
+  if (!reqs_.empty()) ep_.waitall(reqs_);
+  reqs_.clear();
   return data;
 }
 
@@ -215,30 +248,23 @@ net::Payload CollEngine::bcast_scatter_allgather(const net::Payload& mine,
     }
   }
 
-  // Phase 2 — ring allgather of the n segments.
-  auto& segs = scratch_.stage;
-  segs.assign(static_cast<std::size_t>(n), {});
-  segs[static_cast<std::size_t>(rel)] =
+  // Phase 2 — ring allgather of the n segments, forwarding the one that
+  // arrived last. The runs re-join exactly: symbolic segments into the
+  // root's descriptor, Raw ones (views of the root's buffer) into its
+  // header.
+  net::Payload last =
       net::Payload::slice(pool_, part, off(rel) - part_base, cnt(rel));
+  net::Payload low = last;  // segments [0, rel]
+  net::Payload high;        // segments [rel + 1, n)
   const int right = abs_rank((rel + 1) % n, root);
   const int left = abs_rank((rel - 1 + n) % n, root);
   for (int s = 0; s < n - 1; ++s) {
-    const int sendblk = (rel - s + n) % n;
     const int recvblk = (rel - s - 1 + n) % n;
-    segs[static_cast<std::size_t>(recvblk)] =
-        sendrecv_p(segs[static_cast<std::size_t>(sendblk)], right,
-                   cnt(recvblk), left, kTagBcastRing);
+    last = sendrecv_p(last, right, cnt(recvblk), left, kTagBcastRing);
+    net::Payload& run = recvblk < rel ? low : high;
+    run = join(pool_, last, run);
   }
-  net::Payload out;
-  if (rank_ == root) {
-    out = mine;  // already whole; skip the re-join
-  } else {
-    // The segments re-join exactly: symbolic ones into the root's
-    // descriptor, Raw ones (views of the root's buffer) into its header.
-    out = net::Payload::concat_payloads(pool_, segs);
-  }
-  segs.clear();  // drop the segment handles (returns slabs to the pool)
-  return out;
+  return rank_ == root ? mine : join(pool_, low, high);
 }
 
 void CollEngine::bcast(std::span<std::byte> data, int root) {
@@ -464,13 +490,12 @@ void CollEngine::gather(std::span<const std::byte> send,
     if (recv.size() < block * static_cast<std::size_t>(n)) {
       throw std::invalid_argument("gather: recv buffer too small");
     }
-    auto& reqs = scratch_.reqs;
-    reqs.clear();
+    reqs_.clear();
     for (int i = 0; i < n; ++i) {
       if (i == rank_) continue;
-      reqs.push_back(ep_.irecv_sink(ctx_, i, kTagGather, block));
+      reqs_.push_back(ep_.irecv_sink(ctx_, i, kTagGather, block));
     }
-    if (!reqs.empty()) ep_.waitall(reqs);
+    if (!reqs_.empty()) ep_.waitall(reqs_);
     std::size_t ri = 0;
     for (int i = 0; i < n; ++i) {
       auto dst = recv.subspan(static_cast<std::size_t>(i) * block, block);
@@ -478,10 +503,10 @@ void CollEngine::gather(std::span<const std::byte> send,
         std::memcpy(dst.data(), send.data(), block);
         util::count_bytes_copied(block);
       } else {
-        reqs[ri++]->recv_payload.copy_to(dst.data());
+        reqs_[ri++]->recv_payload.copy_to(dst.data());
       }
     }
-    reqs.clear();
+    reqs_.clear();
   } else {
     send_p(net::Payload::copy_of(pool_, send), root, kTagGather);
   }
@@ -497,14 +522,13 @@ void CollEngine::gatherv(std::span<const std::byte> send,
     if (recv.size() < total) {
       throw std::invalid_argument("gatherv: recv buffer too small");
     }
-    auto& reqs = scratch_.reqs;
-    reqs.clear();
+    reqs_.clear();
     for (int i = 0; i < n; ++i) {
       if (i == rank_) continue;
-      reqs.push_back(ep_.irecv_sink(ctx_, i, kTagGather,
+      reqs_.push_back(ep_.irecv_sink(ctx_, i, kTagGather,
                                     counts[static_cast<std::size_t>(i)]));
     }
-    if (!reqs.empty()) ep_.waitall(reqs);
+    if (!reqs_.empty()) ep_.waitall(reqs_);
     std::size_t offset = 0;
     std::size_t ri = 0;
     for (int i = 0; i < n; ++i) {
@@ -514,11 +538,11 @@ void CollEngine::gatherv(std::span<const std::byte> send,
         std::memcpy(dst.data(), send.data(), c);
         util::count_bytes_copied(c);
       } else {
-        reqs[ri++]->recv_payload.copy_to(dst.data());
+        reqs_[ri++]->recv_payload.copy_to(dst.data());
       }
       offset += c;
     }
-    reqs.clear();
+    reqs_.clear();
   } else {
     send_p(net::Payload::copy_of(pool_, send), root, kTagGather);
   }
@@ -532,20 +556,19 @@ void CollEngine::scatter(std::span<const std::byte> send,
     if (send.size() < block * static_cast<std::size_t>(n)) {
       throw std::invalid_argument("scatter: send buffer too small");
     }
-    auto& reqs = scratch_.reqs;
-    reqs.clear();
+    reqs_.clear();
     for (int i = 0; i < n; ++i) {
       auto blk = send.subspan(static_cast<std::size_t>(i) * block, block);
       if (i == rank_) {
         std::memcpy(recv.data(), blk.data(), block);
         util::count_bytes_copied(block);
       } else {
-        reqs.push_back(
+        reqs_.push_back(
             isend_p(net::Payload::copy_of(pool_, blk), i, kTagScatter));
       }
     }
-    if (!reqs.empty()) ep_.waitall(reqs);
-    reqs.clear();
+    if (!reqs_.empty()) ep_.waitall(reqs_);
+    reqs_.clear();
   } else {
     recv_p(block, root, kTagScatter).copy_to(recv.data());
   }
@@ -555,234 +578,213 @@ void CollEngine::scatter(std::span<const std::byte> send,
 // allgather
 // ---------------------------------------------------------------------------
 
-void CollEngine::allgather_ring(const net::Payload& mine, std::size_t block,
-                                std::vector<net::Payload>& out) {
+net::Payload CollEngine::allgather_ring(const net::Payload& mine) {
   const int n = size_;
-  out.assign(static_cast<std::size_t>(n), {});
-  out[static_cast<std::size_t>(rank_)] = mine;
   const int right = (rank_ + 1) % n;
   const int left = (rank_ - 1 + n) % n;
-  // At step s, forward the block received at step s-1 (a handle move).
+  net::Payload last = mine;  // forwarded on the next step (a handle move)
+  net::Payload low = mine;   // ranks [0, rank]
+  net::Payload high;         // ranks [rank + 1, n)
   for (int s = 0; s < n - 1; ++s) {
-    const int sendblk = (rank_ - s + n) % n;
     const int recvblk = (rank_ - s - 1 + n) % n;
-    out[static_cast<std::size_t>(recvblk)] =
-        sendrecv_p(out[static_cast<std::size_t>(sendblk)], right, block, left,
-                   kTagAllgather);
+    last = sendrecv_p(last, right, mine.size(), left, kTagAllgather);
+    net::Payload& run = recvblk < rank_ ? low : high;
+    run = join(pool_, last, run);
   }
+  return join(pool_, low, high);
 }
 
-void CollEngine::allgather_bruck(const net::Payload& mine, std::size_t block,
-                                 std::vector<net::Payload>& out) {
+net::Payload CollEngine::allgather_bruck(const net::Payload& mine) {
   const int n = size_;
-  auto& tmp = scratch_.stage;
-  tmp.assign(static_cast<std::size_t>(n), {});
-  tmp[0] = mine;
-  int nfilled = 1;
+  const std::size_t block = mine.size();
+  // `acc` holds the blocks of ranks rank, rank + 1, ... (mod n): each round
+  // sends its first cnt blocks as one slice and appends the peer's.
+  net::Payload acc = mine;
   for (int pof2 = 1; pof2 < n; pof2 *= 2) {
-    const int cnt = std::min(pof2, n - nfilled);
-    const int dst = (rank_ - pof2 + n) % n;
-    const int src = (rank_ + pof2) % n;
-    // Pack the first cnt blocks into one message; receive the peer's pack
-    // and slice it back into block handles (uniform block size).
-    net::Payload packed = net::Payload::concat_payloads(
-        pool_, std::span<const net::Payload>(tmp.data(),
-                                             static_cast<std::size_t>(cnt)));
-    net::Payload in = sendrecv_p(
-        packed, dst, static_cast<std::size_t>(cnt) * block, src, kTagAllgather);
-    for (int i = 0; i < cnt; ++i) {
-      tmp[static_cast<std::size_t>(nfilled + i)] = net::Payload::slice(
-          pool_, in, static_cast<std::size_t>(i) * block, block);
-    }
-    nfilled += cnt;
+    const std::size_t len =
+        static_cast<std::size_t>(std::min(pof2, n - pof2)) * block;
+    acc = join(pool_, acc,
+               sendrecv_p(net::Payload::slice(pool_, acc, 0, len),
+                          (rank_ - pof2 + n) % n, len, (rank_ + pof2) % n,
+                          kTagAllgather));
   }
-  // tmp[i] holds the block of rank (rank_ + i) % n; rotate into rank order.
-  out.assign(static_cast<std::size_t>(n), {});
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>((rank_ + i) % n)] =
-        std::move(tmp[static_cast<std::size_t>(i)]);
-  }
+  // Rotate into rank order: rank 0's block sits n - rank blocks in.
+  const std::size_t first = static_cast<std::size_t>((n - rank_) % n) * block;
+  return join(pool_, net::Payload::slice(pool_, acc, first, acc.size() - first),
+              net::Payload::slice(pool_, acc, 0, first));
 }
 
-void CollEngine::allgather_payload(const net::Payload& mine, std::size_t block,
-                                   std::vector<net::Payload>& out) {
-  if (size_ <= 1) {
-    out.assign(1, mine);
-    return;
-  }
-  switch (tune_.resolve_allgather(block, size_)) {
+net::Payload CollEngine::allgather_payload(const net::Payload& mine) {
+  if (size_ <= 1) return mine;
+  switch (tune_.resolve_allgather(mine.size(), size_)) {
     case AllgatherAlg::Bruck:
-      allgather_bruck(mine, block, out);
-      return;
+      return allgather_bruck(mine);
     case AllgatherAlg::Ring:
     case AllgatherAlg::Auto:
       break;
   }
-  allgather_ring(mine, block, out);
+  return allgather_ring(mine);
 }
 
 void CollEngine::allgather(std::span<const std::byte> send,
                            std::span<std::byte> recv) {
-  const int n = size_;
-  const std::size_t block = send.size();
-  if (recv.size() < block * static_cast<std::size_t>(n)) {
+  if (recv.size() < send.size() * static_cast<std::size_t>(size_)) {
     throw std::invalid_argument("allgather: recv buffer too small");
   }
-  auto& out = scratch_.out_blocks;
-  allgather_payload(net::Payload::copy_of(pool_, send), block, out);
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)].copy_to(
-        recv.data() + static_cast<std::size_t>(i) * block);
-  }
-  out.clear();
+  allgather_payload(net::Payload::copy_of(pool_, send)).copy_to(recv.data());
 }
 
 // ---------------------------------------------------------------------------
 // alltoall / alltoallv
 // ---------------------------------------------------------------------------
 
-void CollEngine::alltoall_pairwise(std::span<const net::Payload> blocks,
-                                   std::size_t block,
-                                   std::vector<net::Payload>& out) {
+net::Payload CollEngine::alltoall_pairwise(const net::Payload& send,
+                                           std::size_t block) {
   const int n = size_;
-  out.assign(static_cast<std::size_t>(n), {});
-  out[static_cast<std::size_t>(rank_)] =
-      blocks[static_cast<std::size_t>(rank_)];  // self: alias, no wire
+  const auto at = [&](int i) {
+    return net::Payload::slice(pool_, send, static_cast<std::size_t>(i) * block,
+                               block);
+  };
+  net::Payload low = at(rank_);  // sources [0, rank]; self: no wire
+  net::Payload high;             // sources [rank + 1, n)
   for (int k = 1; k < n; ++k) {
     const int dst = (rank_ + k) % n;
     const int src = (rank_ - k + n) % n;
-    out[static_cast<std::size_t>(src)] = sendrecv_p(
-        blocks[static_cast<std::size_t>(dst)], dst, block, src, kTagAlltoall);
+    net::Payload& run = src < rank_ ? low : high;
+    run = join(pool_, sendrecv_p(at(dst), dst, block, src, kTagAlltoall), run);
   }
+  return join(pool_, low, high);
 }
 
-void CollEngine::alltoall_bruck(std::span<const net::Payload> blocks,
-                                std::size_t block,
-                                std::vector<net::Payload>& out) {
+net::Payload CollEngine::alltoall_bruck(const net::Payload& send,
+                                        std::size_t block) {
   const int n = size_;
-  auto& tmp = scratch_.stage;
-  tmp.assign(static_cast<std::size_t>(n), {});
-  // Phase 1 — rotation: tmp[i] = my block for destination (rank + i) % n.
-  for (int i = 0; i < n; ++i) {
-    tmp[static_cast<std::size_t>(i)] =
-        blocks[static_cast<std::size_t>((rank_ + i) % n)];
-  }
-  // Phase 2 — for each bit, pack every block whose index has that bit set,
-  // trade with (rank +/- 2^k), and put the received slices back in place.
-  for (int pof2 = 1; pof2 < n; pof2 *= 2) {
-    const int dst = (rank_ + pof2) % n;
-    const int src = (rank_ - pof2 + n) % n;
-    auto& parts = scratch_.parts;
-    parts.clear();
-    for (int i = 0; i < n; ++i) {
-      if (i & pof2) parts.push_back(tmp[static_cast<std::size_t>(i)]);
+  const auto at = [&](const net::Payload& p, int i) {
+    return net::Payload::slice(pool_, p, static_cast<std::size_t>(i) * block,
+                               block);
+  };
+  // Index i is my block for destination (rank + i) % n. Round k sends the
+  // blocks whose index has bit k set to rank + 2^k as one pack and puts the
+  // pack from rank - 2^k in their places, so before round k block i is the
+  // copy that arrived in the last earlier round whose bit i has, at its
+  // position among that round's indices: O(log n) received packs, and no
+  // table of blocks, describe every block.
+  std::array<net::Payload, 32> in;  // the pack received in each round
+  int dropped = 0;  // packs [0, dropped) are not kept: see `uniform`
+  const auto current = [&](int i, int k) {
+    const int below = i & ((1 << k) - 1);
+    if (below == 0) return at(send, (rank_ + i) % n);
+    const int j = std::bit_width(static_cast<unsigned>(below)) - 1;
+    if (j < dropped) return at(send, 0);
+    return at(in[static_cast<std::size_t>(j)],
+              ((i >> (j + 1)) << j) | (i & ((1 << j) - 1)));
+  };
+  // When every block is the same bytes (Zeros, or a Tile of period block:
+  // the symbolic skeletons' case) a pack is a prefix. While every pack back
+  // equals the one sent, its blocks equal send's, so it is not kept (every
+  // rank would hold O(log n) headers through the call), and if that lasts
+  // the result is `send` itself: O(1) per round at any n.
+  const net::ContentDesc d = send.desc();
+  bool uniform = d.kind == net::ContentKind::Zeros ||
+                 (d.kind == net::ContentKind::Tile && d.period == block);
+  int k = 0;
+  for (int pof2 = 1; pof2 < n; pof2 *= 2, ++k) {
+    const int moved =
+        n / (2 * pof2) * pof2 + std::max(0, n % (2 * pof2) - pof2);
+    const net::Payload packed =
+        uniform ? net::Payload::slice(pool_, send, 0,
+                                      static_cast<std::size_t>(moved) * block)
+                : join_all(pool_, moved, [&](int m) {  // m-th index with bit k
+                    return current(((m >> k) << (k + 1)) | pof2 |
+                                       (m & (pof2 - 1)),
+                                   k);
+                  });
+    auto& got = in[static_cast<std::size_t>(k)];
+    got = sendrecv_p(packed, (rank_ + pof2) % n, packed.size(),
+                     (rank_ - pof2 + n) % n, kTagAlltoall);
+    if (uniform && got.desc() == packed.desc()) {
+      got.reset();
+      dropped = k + 1;
+    } else {
+      uniform = false;
     }
-    net::Payload packed = net::Payload::concat_payloads(pool_, parts);
-    net::Payload in =
-        sendrecv_p(packed, dst, parts.size() * block, src, kTagAlltoall);
-    std::size_t j = 0;
-    for (int i = 0; i < n; ++i) {
-      if (i & pof2) {
-        tmp[static_cast<std::size_t>(i)] =
-            net::Payload::slice(pool_, in, j++ * block, block);
-      }
-    }
-    parts.clear();
   }
-  // Phase 3 — inverse rotation: tmp[i] came from rank (rank - i + n) % n.
-  out.assign(static_cast<std::size_t>(n), {});
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>((rank_ - i + n) % n)] =
-        std::move(tmp[static_cast<std::size_t>(i)]);
-  }
+  if (uniform) return send;
+  // Block i came from rank (rank - i) % n: reverse into source order.
+  return join_all(pool_, n, [&](int src) {
+    return current((rank_ - src + n) % n, k);
+  });
 }
 
-void CollEngine::alltoall_payload(std::span<const net::Payload> blocks,
-                                  std::size_t block,
-                                  std::vector<net::Payload>& out) {
-  if (size_ <= 1) {
-    out.assign(1, blocks.empty() ? net::Payload{} : blocks[0]);
-    return;
+net::Payload CollEngine::alltoall_payload(const net::Payload& send) {
+  const auto n = static_cast<std::size_t>(size_);
+  if (send.size() % n != 0) {
+    throw std::invalid_argument(
+        "alltoall: send size not divisible by communicator size");
   }
+  if (size_ <= 1) return send;
+  const std::size_t block = send.size() / n;
   switch (tune_.resolve_alltoall(block, size_)) {
     case AlltoallAlg::Bruck:
-      alltoall_bruck(blocks, block, out);
-      return;
+      return alltoall_bruck(send, block);
     case AlltoallAlg::Pairwise:
     case AlltoallAlg::Auto:
       break;
   }
-  alltoall_pairwise(blocks, block, out);
+  return alltoall_pairwise(send, block);
 }
 
 void CollEngine::alltoall(std::span<const std::byte> send,
                           std::span<std::byte> recv) {
-  const int n = size_;
-  if (n > 0 && send.size() % static_cast<std::size_t>(n) != 0) {
-    throw std::invalid_argument(
-        "alltoall: send size not divisible by communicator size");
-  }
-  const std::size_t block = send.size() / static_cast<std::size_t>(n);
   if (recv.size() < send.size()) {
     throw std::invalid_argument("alltoall: recv buffer too small");
   }
-  auto& in = scratch_.in_blocks;
-  in.assign(static_cast<std::size_t>(n), {});
-  for (int i = 0; i < n; ++i) {
-    in[static_cast<std::size_t>(i)] = net::Payload::copy_of(
-        pool_, send.subspan(static_cast<std::size_t>(i) * block, block));
-  }
-  auto& out = scratch_.out_blocks;
-  alltoall_payload(in, block, out);
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)].copy_to(
-        recv.data() + static_cast<std::size_t>(i) * block);
-  }
-  in.clear();
-  out.clear();
+  alltoall_payload(net::Payload::copy_of(pool_, send)).copy_to(recv.data());
 }
 
 void CollEngine::alltoallv(std::span<const std::byte> send,
                            std::span<const std::size_t> send_counts,
                            std::span<std::byte> recv,
                            std::span<const std::size_t> recv_counts) {
-  const int n = size_;
-  auto& soff = scratch_.offs;
-  auto& roff = scratch_.offs2;
-  soff.assign(static_cast<std::size_t>(n) + 1, 0);
-  roff.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    soff[static_cast<std::size_t>(i) + 1] =
-        soff[static_cast<std::size_t>(i)] +
-        send_counts[static_cast<std::size_t>(i)];
-    roff[static_cast<std::size_t>(i) + 1] =
-        roff[static_cast<std::size_t>(i)] +
-        recv_counts[static_cast<std::size_t>(i)];
+  const auto n = static_cast<std::size_t>(size_);
+  const auto me = static_cast<std::size_t>(rank_);
+  // Offsets are running sums, kept for the current peers only: the send
+  // side walks up from this rank, the receive side down.
+  std::size_t send_total = 0;
+  std::size_t recv_total = 0;
+  std::size_t soff = 0;  // offset of the block for dst
+  std::size_t roff = 0;  // offset of the block from src
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == me) {
+      soff = send_total;
+      roff = recv_total;
+    }
+    send_total += send_counts[i];
+    recv_total += recv_counts[i];
   }
-  if (send.size() < soff[static_cast<std::size_t>(n)]) {
+  if (send.size() < send_total) {
     throw std::invalid_argument(
         "alltoallv: send buffer smaller than the sum of send counts");
   }
-  if (recv.size() < roff[static_cast<std::size_t>(n)]) {
+  if (recv.size() < recv_total) {
     throw std::invalid_argument(
         "alltoallv: recv buffer smaller than the sum of recv counts");
   }
-  const std::size_t self = send_counts[static_cast<std::size_t>(rank_)];
-  if (self > 0) {
-    std::memcpy(recv.data() + roff[static_cast<std::size_t>(rank_)],
-                send.data() + soff[static_cast<std::size_t>(rank_)], self);
-    util::count_bytes_copied(self);
+  if (send_counts[me] > 0) {
+    std::memcpy(recv.data() + roff, send.data() + soff, send_counts[me]);
+    util::count_bytes_copied(send_counts[me]);
   }
-  if (n <= 1) return;
-  for (int k = 1; k < n; ++k) {
-    const int dst = (rank_ + k) % n;
-    const int src = (rank_ - k + n) % n;
-    net::Payload out = net::Payload::copy_of(
-        pool_, send.subspan(soff[static_cast<std::size_t>(dst)],
-                            send_counts[static_cast<std::size_t>(dst)]));
-    sendrecv_p(out, dst, recv_counts[static_cast<std::size_t>(src)], src,
-               kTagAlltoall)
-        .copy_to(recv.data() + roff[static_cast<std::size_t>(src)]);
+  for (std::size_t k = 1; k < n; ++k) {
+    const std::size_t dst = (me + k) % n;
+    const std::size_t src = (me + n - k) % n;
+    soff = dst == 0 ? 0 : soff + send_counts[dst - 1];
+    roff = src == n - 1 ? recv_total - recv_counts[src]
+                        : roff - recv_counts[src];
+    net::Payload out =
+        net::Payload::copy_of(pool_, send.subspan(soff, send_counts[dst]));
+    sendrecv_p(out, static_cast<int>(dst), recv_counts[src],
+               static_cast<int>(src), kTagAlltoall)
+        .copy_to(recv.data() + roff);
   }
 }
 
@@ -893,15 +895,12 @@ net::Payload Comm::bcast_payload(const net::Payload& mine, std::size_t len,
   return coll::CollEngine(*ep_, info()).bcast_payload(mine, len, root);
 }
 
-void Comm::allgather_payload(const net::Payload& mine, std::size_t block,
-                             std::vector<net::Payload>& out) const {
-  coll::CollEngine(*ep_, info()).allgather_payload(mine, block, out);
+net::Payload Comm::allgather_payload(const net::Payload& mine) const {
+  return coll::CollEngine(*ep_, info()).allgather_payload(mine);
 }
 
-void Comm::alltoall_payload(std::span<const net::Payload> blocks,
-                            std::size_t block,
-                            std::vector<net::Payload>& out) const {
-  coll::CollEngine(*ep_, info()).alltoall_payload(blocks, block, out);
+net::Payload Comm::alltoall_payload(const net::Payload& send) const {
+  return coll::CollEngine(*ep_, info()).alltoall_payload(send);
 }
 
 net::Payload Comm::allreduce_payload(const net::Payload& mine,

@@ -10,6 +10,13 @@
 // (workloads/symbolic.hpp SymColl) with bit-identical wire traffic and
 // virtual time — only host-byte work differs.
 //
+// Allgather and alltoall results are one payload in rank order, built only
+// from Payload::slice and concat_payloads: a schedule holds O(log n)
+// handles at most, never a table of n block handles, so per-rank host
+// state stays flat in the communicator size (equal symbolic blocks fold
+// into one Tile descriptor, materialized ones into one rope over the
+// senders' block headers).
+//
 // Per-collective algorithm registry (selected by CollTuning, see
 // tuning.hpp):
 //   barrier    - dissemination
@@ -31,9 +38,9 @@
 #include <span>
 #include <vector>
 
-#include "sdrmpi/mpi/coll/scratch.hpp"
 #include "sdrmpi/mpi/coll/tuning.hpp"
 #include "sdrmpi/mpi/reduce_ops.hpp"
+#include "sdrmpi/mpi/request.hpp"
 #include "sdrmpi/net/payload.hpp"
 
 namespace sdrmpi::mpi {
@@ -78,14 +85,12 @@ class CollEngine {
   /// (scatter-allgather — symbolic contents re-merge exactly).
   [[nodiscard]] net::Payload bcast_payload(const net::Payload& mine,
                                            std::size_t len, int root);
-  /// One `block`-byte contribution per rank; `out[i]` receives rank i's
-  /// block handle (out[rank] aliases `mine`).
-  void allgather_payload(const net::Payload& mine, std::size_t block,
-                         std::vector<net::Payload>& out);
-  /// `blocks[i]` is this rank's block for destination i; `out[i]` receives
-  /// the block source i sent here (out[rank] aliases blocks[rank]).
-  void alltoall_payload(std::span<const net::Payload> blocks,
-                        std::size_t block, std::vector<net::Payload>& out);
+  /// Every rank contributes `mine` (the same length everywhere); returns
+  /// the n blocks joined in rank order.
+  [[nodiscard]] net::Payload allgather_payload(const net::Payload& mine);
+  /// `send` holds this rank's n equal blocks in destination order; returns
+  /// the n blocks sent here, joined in source order.
+  [[nodiscard]] net::Payload alltoall_payload(const net::Payload& send);
   /// Element-wise reduction of every rank's `mine` (all same length).
   /// Combines over Zeros short-circuit — an all-Zeros reduction stays a
   /// Zeros descriptor end to end; anything else materializes each operand
@@ -121,14 +126,12 @@ class CollEngine {
   [[nodiscard]] net::Payload allreduce_rabenseifner(const net::Payload& mine,
                                                     std::size_t elem,
                                                     const ReduceFn& fn);
-  void allgather_ring(const net::Payload& mine, std::size_t block,
-                      std::vector<net::Payload>& out);
-  void allgather_bruck(const net::Payload& mine, std::size_t block,
-                       std::vector<net::Payload>& out);
-  void alltoall_pairwise(std::span<const net::Payload> blocks,
-                         std::size_t block, std::vector<net::Payload>& out);
-  void alltoall_bruck(std::span<const net::Payload> blocks, std::size_t block,
-                      std::vector<net::Payload>& out);
+  [[nodiscard]] net::Payload allgather_ring(const net::Payload& mine);
+  [[nodiscard]] net::Payload allgather_bruck(const net::Payload& mine);
+  [[nodiscard]] net::Payload alltoall_pairwise(const net::Payload& send,
+                                               std::size_t block);
+  [[nodiscard]] net::Payload alltoall_bruck(const net::Payload& send,
+                                            std::size_t block);
   [[nodiscard]] net::Payload scan_payload(const net::Payload& mine,
                                           std::size_t elem, const ReduceFn& fn,
                                           bool exclusive,
@@ -144,7 +147,9 @@ class CollEngine {
   int size_;
   const CollTuning& tune_;
   util::BufferPool* pool_;
-  Scratch& scratch_;
+  /// The endpoint's recycled fan-out request list (collectives block per
+  /// process, so one list serves every communicator).
+  std::vector<Request>& reqs_;
 };
 
 }  // namespace sdrmpi::mpi::coll

@@ -195,19 +195,21 @@ class Comm {
                                            std::byte*& data) const {
     return net::Payload::fresh(&ep_->buffer_pool(), n, data);
   }
+  /// The pool this rank's payloads come from, for Payload::slice and
+  /// concat_payloads over collective results.
+  [[nodiscard]] util::BufferPool* payload_pool() const {
+    return &ep_->buffer_pool();
+  }
 
   /// Broadcast `mine` (valid at root, `len` bytes everywhere); returns the
   /// delivered handle (the root's aliased, never copied).
   [[nodiscard]] net::Payload bcast_payload(const net::Payload& mine,
                                            std::size_t len, int root) const;
-  /// One block per rank in, rank-indexed handles out (out[rank] aliases
-  /// mine).
-  void allgather_payload(const net::Payload& mine, std::size_t block,
-                         std::vector<net::Payload>& out) const;
-  /// blocks[i] goes to rank i; out[i] is the block rank i sent here.
-  void alltoall_payload(std::span<const net::Payload> blocks,
-                        std::size_t block,
-                        std::vector<net::Payload>& out) const;
+  /// Every rank's `mine` (one length everywhere), joined in rank order.
+  [[nodiscard]] net::Payload allgather_payload(const net::Payload& mine) const;
+  /// `send` holds one equal block per destination, in rank order; returns
+  /// the blocks sent here, joined in source order.
+  [[nodiscard]] net::Payload alltoall_payload(const net::Payload& send) const;
   /// Element-wise reduction over every rank's payload; all-Zeros inputs
   /// short-circuit and stay symbolic.
   [[nodiscard]] net::Payload allreduce_payload(const net::Payload& mine,

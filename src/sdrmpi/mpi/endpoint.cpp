@@ -738,6 +738,7 @@ std::size_t Endpoint::footprint_bytes() const noexcept {
   n += rdv_sends_.capacity() * sizeof(RdvSend);
   n += rdv_recvs_.capacity() * sizeof(RdvRecv);
   n += req_cache_.capacity() * sizeof(Request);
+  n += coll_reqs_.capacity() * sizeof(Request);
   return n;
 }
 

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "sdrmpi/mpi/coll/scratch.hpp"
 #include "sdrmpi/mpi/coll/tuning.hpp"
 #include "sdrmpi/mpi/rank_map.hpp"
 #include "sdrmpi/mpi/request.hpp"
@@ -216,10 +215,11 @@ class Endpoint {
   [[nodiscard]] const CollTuning& coll_tuning() const noexcept {
     return coll_tuning_;
   }
-  /// Recycled schedule scratch (collectives are blocking per process, so
-  /// one set serves every communicator of this endpoint).
-  [[nodiscard]] coll::Scratch& coll_scratch() noexcept {
-    return coll_scratch_;
+  /// Recycled fan-out request list of the collective schedules
+  /// (collectives are blocking per process, so one list serves every
+  /// communicator of this endpoint; counted in footprint_bytes()).
+  [[nodiscard]] std::vector<Request>& coll_requests() noexcept {
+    return coll_reqs_;
   }
   [[nodiscard]] util::BufferPool& buffer_pool() noexcept {
     return fabric_.pool();
@@ -268,7 +268,8 @@ class Endpoint {
 
   /// Host bytes held by this endpoint's message-layer state: sequence
   /// maps, matching-queue capacities, parked frames, rendezvous tables,
-  /// communicator rank maps, inbox and request cache. Feeds
+  /// communicator rank maps, inbox, request cache and the collective
+  /// request list. Feeds
   /// MemStats::endpoint_bytes (run_config.hpp) — a diagnostic of what the
   /// per-rank state costs, not an allocator contract.
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
@@ -334,7 +335,7 @@ class Endpoint {
   std::size_t req_cache_scan_ = 0;
 
   CollTuning coll_tuning_;
-  coll::Scratch coll_scratch_;
+  std::vector<Request> coll_reqs_;
 
   EndpointStats stats_;
 };

@@ -77,6 +77,8 @@ struct ContentDesc {
   std::uint64_t offset = 0;  ///< Pattern stream position of byte 0
   std::uint64_t period = 0;  ///< Tile repetition length in bytes (Tile only)
 
+  [[nodiscard]] bool operator==(const ContentDesc&) const = default;
+
   [[nodiscard]] static ContentDesc zeros(std::size_t n) noexcept {
     return {ContentKind::Zeros, n, 0, 0, 0};
   }

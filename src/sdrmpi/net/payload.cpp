@@ -12,77 +12,9 @@ namespace sdrmpi::net {
 
 namespace {
 
-/// Per-thread (seed, len) -> digest memo for Pattern contents: repeated
-/// message shapes (the normal case — a workload sends the same halo/block
-/// size every iteration) digest in O(1) after the first computation. One
-/// simulated run owns one host thread, so no locking; core::World clears
-/// the memos at the start of every run (clear_digest_memos) so the
-/// bytes_hashed counter stays a pure function of the run — bit-identical
-/// across batch-runner pool sizes like every other counter.
-struct ShapeKey {
-  std::uint64_t seed;
-  std::uint64_t offset;
-  std::uint64_t len;
-  [[nodiscard]] bool operator==(const ShapeKey&) const = default;
-};
-
-struct ShapeKeyHash {
-  [[nodiscard]] std::size_t operator()(const ShapeKey& k) const noexcept {
-    return static_cast<std::size_t>(util::hash_combine(
-        util::hash_combine(util::mix64(k.seed), k.offset), k.len));
-  }
-};
-
-[[nodiscard]] std::unordered_map<ShapeKey, std::uint64_t, ShapeKeyHash>&
-pattern_memo() {
-  thread_local std::unordered_map<ShapeKey, std::uint64_t, ShapeKeyHash> memo;
-  return memo;
-}
-
-[[nodiscard]] std::uint64_t pattern_digest_memoized(std::uint64_t seed,
-                                                    std::uint64_t offset,
-                                                    std::uint64_t len) {
-  auto& memo = pattern_memo();
-  const ShapeKey key{seed, offset, len};
-  if (const auto it = memo.find(key); it != memo.end()) return it->second;
-  util::count_bytes_hashed(len);
-  const std::uint64_t d = fnv1a_pattern(seed, offset, offset + len);
-  memo.emplace(key, d);
-  return d;
-}
-
 [[nodiscard]] constexpr std::uint64_t fnv1a_step(std::uint64_t h,
                                                  unsigned char b) noexcept {
   return (h ^ b) * util::kFnvPrime;
-}
-
-/// Tile digests stream every repetition (the fnv1a step XORs the data byte
-/// into the state before multiplying, so the fold over one period is not an
-/// affine function of the incoming state — there is no closed form like
-/// fnv1a_zeros). A (seed, offset, period, reps) shape is digested once per
-/// host thread and memoized; allgather-produced tiles repeat the same shape
-/// every iteration, so steady-state cost is O(1) like Pattern.
-struct TileKey {
-  std::uint64_t seed;
-  std::uint64_t offset;
-  std::uint64_t period;
-  std::uint64_t reps;
-  [[nodiscard]] bool operator==(const TileKey&) const = default;
-};
-
-struct TileKeyHash {
-  [[nodiscard]] std::size_t operator()(const TileKey& k) const noexcept {
-    return static_cast<std::size_t>(util::hash_combine(
-        util::hash_combine(util::hash_combine(util::mix64(k.seed), k.offset),
-                           k.period),
-        k.reps));
-  }
-};
-
-[[nodiscard]] std::unordered_map<TileKey, std::uint64_t, TileKeyHash>&
-tile_memo() {
-  thread_local std::unordered_map<TileKey, std::uint64_t, TileKeyHash> memo;
-  return memo;
 }
 
 /// fnv1a over bytes [begin, end) of the Tile repeating Pattern bytes
@@ -101,16 +33,48 @@ tile_memo() {
   return h;
 }
 
-[[nodiscard]] std::uint64_t tile_digest_memoized(std::uint64_t seed,
-                                                 std::uint64_t offset,
-                                                 std::uint64_t period,
-                                                 std::uint64_t reps) {
-  auto& memo = tile_memo();
-  const TileKey key{seed, offset, period, reps};
+/// Per-thread memo of Pattern and Tile digests from the FNV basis, keyed by
+/// shape (seed, offset, period, reps): a Pattern is one repetition of
+/// itself (symbolic() turns a one-repetition Tile into a Pattern, so the
+/// keys never collide). Repeated message shapes — a workload sends the
+/// same halo/block size every iteration, and allgather tiles repeat too —
+/// digest in O(1) after the first computation. Tile digests must stream
+/// every repetition once (the fnv1a step XORs the data byte into the state
+/// before multiplying, so the fold over one period is not an affine
+/// function of the incoming state — no closed form like fnv1a_zeros). One
+/// simulated run owns one host thread, so no locking; core::World clears
+/// the memo at the start of every run (clear_digest_memos) so the
+/// bytes_hashed counter stays a pure function of the run — bit-identical
+/// across batch-runner pool sizes like every other counter.
+struct ShapeKey {
+  std::uint64_t seed;
+  std::uint64_t offset;
+  std::uint64_t period;
+  std::uint64_t reps;
+  [[nodiscard]] bool operator==(const ShapeKey&) const = default;
+};
+
+struct ShapeKeyHash {
+  [[nodiscard]] std::size_t operator()(const ShapeKey& k) const noexcept {
+    return static_cast<std::size_t>(util::hash_combine(
+        util::hash_combine(util::hash_combine(util::mix64(k.seed), k.offset),
+                           k.period),
+        k.reps));
+  }
+};
+
+[[nodiscard]] std::unordered_map<ShapeKey, std::uint64_t, ShapeKeyHash>&
+shape_memo() {
+  thread_local std::unordered_map<ShapeKey, std::uint64_t, ShapeKeyHash> memo;
+  return memo;
+}
+
+[[nodiscard]] std::uint64_t shape_digest_memoized(const ShapeKey& key) {
+  auto& memo = shape_memo();
   if (const auto it = memo.find(key); it != memo.end()) return it->second;
-  util::count_bytes_hashed(period * reps);
-  const std::uint64_t d =
-      fnv1a_tile(seed, offset, period, 0, period * reps, util::kFnvOffset);
+  util::count_bytes_hashed(key.period * key.reps);
+  const std::uint64_t d = fnv1a_tile(key.seed, key.offset, key.period, 0,
+                                     key.period * key.reps, util::kFnvOffset);
   memo.emplace(key, d);
   return d;
 }
@@ -159,7 +123,7 @@ constexpr std::uint64_t kFoldPrime = fnv1a_zeros(kFoldBlock, 1);
 /// most one slot, and Payload::destroy clears the one it owns — and a hit
 /// needs an equal state and size and a full memcmp, so only equal bytes
 /// from an equal state share a digest. Fixed size, so it allocates
-/// nothing; cleared with the shape memos at run start, so hits are a pure
+/// nothing; cleared with the shape memo at run start, so hits are a pure
 /// function of the run.
 constexpr std::size_t kLiveDigestSlots = 64;
 constexpr std::size_t kLiveDigestMinBytes = 256;
@@ -196,8 +160,7 @@ struct LiveDigest {
 }  // namespace
 
 void clear_digest_memos() noexcept {
-  pattern_memo().clear();
-  tile_memo().clear();
+  shape_memo().clear();
   // Headers keep their stale live_slot; destroy() only clears a slot it
   // still owns, so no entry is dereferenced here.
   live_digests().fill({});
@@ -314,9 +277,6 @@ Payload Payload::slice(util::BufferPool* pool, const Payload& base,
       const auto first = std::upper_bound(
           leaves.begin(), leaves.end(), std::uint64_t{off},
           [](std::uint64_t v, const RopeLeaf& e) { return v < e.end; });
-      const auto last = std::lower_bound(
-          first, leaves.end(), std::uint64_t{off} + len,
-          [](const RopeLeaf& e, std::uint64_t v) { return e.end < v; });
       const auto start = [&leaves](auto it) {
         return it == leaves.begin() ? std::uint64_t{0} : (it - 1)->end;
       };
@@ -326,11 +286,17 @@ Payload Payload::slice(util::BufferPool* pool, const Payload& base,
         ++leaf->refs;
         return p;
       };
-      if (first == last) {
-        // Inside one leaf: a slice of it — the leaf itself when the range
-        // is exactly that leaf (slice's full-range alias).
+      if (off + len <= first->end) {
+        // Inside one leaf: the leaf itself when the range is exactly that
+        // leaf, else a slice of it.
+        if (off == start(first) && len == first->leaf->size) {
+          return leaf_handle(first->leaf);
+        }
         return slice(pool, leaf_handle(first->leaf), off - start(first), len);
       }
+      const auto last = std::lower_bound(
+          first, leaves.end(), std::uint64_t{off} + len,
+          [](const RopeLeaf& e, std::uint64_t v) { return e.end < v; });
       Payload out = make_rope(pool, len,
                               static_cast<std::size_t>(last - first) + 1);
       for (auto it = first; it <= last; ++it) {
@@ -608,14 +574,12 @@ std::uint64_t Payload::compute_digest(Header* h, std::uint64_t in) {
     case ContentKind::Zeros:
       return fnv1a_zeros(h->size, in);
     case ContentKind::Pattern:
-      if (in == util::kFnvOffset) {
-        return pattern_digest_memoized(h->seed, h->offset, h->size);
-      }
-      break;
     case ContentKind::Tile:
       if (in == util::kFnvOffset) {
-        return tile_digest_memoized(h->seed, h->offset, h->bit_index,
-                                    h->size / h->bit_index);
+        const std::uint64_t period =
+            h->kind == ContentKind::Tile ? h->bit_index : h->size;
+        return shape_digest_memoized(
+            {h->seed, h->offset, period, h->size / period});
       }
       break;
     case ContentKind::Concat:

@@ -217,8 +217,8 @@ class Payload {
   /// fnv1a digest of the contents (== util::fnv1a(bytes()) always), cached
   /// in the shared header so aliases — including the receive side of a
   /// zero-copy delivery — reuse one computation. Symbolic payloads digest
-  /// without materializing; repeated Pattern shapes hit a per-thread
-  /// (seed, len) memo and cost O(1); a rope folds its leaves through their
+  /// without materializing; repeated Pattern and Tile shapes hit a
+  /// per-thread shape memo and cost O(1); a rope folds its leaves through their
   /// continuation caches; host bytes equal to a live digested buffer
   /// folded from the same state cost one memcmp. Empty handles digest to kFnvOffset like the empty span.
   [[nodiscard]] std::uint64_t digest() const {
@@ -390,7 +390,7 @@ class Payload {
   Header* h_ = nullptr;
 };
 
-/// Drops this host thread's digest memos: the Pattern/Tile shape memos and
+/// Drops this host thread's digest memos: the Pattern/Tile shape memo and
 /// the live-digest table. core::World calls it at the start of every run
 /// so bytes_hashed is a pure function of the run (pool-size independent);
 /// within one run, repeated shapes and equal live buffers still digest for

@@ -126,8 +126,9 @@ class SymXfer {
 /// bit-identical between Symbolic and Materialized twins; only the content
 /// representation differs — descriptors that digest without materializing
 /// vs real pattern bytes. Checksums fold per-block digests in rank-index
-/// order, which also makes them independent of the delivery order any
-/// particular algorithm produces.
+/// order, sliced from the one payload a collective returns, which also
+/// makes them independent of the delivery order any particular algorithm
+/// produces.
 ///
 /// Content convention (same as SymXfer): a block's bytes depend only on
 /// (workload seed, shape tag) — every sender of a given collective emits
@@ -150,21 +151,23 @@ class SymColl {
   /// Allgather of one `bytes` block per rank; folds every rank's delivered
   /// block digest (rank order) into `cs`.
   void allgather(std::size_t bytes, int tag, util::Checksum& cs) {
-    comm_.allgather_payload(make_block(tag, bytes), bytes, blocks_);
-    for (const auto& b : blocks_) cs.add_u64(b.digest());
-    blocks_.clear();
+    add_blocks(comm_.allgather_payload(make_block(tag, bytes)), bytes, cs);
   }
 
-  /// Alltoall with one `bytes` block per destination. All destinations
-  /// alias one payload handle (the SymXfer content convention), so the
-  /// send side is O(1) host bytes even materialized.
+  /// Alltoall with one `bytes` block per destination. Every destination
+  /// gets the same block (the SymXfer content convention), joined n times
+  /// by doubling, so the send side is O(log n) joins and O(1) host bytes
+  /// even materialized.
   void alltoall(std::size_t bytes, int tag, util::Checksum& cs) {
-    sendblocks_.assign(static_cast<std::size_t>(comm_.size()),
-                       make_block(tag, bytes));
-    comm_.alltoall_payload(sendblocks_, bytes, blocks_);
-    for (const auto& b : blocks_) cs.add_u64(b.digest());
-    sendblocks_.clear();
-    blocks_.clear();
+    const auto n = static_cast<std::size_t>(comm_.size());
+    net::Payload send = make_block(tag, bytes);
+    for (std::size_t have = 1; have < n; have *= 2) {
+      const net::Payload parts[2] = {
+          send, net::Payload::slice(comm_.payload_pool(), send, 0,
+                                    std::min(have, n - have) * bytes)};
+      send = net::Payload::concat_payloads(comm_.payload_pool(), parts);
+    }
+    add_blocks(comm_.alltoall_payload(send), bytes, cs);
   }
 
   /// Broadcast of `bytes` pattern bytes from `root`; every rank folds the
@@ -210,11 +213,21 @@ class SymColl {
     return p;
   }
 
+  /// Folds the digests of the n `bytes`-byte blocks of `all` into `cs`, in
+  /// rank order. A block slice of a rope is the sender's own block header
+  /// and one of a Tile the Tile's shared block, so each digest is cached.
+  void add_blocks(const net::Payload& all, std::size_t bytes,
+                  util::Checksum& cs) const {
+    for (int i = 0; i < comm_.size(); ++i) {
+      cs.add_u64(net::Payload::slice(comm_.payload_pool(), all,
+                                     static_cast<std::size_t>(i) * bytes, bytes)
+                     .digest());
+    }
+  }
+
   mpi::Comm comm_;
   bool symbolic_;
   std::uint64_t seed_;
-  std::vector<net::Payload> blocks_;
-  std::vector<net::Payload> sendblocks_;
 };
 
 }  // namespace sdrmpi::wl

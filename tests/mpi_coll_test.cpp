@@ -597,6 +597,127 @@ TEST(CollAlgorithmMatrixOracle, CollChecksumsAreAlgorithmIndependent) {
 }
 
 // ---------------------------------------------------------------------------
+// One payload per collective: a 64-rank allgather or alltoall returns the
+// blocks joined in rank order. With the skeletons' content convention (one
+// block everywhere) a symbolic result is one O(1) Tile; with distinct
+// blocks, or one rank's blocks differing from the rest, every block lands
+// in its place. Either way the block digests equal the materialized twin's.
+// ---------------------------------------------------------------------------
+
+enum class Blocks { Same, Distinct, OneRankDiffers };
+
+struct JoinedCase {
+  std::string name;
+  mpi::CollTuning tuning;
+  bool alltoall;
+  Blocks blocks;  ///< Same: the skeletons' content convention
+};
+
+class JoinedResult : public ::testing::TestWithParam<JoinedCase> {};
+
+TEST_P(JoinedResult, SymbolicIsOneDescriptorWithTheMaterializedBlocks) {
+  const auto& [name, tuning, alltoall, blocks] = GetParam();
+  constexpr int kRanks = 64;
+  constexpr std::size_t kBlock = 96;
+  constexpr std::uint64_t kSeed = 0x10ad5eedULL;
+  // Stream offset of the block rank `src` sends rank `dst`. Distinct blocks
+  // are laid out so that every rank's result is one contiguous stream.
+  const auto offset_of = [&](std::size_t src, std::size_t dst) {
+    switch (blocks) {
+      case Blocks::Same:
+        break;
+      case Blocks::Distinct:
+        return static_cast<std::uint64_t>(alltoall ? dst * kRanks + src
+                                                   : src) *
+               kBlock;
+      case Blocks::OneRankDiffers:
+        return std::uint64_t{src == 1 ? kBlock : 0};
+    }
+    return std::uint64_t{0};
+  };
+  // digests[symbolic][rank * kRanks + block]
+  std::vector<std::uint64_t> digests[2];
+  for (const bool symbolic : {false, true}) {
+    auto& out = digests[symbolic ? 1 : 0];
+    out.assign(kRanks * kRanks, 0);
+    auto cfg = quick_config(kRanks, 1, core::ProtocolKind::Native);
+    cfg.coll = tuning;
+    auto res = core::run(cfg, [&, symbolic](mpi::Env& env) {
+      auto& w = env.world();
+      const auto me = static_cast<std::size_t>(env.rank());
+      const auto block = [&](std::uint64_t offset) {
+        if (symbolic) {
+          return w.symbolic_payload(
+              net::ContentDesc::pattern_at(kSeed, kBlock, offset));
+        }
+        std::byte* data = nullptr;
+        net::Payload p = w.fresh_payload(kBlock, data);
+        net::fill_pattern(kSeed, offset, kBlock, data);
+        return p;
+      };
+      net::Payload result;
+      if (alltoall) {
+        net::Payload send;
+        for (std::size_t dst = 0; dst < kRanks; ++dst) {
+          const net::Payload parts[2] = {send, block(offset_of(me, dst))};
+          send = net::Payload::concat_payloads(w.payload_pool(), parts);
+        }
+        result = w.alltoall_payload(send);
+      } else {
+        result = w.allgather_payload(block(offset_of(me, 0)));
+      }
+      ASSERT_EQ(result.size(), kRanks * kBlock);
+      if (symbolic && blocks == Blocks::Same) {
+        EXPECT_EQ(result.desc().kind, net::ContentKind::Tile) << "rank " << me;
+      }
+      for (std::size_t i = 0; i < kRanks; ++i) {
+        out[me * kRanks + i] =
+            net::Payload::slice(w.payload_pool(), result, i * kBlock, kBlock)
+                .digest();
+      }
+    });
+    ASSERT_TRUE(run_clean(res)) << name;
+  }
+  EXPECT_EQ(digests[1], digests[0]) << name;
+  std::vector<std::byte> bytes(kBlock);
+  for (std::size_t dst = 0; dst < kRanks; ++dst) {
+    for (std::size_t src = 0; src < kRanks; ++src) {
+      net::fill_pattern(kSeed, offset_of(src, dst), kBlock, bytes.data());
+      ASSERT_EQ(digests[0][dst * kRanks + src], util::fnv1a(bytes))
+          << name << ": block " << src << " at rank " << dst;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, JoinedResult, ::testing::ValuesIn([] {
+      std::vector<JoinedCase> cases;
+      const auto add = [&cases](const std::string& name, mpi::CollTuning t,
+                                bool alltoall) {
+        cases.push_back({name + "_same", t, alltoall, Blocks::Same});
+        cases.push_back({name + "_distinct", t, alltoall, Blocks::Distinct});
+        cases.push_back(
+            {name + "_one_rank_differs", t, alltoall, Blocks::OneRankDiffers});
+      };
+      for (const auto a : {mpi::AllgatherAlg::Ring, mpi::AllgatherAlg::Bruck}) {
+        mpi::CollTuning t;
+        t.allgather = a;
+        add(a == mpi::AllgatherAlg::Ring ? "allgather_ring" : "allgather_bruck",
+            t, false);
+      }
+      for (const auto a :
+           {mpi::AlltoallAlg::Pairwise, mpi::AlltoallAlg::Bruck}) {
+        mpi::CollTuning t;
+        t.alltoall = a;
+        add(a == mpi::AlltoallAlg::Pairwise ? "alltoall_pairwise"
+                                            : "alltoall_bruck",
+            t, true);
+      }
+      return cases;
+    }()),
+    [](const auto& info) { return info.param.name; });
+
+// ---------------------------------------------------------------------------
 // Argument validation (regression: the seed's alltoall never validated).
 // ---------------------------------------------------------------------------
 

@@ -365,11 +365,11 @@ TEST(AllocRegression, WarmCollectiveLoopStaysUnderPinnedBound) {
   if (!util::alloc_counting_enabled()) {
     GTEST_SKIP() << "allocation counting disabled (sanitizer build)";
   }
-  // The collective engine's accumulators are pool slabs and its schedule
-  // tables live in per-endpoint scratch, so a steady-state collective loop
-  // must not touch the heap: block handles, combine scratch, fan-out
-  // request lists and Bruck staging all recycle. Whole-run bound per
-  // collective call, cold start included (pool warmup, app vectors).
+  // The collective engine's results, joins and accumulators are pool
+  // slabs and its fan-out request list lives on the endpoint, so a
+  // steady-state collective loop must not touch the heap: payload headers,
+  // ropes, combine scratch and request lists all recycle. Whole-run bound
+  // per collective call, cold start included (pool warmup, app vectors).
   constexpr int kRounds = 100;
   constexpr int kCollsPerRound = 4;
   core::RunConfig cfg;
